@@ -55,9 +55,9 @@ def main(argv=None) -> int:
             dev = equivalence_report(traj_c, traj_d).max_deviation
         except GridMismatchError:
             dev = float("nan")  # one frame escaped earlier than the other
-        xi_rows = np.array([w_to_darboux(w) for w in traj_c.states])
         write_text_atomic(out_dir / f"{name}.csv",
-                          trajectory_csv(traj_c.t, traj_c.states, xi_rows,
+                          trajectory_csv(traj_c.t, traj_c.states,
+                                         w_to_darboux(traj_c.states),
                                          traj_c.hr, traj_c.hi))
         summary[name] = {
             "terminated_by": traj_c.terminated_by,

@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from holomech import (
-    SymplecticParams,
     SystemSpec,
     build_real_J,
     darboux_frame,
@@ -25,15 +24,7 @@ from holomech import (
     verify_compatibility,
 )
 from holomech.output import json_text, write_text_atomic
-
-
-def sample_params(rng, margin=0.05):
-    while True:
-        a, b = rng.uniform(-2, 2, size=2)
-        alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        p = SymplecticParams(float(a), float(b), alpha)
-        if abs(p.degeneracy_defect) > margin:
-            return p
+from holomech.symplectic import sample_params
 
 
 def main(argv=None) -> int:

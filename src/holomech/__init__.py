@@ -25,9 +25,6 @@ from .potentials import (
     get_builtin,
 )
 from .hamiltonian import (
-    ComplexPhasePoint,
-    RealPhasePoint,
-    DarbouxPoint,
     SystemSpec,
     hamiltonian,
     hamiltonian_split,
@@ -72,8 +69,6 @@ from .dynamics import (
     integrate_complex,
     integrate_darboux,
     split_step,
-    phase_to_darboux,
-    darboux_to_phase,
     invariant_flow,
     invariant_flow_field,
     solve_invariant_zero,

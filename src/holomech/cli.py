@@ -40,7 +40,7 @@ from .dynamics import (
     invariant_flow,
     solve_invariant_zero,
 )
-from .hamiltonian import SystemSpec, darboux_to_w, w_to_darboux
+from .hamiltonian import SystemSpec, darboux_invariant, darboux_to_w, w_to_darboux
 from .output import json_text, trajectory_csv, write_text_atomic
 from .potentials import PotentialError
 from .symplectic import (
@@ -50,6 +50,7 @@ from .symplectic import (
     darboux_frame,
     format_matrix,
     frame_residuals,
+    sample_params,
     verify_compatibility,
 )
 
@@ -81,6 +82,16 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(
             f"invalid complex literal {text!r}; expected RE+IMi, e.g. 1.0+0.5i"
         ) from None
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def parse_xi(text: str):
@@ -144,12 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     vt = sub.add_parser("verify-table1",
                         help="cross-check the closed-form reference table")
     vt.add_argument("--seed", type=int, default=default_seed())
-    vt.add_argument("--points", type=int, default=100)
+    vt.add_argument("--points", type=positive_int, default=100)
     vt.add_argument("--out", default=None)
 
     vs = sub.add_parser("verify-symplectic",
                         help="randomized Darboux + compatibility sweep")
-    vs.add_argument("--random", type=int, default=100, metavar="N")
+    vs.add_argument("--random", type=positive_int, default=100, metavar="N")
     vs.add_argument("--seed", type=int, default=default_seed())
     vs.add_argument("--potential", default="i*z^3")
     vs.add_argument("--mass", type=float, default=0.5)
@@ -184,16 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
-
-
-def _traj_rows(traj):
-    if traj.frame == "complex":
-        w_rows = traj.states
-        xi_rows = np.array([w_to_darboux(w) for w in traj.states])
-    else:
-        xi_rows = traj.states
-        w_rows = np.array([darboux_to_w(xi) for xi in traj.states])
-    return w_rows, xi_rows
 
 
 def cmd_simulate(args) -> int:
@@ -250,10 +251,13 @@ def cmd_simulate(args) -> int:
     else:
         if args.frame == "complex":
             traj = integrate_complex(spec, z0, p0, cfg)
+            w_rows = traj.states
+            xi_rows = w_to_darboux(w_rows)
         else:
             traj = integrate_darboux(spec, xi0, cfg)
+            xi_rows = traj.states
+            w_rows = darboux_to_w(xi_rows)
         t = traj.t
-        w_rows, xi_rows = _traj_rows(traj)
         hr, hi = traj.hr, traj.hi
 
     summary["drift_Hr"] = traj.drift_hr
@@ -276,16 +280,6 @@ def cmd_verify_table1(args) -> int:
     return EXIT_OK if report["consistent"] else EXIT_NUMERICAL
 
 
-def _sample_params(rng) -> SymplecticParams:
-    while True:
-        a, b = rng.uniform(-2.0, 2.0, size=2)
-        alpha = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
-        params = SymplecticParams(float(a), float(b), alpha)
-        # keep a healthy margin from the degenerate surface
-        if abs(params.degeneracy_defect) > 0.05:
-            return params
-
-
 def cmd_verify_symplectic(args) -> int:
     spec = SystemSpec.from_source(args.potential, args.mass)
     rng = np.random.default_rng(args.seed)
@@ -294,7 +288,7 @@ def cmd_verify_symplectic(args) -> int:
              "position_equation": 0.0, "momentum_equation": 0.0}
     failures = []
     for k in range(args.random):
-        params = _sample_params(rng)
+        params = sample_params(rng)
         w = rng.uniform(-2.0, 2.0, size=4)
         frame = darboux_frame(params)
         res = frame_residuals(frame, build_real_J(params))
@@ -368,9 +362,8 @@ def cmd_hi_flow(args) -> int:
                                      args.z0.imag, args.p0.imag]))
     flow = FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps)
     traj = invariant_flow(spec, xi0, flow)
-    w_rows, xi_rows = _traj_rows(traj)
-    write_text_atomic(args.out,
-                      trajectory_csv(traj.t, w_rows, xi_rows, traj.hr, traj.hi))
+    write_text_atomic(args.out, trajectory_csv(
+        traj.t, darboux_to_w(traj.states), traj.states, traj.hr, traj.hi))
     summary = {
         "command": "hi-flow",
         "potential": args.potential,
@@ -392,8 +385,6 @@ def cmd_hi_flow(args) -> int:
 
 
 def cmd_constrain(args) -> int:
-    from .hamiltonian import darboux_invariant
-
     spec = SystemSpec.from_source(args.potential, args.mass)
     report = {
         "command": "constrain",

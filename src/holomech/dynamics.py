@@ -1,37 +1,48 @@
 """Trajectory integration in the complex and Darboux descriptions.
 
-Three one-step methods are provided:
+The motion is two complex scalars, dz/dt = p/m and dp/dt = -v'(z).  One
+integration loop, ``_drive``, steps a state held as a pair of Python
+complex numbers; it owns the time grid or the step-size controller, the
+overflow and finiteness checks on every field evaluation, the escape test
+and the recording of samples.  Runs differ only in the field and the
+one-step rule handed to it.
 
-* ``rk4``   - classical fixed-step Runge-Kutta, samples every dt;
-* ``rk45``  - adaptive Dormand-Prince 5(4) with PI-free elementary step
-  control, samples at accepted steps, dense output by cubic Hermite
-  interpolation;
-* ``split`` - Strang splitting of h = F(p1, x2) + G(x1, p2) in the Darboux
-  frame; both partial flows are exactly solvable (F leaves (p1, x2) fixed,
-  G leaves (x1, p2) fixed), so each step is an exact composition of
-  Hamiltonian flows and preserves the standard symplectic two-form.
+Fields (z, p) -> (dz/dt, dp/dt): the complex frame; the Darboux frame on
+the packed pair Z = x1 + i p2, P = p1 + i x2, which is sqrt(2) (z, p), with
+its force -sqrt(2) v'(Z/sqrt2) evaluated in its own arithmetic so that the
+cross-frame deviation stays a genuine check; and the H_i flow, which is the
+Darboux field at complex time dt = -i d(epsilon)/2.
+
+Step rules:
+
+* ``rk4``   - classical Runge-Kutta on the fixed grid t_k = k dt, ending at
+  t_end;
+* ``rk45``  - Dormand-Prince 5(4) with elementary step control (Hairer,
+  Norsett and Wanner, *Solving ODEs I*, II.5); samples at accepted steps,
+  dense output by cubic Hermite interpolation;
+* ``split`` - Strang kick-drift-kick splitting of h = F(p1, x2) + G(x1, p2)
+  in the Darboux frame (Hairer, Lubich and Wanner, *Geometric Numerical
+  Integration*, II.5); both partial flows are exact, so each step preserves
+  the standard symplectic two-form.
 
 Escape through ``escape_radius`` is a normal termination (cubic and quartic
-potentials reach infinity in finite time from generic data); a controller
-step-size underflow is reported as ``terminated_by="step_failure"``.
-
-Monitored invariants: the energy split (H_r, H_i) per sample, with maximum
-drift from the initial value recorded on the trajectory.  H_i is an
-independent integral of motion; its flow (the symmetry generated through
-the standard bracket) is integrated by ``invariant_flow``.
+potentials reach infinity in finite time from generic data); a non-finite
+state or a controller step-size underflow is reported as
+``terminated_by="step_failure"``.  Samples become (N, 4) float rows in the
+w or xi layout once, when the ``Trajectory`` is built, together with the
+energy split (H_r, H_i) per sample and its maximum drift.  H_i is an
+independent integral of motion; ``invariant_flow`` integrates its flow.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .hamiltonian import (
-    ComplexPhasePoint,
-    DarbouxPoint,
     SystemSpec,
     darboux_to_w,
     hamiltonian_split,
@@ -51,8 +62,6 @@ __all__ = [
     "integrate_complex",
     "integrate_darboux",
     "split_step",
-    "phase_to_darboux",
-    "darboux_to_phase",
     "invariant_flow",
     "invariant_flow_field",
     "solve_invariant_zero",
@@ -191,30 +200,56 @@ def _hermite(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray, tq: float) -> np.nd
 
 
 # --------------------------------------------------------------------------
-# Vector fields
+# Vector fields on the pair (z, p)
 # --------------------------------------------------------------------------
 
+# Per frame: the size of the pair relative to (z, p), and the row layout as
+# columns of (Re z, Im z, Re p, Im p), which is also what a complex (N, 2)
+# array of pairs viewed as float holds.
+_FRAMES = {
+    "complex": (1.0, [0, 2, 1, 3]),      # w = (x, p, y, q)
+    "darboux": (_SQRT2, [0, 2, 3, 1]),   # xi = (x1, p1, x2, p2); Z = x1 + i p2, P = p1 + i x2
+}
 
-def _complex_rhs(spec: SystemSpec) -> Callable[[np.ndarray], np.ndarray]:
-    dv = spec._dv  # raw compiled closure; overflow handled by the stepper
-    m = spec.mass
 
-    def rhs(w):
-        d = dv(complex(w[0], w[2]))
-        return np.array([w[1] / m, -d.real, w[3] / m, -d.imag])
+def _complex_field(dv, m):
+    def rhs(z, p):
+        return p / m, -dv(z)
+
+    return rhs
+
+
+def _darboux_field(dv, m):
+    def rhs(Z, P):
+        return P / m, -_SQRT2 * dv(Z / _SQRT2)
 
     return rhs
 
 
-def _darboux_rhs(spec: SystemSpec) -> Callable[[np.ndarray], np.ndarray]:
-    dv = spec._dv
-    m = spec.mass
+def _hi_field(dv, m, sign=1.0):
+    """d(Z, P)/d(eps) = {(Z, P), H_i}, the Darboux field at dt = -i d(eps)/2;
+    ``sign`` = -1 runs it backwards."""
+    m2 = 2.0 * m
 
-    def rhs(xi):
-        d = dv(complex(xi[0], xi[3]) / _SQRT2)
-        return np.array([xi[1] / m, -_SQRT2 * d.real, -_SQRT2 * d.imag, xi[2] / m])
+    def rhs(Z, P):
+        d = dv(Z / _SQRT2)
+        return sign * (-1j * P / m2), sign * (1j * d / _SQRT2)
 
     return rhs
+
+
+def _pack(xi) -> tuple[complex, complex]:
+    """(x1, p1, x2, p2) -> (Z, P) = (x1 + i p2, p1 + i x2)."""
+    return complex(xi[0], xi[3]), complex(xi[1], xi[2])
+
+
+def _unpack(Z: complex, P: complex) -> np.ndarray:
+    return np.array([Z.real, P.real, P.imag, Z.imag])
+
+
+def _rows(pairs, columns) -> np.ndarray:
+    """List of (z, p) pairs -> (N, 4) float rows in the given layout."""
+    return np.array(pairs, dtype=complex).view(float)[:, columns]
 
 
 def invariant_flow_field(spec: SystemSpec, xi) -> np.ndarray:
@@ -224,29 +259,19 @@ def invariant_flow_field(spec: SystemSpec, xi) -> np.ndarray:
     -p1/(2m)) with v' evaluated at (x1 + i p2)/sqrt(2); one infinitesimal
     step xi + eps * field is the first-order symmetry transformation.
     """
-    xi = np.asarray(xi, dtype=float)
-    d = spec.dv(complex(xi[0], xi[3]) / _SQRT2)
-    m2 = 2.0 * spec.mass
-    return np.array([xi[2] / m2, -d.imag / _SQRT2, d.real / _SQRT2, -xi[1] / m2])
-
-
-def _escape_complex(w, radius: float) -> bool:
-    return math.hypot(w[0], w[2]) > radius or math.hypot(w[1], w[3]) > radius
-
-
-def _escape_darboux(xi, radius: float) -> bool:
-    return (math.hypot(xi[0], xi[3]) / _SQRT2 > radius
-            or math.hypot(xi[1], xi[2]) / _SQRT2 > radius)
+    return _unpack(*_hi_field(spec.dv, spec.mass)(*_pack(xi)))
 
 
 # --------------------------------------------------------------------------
-# Steppers
+# One-step rules: rule(f, z, p, k, h) -> (z, p, k, err).  k is the field at
+# (z, p) going in and at the new pair coming out; err is the embedded error
+# pair of an adaptive rule, else None.
 # --------------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau; the fifth-order solution is propagated (FSAL).
+# Dormand-Prince 5(4) tableau, rows 2..7 of A; the fifth-order solution is
+# propagated, and the last stage is the field at the new point (FSAL).
 # Stage times are omitted: every vector field integrated here is autonomous.
 _DP_A = (
-    (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
@@ -259,128 +284,57 @@ _DP_ERR = tuple(b5 - b4 for b5, b4 in zip(
     _DP_B5,
     (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
 ))
+_RK4_A = ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
 
 
-def _finite(y: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(y)))
+def _combine(coefs, ks):
+    return sum(c * k for c, k in zip(coefs, ks) if c != 0.0)
 
 
-def _rk45(rhs, y0, cfg: IntegratorConfig, escape) -> tuple[list, list, list, str, int]:
-    t, y = 0.0, np.asarray(y0, dtype=float)
-    ts, ys, ds = [t], [y.copy()], []
-    terminated = "t_end"
-    n_accepted = 0
-
-    def eval_rhs(state):
-        try:
-            d = rhs(state)
-        except (OverflowError, PotentialOverflowError, ZeroDivisionError):
-            return None
-        return d if _finite(d) else None
-
-    k1 = eval_rhs(y)
-    if k1 is None:
-        # cannot even start; report failure with the initial sample only
-        return ts, ys, [np.zeros_like(y)], "step_failure", 0
-    ds.append(k1.copy())
-    if escape(y, cfg.escape_radius):
-        return ts, ys, ds, "escape", 0
-    if cfg.t_end == 0.0:
-        return ts, ys, ds, "t_end", 0
-
-    h = min(1e-3, cfg.t_end)
-    while t < cfg.t_end:
-        remaining = cfg.t_end - t
-        if remaining <= 1e-13 * max(1.0, cfg.t_end):
-            break  # landed within rounding of t_end; not a failure
-        h = min(h, remaining)
-        if h < _MIN_STEP:
-            terminated = "step_failure"
-            break
-        K = [k1]
-        failed = False
-        for i in range(1, 7):
-            yi = y + h * sum(a * k for a, k in zip(_DP_A[i], K))
-            ki = eval_rhs(yi)
-            if ki is None:
-                failed = True
-                break
-            K.append(ki)
-        if not failed:
-            y_new = y + h * sum(b * k for b, k in zip(_DP_B5, K) if b != 0.0)
-            err_vec = h * sum(e * k for e, k in zip(_DP_ERR, K) if e != 0.0)
-            if not (_finite(y_new) and _finite(err_vec)):
-                failed = True
-        if failed:
-            h *= 0.25
-            continue
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0:
-            t += h
-            y = y_new
-            k1 = K[6]  # first-same-as-last
-            ts.append(t)
-            ys.append(y.copy())
-            ds.append(k1.copy())
-            n_accepted += 1
-            if escape(y, cfg.escape_radius):
-                terminated = "escape"
-                break
-        factor = 0.9 * (err + 1e-300) ** -0.2
-        h *= min(5.0, max(0.2, factor))
-    return ts, ys, ds, terminated, n_accepted
+def _stages(f, z, p, k, h, rows):
+    """Field values at the stages of an explicit Runge-Kutta tableau."""
+    kz, kp = [k[0]], [k[1]]
+    for row in rows:
+        dz, dp = f(z + h * _combine(row, kz), p + h * _combine(row, kp))
+        kz.append(dz)
+        kp.append(dp)
+    return kz, kp
 
 
-def _fixed_grid(t_end: float, dt: float) -> list[float]:
-    n = int(math.ceil(t_end / dt - 1e-12))
-    grid = [k * dt for k in range(n)]
-    grid.append(t_end)
-    return grid
+def _dp45_rule(f, z, p, k, h):
+    kz, kp = _stages(f, z, p, k, h, _DP_A)
+    return (z + h * _combine(_DP_B5, kz), p + h * _combine(_DP_B5, kp),
+            (kz[6], kp[6]), (h * _combine(_DP_ERR, kz), h * _combine(_DP_ERR, kp)))
 
 
-def _rk4(rhs, y0, cfg: IntegratorConfig, escape) -> tuple[list, list, list, str, int]:
-    y = np.asarray(y0, dtype=float)
-    ts, ys, ds = [0.0], [y.copy()], []
-    terminated = "t_end"
-    n_steps = 0
+def _rk4_rule(f, z, p, k, h):
+    kz, kp = _stages(f, z, p, k, h, _RK4_A)
+    z = z + h / 6.0 * (kz[0] + 2.0 * kz[1] + 2.0 * kz[2] + kz[3])
+    p = p + h / 6.0 * (kp[0] + 2.0 * kp[1] + 2.0 * kp[2] + kp[3])
+    return z, p, f(z, p), None
 
-    def eval_rhs(state):
-        try:
-            d = rhs(state)
-        except (OverflowError, PotentialOverflowError, ZeroDivisionError):
-            return None
-        return d if _finite(d) else None
 
-    k1 = eval_rhs(y)
-    if k1 is None:
-        return ts, ys, [np.zeros_like(y)], "step_failure", 0
-    ds.append(k1.copy())
-    if escape(y, cfg.escape_radius):
-        return ts, ys, ds, "escape", 0
+_RK_RULES = {"rk45": _dp45_rule, "rk4": _rk4_rule}
 
-    grid = _fixed_grid(cfg.t_end, cfg.dt) if cfg.t_end > 0.0 else [0.0]
-    for i in range(len(grid) - 1):
-        h = grid[i + 1] - grid[i]
-        k2 = eval_rhs(y + 0.5 * h * k1)
-        k3 = eval_rhs(y + 0.5 * h * k2) if k2 is not None else None
-        k4 = eval_rhs(y + h * k3) if k3 is not None else None
-        if k4 is None:
-            terminated = "step_failure"
-            break
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k1 = eval_rhs(y) if _finite(y) else None  # sample derivative, reused next step
-        if k1 is None:
-            terminated = "step_failure"
-            break
-        ts.append(grid[i + 1])
-        ys.append(y.copy())
-        ds.append(k1.copy())
-        n_steps += 1
-        if escape(y, cfg.escape_radius):
-            terminated = "escape"
-            break
-    return ts, ys, ds, terminated, n_steps
+
+def _kdk(dv, m, Z, P, h):
+    """Strang kick-drift-kick step of the packed Darboux pair.
+
+    The kicks are the exact flow of G(x1, p2), the drift the exact flow of
+    F(p1, x2).
+    """
+    kick = 0.5 * h * _SQRT2
+    P = P - kick * dv(Z / _SQRT2)
+    Z = Z + h * P / m
+    return Z, P - kick * dv(Z / _SQRT2)
+
+
+def _split_rule(dv, m):
+    def rule(f, Z, P, k, h):
+        Z, P = _kdk(dv, m, Z, P, h)
+        return Z, P, f(Z, P), None
+
+    return rule
 
 
 def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
@@ -392,47 +346,99 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    x1, p1, x2, p2 = (float(c) for c in xi)
-    m = spec.mass
-    half = 0.5 * dt
-    d = spec.dv(complex(x1, p2) / _SQRT2)
-    p1 -= half * _SQRT2 * d.real
-    x2 -= half * _SQRT2 * d.imag
-    x1 += dt * p1 / m
-    p2 += dt * x2 / m
-    d = spec.dv(complex(x1, p2) / _SQRT2)
-    p1 -= half * _SQRT2 * d.real
-    x2 -= half * _SQRT2 * d.imag
-    return np.array([x1, p1, x2, p2])
+    return _unpack(*_kdk(spec.dv, spec.mass, *_pack(xi), dt))
 
 
-def _split(spec, y0, cfg: IntegratorConfig, escape, rhs) -> tuple[list, list, list, str, int]:
-    y = np.asarray(y0, dtype=float)
-    ts, ys, ds = [0.0], [y.copy()], [rhs(y)]
-    terminated = "t_end"
-    n_steps = 0
-    if escape(y, cfg.escape_radius):
-        return ts, ys, ds, "escape", 0
-    grid = _fixed_grid(cfg.t_end, cfg.dt) if cfg.t_end > 0.0 else [0.0]
-    for i in range(len(grid) - 1):
-        h = grid[i + 1] - grid[i]
+# --------------------------------------------------------------------------
+# The integration loop
+# --------------------------------------------------------------------------
+
+# What a step raises on leaving double precision: OverflowError,
+# ZeroDivisionError, cmath domain errors and PotentialOverflowError.
+_STEP_ERRORS = (ArithmeticError, ValueError)
+
+
+def _checked(rhs):
+    """``rhs`` with non-finite values raised as PotentialOverflowError."""
+    def f(z, p):
+        dz, dp = rhs(z, p)
+        if not (cmath.isfinite(dz) and cmath.isfinite(dp)):
+            raise PotentialOverflowError("non-finite vector field")
+        return dz, dp
+
+    return f
+
+
+def _components(z: complex, p: complex) -> tuple[float, float, float, float]:
+    return z.real, z.imag, p.real, p.imag
+
+
+def _error_norm(cfg: IntegratorConfig, columns, old, new, err) -> float:
+    """RMS of the error pair scaled by the tolerances, over the row components."""
+    a, b, e = _components(*old), _components(*new), _components(*err)
+    total = 0.0
+    for c in columns:
+        r = e[c] / (cfg.abs_tol + cfg.rel_tol * max(abs(a[c]), abs(b[c])))
+        total += r * r
+    return math.sqrt(total / 4.0)
+
+
+def _drive(rule, rhs, z, p, cfg: IntegratorConfig, frame: str):
+    """Integrate the pair (z, p) of ``frame`` over [0, t_end] with one rule.
+
+    Escape is tested on |z| and |p| of the complex frame in either frame.
+    Returns (t, pairs, field pairs, terminated_by, n_steps).
+    """
+    unit, columns = _FRAMES[frame]
+    f = _checked(rhs)
+    ts, pairs, derivs = [0.0], [(z, p)], []
+    try:
+        k = f(z, p)
+    except _STEP_ERRORS:
+        # cannot even start; report failure with the initial sample only
+        return ts, pairs, [(0j, 0j)], "step_failure", 0
+    derivs.append(k)
+    adaptive = cfg.method == "rk45"
+    # fixed grid t_n = n dt, with t_end as its last point
+    n_grid = math.ceil(cfg.t_end / cfg.dt - 1e-12) if cfg.t_end > 0.0 else 0
+    t, h, n = 0.0, min(1e-3, cfg.t_end), 0
+    while True:
+        if abs(z) / unit > cfg.escape_radius or abs(p) / unit > cfg.escape_radius:
+            return ts, pairs, derivs, "escape", n
+        if adaptive:
+            remaining = cfg.t_end - t
+            if remaining <= 1e-13 * max(1.0, cfg.t_end):
+                break  # landed within rounding of t_end; not a failure
+            h = min(h, remaining)
+            if h < _MIN_STEP:
+                return ts, pairs, derivs, "step_failure", n
+            t_next = t + h
+        elif n < n_grid:
+            t_next = (n + 1) * cfg.dt if n + 1 < n_grid else cfg.t_end
+            h = t_next - t
+        else:
+            break
         try:
-            y = split_step(spec, y, h)
-            deriv = rhs(y)
-        except (OverflowError, PotentialOverflowError):
-            terminated = "step_failure"
-            break
-        if not (_finite(y) and _finite(deriv)):
-            terminated = "step_failure"
-            break
-        ts.append(grid[i + 1])
-        ys.append(y.copy())
-        ds.append(deriv)
-        n_steps += 1
-        if escape(y, cfg.escape_radius):
-            terminated = "escape"
-            break
-    return ts, ys, ds, terminated, n_steps
+            z1, p1, k1, err = rule(f, z, p, k, h)
+            ok = cmath.isfinite(z1) and cmath.isfinite(p1)
+        except _STEP_ERRORS:
+            ok = False
+        if adaptive:
+            if not (ok and cmath.isfinite(err[0]) and cmath.isfinite(err[1])):
+                h *= 0.25
+                continue
+            e = _error_norm(cfg, columns, (z, p), (z1, p1), err)
+            h *= min(5.0, max(0.2, 0.9 * (e + 1e-300) ** -0.2))
+            if e > 1.0:
+                continue
+        elif not ok:
+            return ts, pairs, derivs, "step_failure", n
+        t, z, p, k = t_next, z1, p1, k1
+        n += 1
+        ts.append(t)
+        pairs.append((z, p))
+        derivs.append(k)
+    return ts, pairs, derivs, "t_end", n
 
 
 # --------------------------------------------------------------------------
@@ -440,23 +446,32 @@ def _split(spec, y0, cfg: IntegratorConfig, escape, rhs) -> tuple[list, list, li
 # --------------------------------------------------------------------------
 
 
-def _invariants(spec, states, to_w) -> tuple[np.ndarray, np.ndarray]:
-    hr = np.empty(len(states))
-    hi = np.empty(len(states))
-    for i, s in enumerate(states):
+def _invariants(spec, w_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    hr = np.empty(len(w_rows))
+    hi = np.empty(len(w_rows))
+    for i, w in enumerate(w_rows.tolist()):
         try:
-            hr[i], hi[i] = hamiltonian_split(spec, to_w(s))
+            hr[i], hi[i] = hamiltonian_split(spec, w)
         except PotentialOverflowError:
             hr[i] = hi[i] = math.nan
     return hr, hi
 
 
-def _build(frame, spec, ts, ys, ds, terminated, n_steps, to_w) -> Trajectory:
-    states = np.array(ys)
-    hr, hi = _invariants(spec, states, to_w)
+def _trajectory(frame: str, spec: SystemSpec, run) -> Trajectory:
+    ts, pairs, derivs, terminated, n_steps = run
+    columns = _FRAMES[frame][1]
+    states = _rows(pairs, columns)
+    hr, hi = _invariants(spec, states if frame == "complex" else darboux_to_w(states))
     return Trajectory(frame=frame, t=np.array(ts), states=states,
-                      derivs=np.array(ds), hr=hr, hi=hi,
+                      derivs=_rows(derivs, columns), hr=hr, hi=hi,
                       terminated_by=terminated, n_steps=n_steps)
+
+
+def _initial_xi(xi0) -> tuple[complex, complex]:
+    xi0 = np.asarray(xi0, dtype=float)
+    if xi0.shape != (4,) or not np.isfinite(xi0).all():
+        raise ValueError("initial Darboux point must be 4 finite reals")
+    return _pack(xi0)
 
 
 def integrate_complex(spec: SystemSpec, z0: complex, p0: complex,
@@ -464,26 +479,23 @@ def integrate_complex(spec: SystemSpec, z0: complex, p0: complex,
     """Integrate dz/dt = p/m, dp/dt = -v'(z) over real time.
 
     States are recorded as real rows w = (x, p, y, q).  The ``split`` method
-    runs in the Darboux frame and maps back, which is exact (a scaled signed
-    permutation).
+    runs in the Darboux frame and maps states and derivatives back, which is
+    exact (a scaled signed permutation).
     """
-    w0 = np.array([z0.real, p0.real, z0.imag, p0.imag], dtype=float)
-    if not _finite(w0):
+    z0, p0 = complex(z0), complex(p0)
+    if not (cmath.isfinite(z0) and cmath.isfinite(p0)):
         raise ValueError("initial data must be finite")
-    rhs = _complex_rhs(spec)
-    if cfg.method == "rk45":
-        parts = _rk45(rhs, w0, cfg, _escape_complex)
-    elif cfg.method == "rk4":
-        parts = _rk4(rhs, w0, cfg, _escape_complex)
-    else:
-        xi_traj = integrate_darboux(spec, w_to_darboux(w0), cfg)
-        states = np.array([darboux_to_w(xi) for xi in xi_traj.states])
-        derivs = np.array([rhs(w) for w in states])
-        return Trajectory(frame="complex", t=xi_traj.t, states=states,
-                          derivs=derivs, hr=xi_traj.hr, hi=xi_traj.hi,
+    if cfg.method == "split":
+        xi_traj = integrate_darboux(
+            spec, w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag])), cfg)
+        return Trajectory(frame="complex", t=xi_traj.t,
+                          states=darboux_to_w(xi_traj.states),
+                          derivs=darboux_to_w(xi_traj.derivs),
+                          hr=xi_traj.hr, hi=xi_traj.hi,
                           terminated_by=xi_traj.terminated_by,
                           n_steps=xi_traj.n_steps)
-    return _build("complex", spec, *parts, to_w=lambda w: w)
+    rhs = _complex_field(spec._dv, spec.mass)
+    return _trajectory("complex", spec, _drive(_RK_RULES[cfg.method], rhs, z0, p0, cfg, "complex"))
 
 
 def integrate_darboux(spec: SystemSpec, xi0, cfg: IntegratorConfig) -> Trajectory:
@@ -492,27 +504,13 @@ def integrate_darboux(spec: SystemSpec, xi0, cfg: IntegratorConfig) -> Trajector
     dx1/dt = p1/m, dp2/dt = x2/m, with the potential forces -sqrt(2) Re v'
     and -sqrt(2) Im v' on p1 and x2, all evaluated at (x1 + i p2)/sqrt(2).
     """
-    xi0 = np.asarray(xi0, dtype=float)
-    if xi0.shape != (4,) or not _finite(xi0):
-        raise ValueError("initial Darboux point must be 4 finite reals")
-    rhs = _darboux_rhs(spec)
-    if cfg.method == "rk45":
-        parts = _rk45(rhs, xi0, cfg, _escape_darboux)
-    elif cfg.method == "rk4":
-        parts = _rk4(rhs, xi0, cfg, _escape_darboux)
+    Z, P = _initial_xi(xi0)
+    if cfg.method == "split":
+        rule = _split_rule(spec.dv, spec.mass)
     else:
-        parts = _split(spec, xi0, cfg, _escape_darboux, rhs)
-    return _build("darboux", spec, *parts, to_w=darboux_to_w)
-
-
-def phase_to_darboux(pt: ComplexPhasePoint) -> DarbouxPoint:
-    """(z, p) -> (x1, p1, x2, p2) = sqrt(2) (x, p, q, y)."""
-    return DarbouxPoint.from_array(w_to_darboux(pt.to_w()))
-
-
-def darboux_to_phase(xi: DarbouxPoint) -> ComplexPhasePoint:
-    w = darboux_to_w(xi.as_array())
-    return ComplexPhasePoint(complex(w[0], w[2]), complex(w[1], w[3]))
+        rule = _RK_RULES[cfg.method]
+    run = _drive(rule, _darboux_field(spec._dv, spec.mass), Z, P, cfg, "darboux")
+    return _trajectory("darboux", spec, run)
 
 
 def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
@@ -522,22 +520,14 @@ def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
     trajectory is parameterized by epsilon (stored in ``t``); negative
     ``epsilon_end`` flows backwards.
     """
-    xi0 = np.asarray(xi0, dtype=float)
-    if xi0.shape != (4,) or not _finite(xi0):
-        raise ValueError("initial Darboux point must be 4 finite reals")
+    Z, P = _initial_xi(xi0)
     sign = 1.0 if flow.epsilon_end >= 0.0 else -1.0
     span = abs(flow.epsilon_end)
     cfg = IntegratorConfig(method="rk4", dt=min(flow.d_epsilon, span) if span > 0 else flow.d_epsilon,
                            t_end=span, escape_radius=math.inf)
-
-    def rhs(xi):
-        f = invariant_flow_field(spec, xi)
-        return sign * f
-
-    parts = _rk4(rhs, xi0, cfg, lambda y, r: False)
-    ts, ys, ds, terminated, n_steps = parts
-    ts = [sign * t for t in ts]
-    traj = _build("darboux", spec, ts, ys, ds, terminated, n_steps, to_w=darboux_to_w)
+    run = _drive(_rk4_rule, _hi_field(spec._dv, spec.mass, sign), Z, P, cfg, "darboux")
+    traj = _trajectory("darboux", spec, run)
+    traj.t = sign * traj.t
     return traj
 
 

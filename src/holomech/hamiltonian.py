@@ -7,6 +7,10 @@ Phase-space conventions used everywhere in this package:
 * Darboux frame: xi = (x1, p1, x2, p2) = sqrt(2) * (x, p, q, y), the
   canonical coordinates of the zero-parameter symplectic structure.
 
+Real phase points are float arrays whose last axis holds the four
+coordinates; ``w_to_darboux`` and ``darboux_to_w`` map one point or a whole
+stack of trajectory samples alike.
+
 The energy splits as H = H_r + i H_i with
 
     H_r = (p^2 - q^2)/(2m) + v_r(x, y),      H_i = p q / m + v_i(x, y),
@@ -35,9 +39,6 @@ from .potentials import (
 )
 
 __all__ = [
-    "ComplexPhasePoint",
-    "RealPhasePoint",
-    "DarbouxPoint",
     "SystemSpec",
     "hamiltonian",
     "hamiltonian_split",
@@ -50,64 +51,18 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ComplexPhasePoint:
-    """Point (z, p) of the complex phase space C^2."""
-
-    z: complex
-    p: complex
-
-    def to_w(self) -> np.ndarray:
-        return np.array([self.z.real, self.p.real, self.z.imag, self.p.imag])
+# xi = sqrt(2) (x, p, q, y): swapping the last two columns is its own inverse.
+_SWAP_YQ = np.array([0, 1, 3, 2])
 
 
-@dataclass(frozen=True)
-class RealPhasePoint:
-    """Real image w = (x, p, y, q) of a complex phase point."""
-
-    x: float
-    p: float
-    y: float
-    q: float
-
-    @classmethod
-    def from_array(cls, w) -> "RealPhasePoint":
-        x, p, y, q = (float(c) for c in w)
-        return cls(x, p, y, q)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.p, self.y, self.q])
-
-    def to_complex(self) -> ComplexPhasePoint:
-        return ComplexPhasePoint(complex(self.x, self.y), complex(self.p, self.q))
+def w_to_darboux(w) -> np.ndarray:
+    """(..., 4) rows (x, p, y, q) -> (x1, p1, x2, p2) = sqrt(2) (x, p, q, y)."""
+    return _SQRT2 * np.asarray(w, dtype=float).take(_SWAP_YQ, axis=-1)
 
 
-@dataclass(frozen=True)
-class DarbouxPoint:
-    """Canonical coordinates (x1, p1, x2, p2) of the zero-parameter frame."""
-
-    x1: float
-    p1: float
-    x2: float
-    p2: float
-
-    @classmethod
-    def from_array(cls, xi) -> "DarbouxPoint":
-        x1, p1, x2, p2 = (float(c) for c in xi)
-        return cls(x1, p1, x2, p2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.p1, self.x2, self.p2])
-
-
-def w_to_darboux(w: np.ndarray) -> np.ndarray:
-    """(x, p, y, q) -> (x1, p1, x2, p2) = sqrt(2) (x, p, q, y)."""
-    return np.array([_SQRT2 * w[0], _SQRT2 * w[1], _SQRT2 * w[3], _SQRT2 * w[2]])
-
-
-def darboux_to_w(xi: np.ndarray) -> np.ndarray:
-    """(x1, p1, x2, p2) -> (x, p, y, q); exact inverse of w_to_darboux."""
-    return np.array([xi[0] / _SQRT2, xi[1] / _SQRT2, xi[3] / _SQRT2, xi[2] / _SQRT2])
+def darboux_to_w(xi) -> np.ndarray:
+    """(..., 4) rows (x1, p1, x2, p2) -> (x, p, y, q); exact inverse of w_to_darboux."""
+    return np.asarray(xi, dtype=float).take(_SWAP_YQ, axis=-1) / _SQRT2
 
 
 @dataclass(frozen=True)
@@ -184,11 +139,9 @@ def darboux_hamiltonian(spec: SystemSpec, xi) -> float:
     computed as twice H_r of the inverse-mapped point so that h = 2 H_r holds
     by construction, floating-point operation for operation.
     """
-    xi = np.asarray(xi, dtype=float)
     return 2.0 * hamiltonian_split(spec, darboux_to_w(xi))[0]
 
 
 def darboux_invariant(spec: SystemSpec, xi) -> float:
     """Integral of motion H_i(xi) = x2 p1/(2m) + v_i(x1/sqrt2, p2/sqrt2)."""
-    xi = np.asarray(xi, dtype=float)
     return hamiltonian_split(spec, darboux_to_w(xi))[1]

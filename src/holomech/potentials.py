@@ -34,6 +34,7 @@ __all__ = [
     "PotentialSyntaxError",
     "UnsupportedFunctionError",
     "PotentialOverflowError",
+    "MAX_DEPTH",
     "Expr",
     "Const",
     "Z",
@@ -61,10 +62,12 @@ class PotentialError(ValueError):
 
 
 class PotentialSyntaxError(PotentialError):
-    """Malformed expression text; carries the offending position."""
+    """Malformed expression text; carries the offending position if known."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message: str, position: int | None = None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
         self.position = position
 
 
@@ -161,6 +164,12 @@ _NON_ENTIRE_FUNCS = {
 
 _ZERO = complex(0.0)
 _ONE = complex(1.0)
+
+# Deepest accepted nesting of parentheses, calls and unary minus, and deepest
+# accepted expression tree.  Parsing, differentiation, compilation and
+# evaluation all recurse over the tree, so this bound keeps them within the
+# default interpreter recursion limit.
+MAX_DEPTH = 100
 
 
 def _contains_z(e: Expr) -> bool:
@@ -312,6 +321,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -386,9 +396,21 @@ class _Parser:
                 node = make_power(node, exponent)
             except ZeroDivisionError:
                 raise PotentialSyntaxError("zero raised to a negative power", pos) from None
+            except OverflowError:
+                raise PotentialOverflowError(
+                    f"constant power overflows double precision (at position {pos})") from None
         return node
 
     def base(self) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise PotentialSyntaxError(
+                f"expression nests deeper than {MAX_DEPTH} levels", self._peek()[2])
+        node = self._atom()
+        self.depth -= 1
+        return node
+
+    def _atom(self) -> Expr:
         kind, value, pos = self._next()
         if kind == "number":
             return Const(complex(value))  # type: ignore[arg-type]
@@ -420,8 +442,27 @@ class _Parser:
 
 
 def parse_potential(text: str) -> Expr:
-    """Parse expression text into an AST of an entire function of z."""
-    return _Parser(text).parse()
+    """Parse expression text into an AST of an entire function of z.
+
+    Rejects, besides malformed and non-entire input, constants that are not
+    finite in double precision (literals or folds) and trees deeper than
+    MAX_DEPTH.
+    """
+    tree = _Parser(text).parse()
+    stack = [(tree, 1)]  # iterative, so that deep trees cannot exhaust the stack
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise PotentialSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels")
+        match node:
+            case Const(value) if not cmath.isfinite(value):
+                raise PotentialOverflowError(
+                    f"constant {value!r} is not finite in double precision")
+            case Sum(l, r) | Product(l, r) | Quotient(l, r):
+                stack += ((l, depth + 1), (r, depth + 1))
+            case Power(a, _) | Neg(a) | Call(_, a):
+                stack.append((a, depth + 1))
+    return tree
 
 
 # --------------------------------------------------------------------------

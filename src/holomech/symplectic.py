@@ -26,13 +26,15 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import SystemSpec
+from .hamiltonian import SystemSpec, hamiltonian_split
 
 __all__ = [
     "DEGENERACY_TOL",
     "CONDITIONING_WARN_R_MINUS",
+    "SAMPLE_MARGIN",
     "DegenerateStructureError",
     "SymplecticParams",
+    "sample_params",
     "J_STANDARD",
     "build_complex_J",
     "build_real_J",
@@ -64,6 +66,10 @@ DEGENERACY_TOL = 1e-12
 # conditioning warning.
 CONDITIONING_WARN_R_MINUS = 1e-6
 
+# Randomized sweeps keep |degeneracy_defect| above this margin, a healthy
+# distance from the degenerate surface.
+SAMPLE_MARGIN = 0.05
+
 
 class DegenerateStructureError(ValueError):
     """The parameters sit on (or within tolerance of) |alpha|^2 - ab = 1."""
@@ -86,6 +92,17 @@ class SymplecticParams:
     @property
     def is_degenerate(self) -> bool:
         return abs(self.degeneracy_defect) <= DEGENERACY_TOL
+
+
+def sample_params(rng) -> SymplecticParams:
+    """Draw (a, b, Re alpha, Im alpha) uniformly from [-2, 2]^4, redrawing
+    until |degeneracy_defect| exceeds SAMPLE_MARGIN."""
+    while True:
+        a, b = rng.uniform(-2.0, 2.0, size=2)
+        alpha = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        params = SymplecticParams(float(a), float(b), alpha)
+        if abs(params.degeneracy_defect) > SAMPLE_MARGIN:
+            return params
 
 
 def _as_params(params) -> SymplecticParams:
@@ -365,8 +382,6 @@ def hamiltonian_field(spec: SystemSpec) -> ScalarField:
 
 def hamiltonian_real_field(spec: SystemSpec) -> ScalarField:
     """H_r with exact gradient (Re v', p/m, -Im v', -q/m)."""
-    from .hamiltonian import hamiltonian_split
-
     def func(w):
         return hamiltonian_split(spec, w)[0]
 
@@ -380,8 +395,6 @@ def hamiltonian_real_field(spec: SystemSpec) -> ScalarField:
 
 def hamiltonian_imag_field(spec: SystemSpec) -> ScalarField:
     """H_i with exact gradient (Im v', q/m, Re v', p/m)."""
-    from .hamiltonian import hamiltonian_split
-
     def func(w):
         return hamiltonian_split(spec, w)[1]
 

@@ -74,6 +74,14 @@ class TestSimulate:
         assert code == 1
         assert "entire" in capsys.readouterr().err
 
+    def test_overflowing_literal_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["simulate", "--potential", "1e400*z", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "potential error" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_step_failure_exit_2(self, tmp_path):
         code = run(["simulate", "--potential=-(z^4)", "--z0", "3",
                     "--t-end", "10", "--escape-radius", "1e300",
@@ -145,6 +153,10 @@ class TestVerifyTable1:
         out = capsys.readouterr().out
         assert json.loads(out)["n_discrepant"] == 2
 
+    def test_points_must_be_positive(self, capsys):
+        assert run(["verify-table1", "--points=0"]) == 1
+        assert "positive integer" in capsys.readouterr().err
+
 
 class TestVerifySymplectic:
     def test_sweep_passes(self, tmp_path, capsys):
@@ -163,6 +175,11 @@ class TestVerifySymplectic:
         run(["verify-symplectic", "--random", "10", "--seed", "7", "--out", str(a)])
         run(["verify-symplectic", "--random", "10", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_random_must_be_positive(self, capsys):
+        assert run(["verify-symplectic", "--random=-1"]) == 1
+        captured = capsys.readouterr()
+        assert "positive integer" in captured.err and "PASS" not in captured.out
 
 
 class TestDarboux:

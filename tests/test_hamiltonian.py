@@ -7,15 +7,17 @@ import pytest
 
 from holomech import (
     CORRECTED_FORMS,
-    ComplexPhasePoint,
-    DarbouxPoint,
-    RealPhasePoint,
+    FlowConfig,
+    IntegratorConfig,
     SystemSpec,
     darboux_hamiltonian,
     darboux_invariant,
     darboux_to_w,
     hamiltonian,
     hamiltonian_split,
+    integrate_complex,
+    integrate_darboux,
+    invariant_flow,
     verify_reference_table,
     w_to_darboux,
 )
@@ -97,27 +99,44 @@ class TestDarbouxQuantities:
 
 
 class TestPhasePoints:
+    """Points are (z, p) pairs inside the integrators and float rows at the
+    API edge; a zero-length run records exactly its initial point."""
+
     def test_real_point_bijection(self, rng):
+        cfg = IntegratorConfig(t_end=0.0)
         for _ in range(50):
             w = rng.uniform(-3, 3, size=4)
-            pt = RealPhasePoint.from_array(w)
-            back = pt.to_complex()
-            assert back.z == complex(w[0], w[2])
-            assert back.p == complex(w[1], w[3])
-            assert np.array_equal(pt.as_array(), w)
+            z, p = complex(w[0], w[2]), complex(w[1], w[3])
+            row = integrate_complex(spec_for("z^2"), z, p, cfg).states[0]
+            assert np.array_equal(row, w)
+            assert complex(row[0], row[2]) == z and complex(row[1], row[3]) == p
 
     def test_complex_point_to_w(self):
-        pt = ComplexPhasePoint(1 + 2j, 3 + 4j)
-        assert np.array_equal(pt.to_w(), [1.0, 3.0, 2.0, 4.0])
+        traj = integrate_complex(spec_for("z^2"), 1 + 2j, 3 + 4j,
+                                 IntegratorConfig(t_end=0.0))
+        assert np.array_equal(traj.states[0], [1.0, 3.0, 2.0, 4.0])
 
     def test_darboux_point_array(self):
-        xi = DarbouxPoint(1.0, 2.0, 3.0, 4.0)
-        assert DarbouxPoint.from_array(xi.as_array()) == xi
+        spec = spec_for("i*z^3")
+        xi0 = np.array([1.0, 2.0, 3.0, 4.0])
+        for method in ("rk45", "rk4", "split"):
+            traj = integrate_darboux(spec, xi0, IntegratorConfig(method=method, t_end=0.0))
+            assert np.array_equal(traj.states[0], xi0)
+        flow = invariant_flow(spec, xi0, FlowConfig(epsilon_end=0.0))
+        assert np.array_equal(flow.states[0], xi0)
 
     def test_w_xi_maps_invert(self, rng):
-        for _ in range(100):
-            w = rng.uniform(-3, 3, size=4)
-            assert np.allclose(darboux_to_w(w_to_darboux(w)), w, rtol=0, atol=1e-15)
+        w = rng.uniform(-3, 3, size=(100, 4))
+        assert np.allclose(darboux_to_w(w_to_darboux(w)), w, rtol=0, atol=1e-15)
+
+    def test_stack_maps_match_rows(self, rng):
+        stack = rng.uniform(-3, 3, size=(50, 4))
+        for to_frame in (w_to_darboux, darboux_to_w):
+            rows = np.array([to_frame(row) for row in stack])
+            assert np.array_equal(to_frame(stack), rows)
+        # xi = sqrt(2) (x, p, q, y), written out
+        xi = np.array([[S2 * x, S2 * p, S2 * q, S2 * y] for x, p, y, q in stack])
+        assert np.array_equal(w_to_darboux(stack), xi)
 
 
 class TestReferenceTable:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holomech import SystemSpec
 from holomech.potentials import (
     BUILTIN_SOURCES,
+    MAX_DEPTH,
     Call,
     Const,
     Power,
@@ -71,6 +73,28 @@ class TestParse:
     def test_division_by_overflowing_constant(self):
         with pytest.raises(PotentialOverflowError):
             parse_potential("z/exp(10000)")
+
+    @pytest.mark.parametrize("text, error", [
+        ("1e400*z", PotentialOverflowError),
+        ("z+1e308*10", PotentialOverflowError),
+        ("2^100000", PotentialOverflowError),
+        ("(" * 3000 + "z" + ")" * 3000, PotentialSyntaxError),
+        ("sin(" * 400 + "z" + ")" * 400, PotentialSyntaxError),
+        ("-" * 3000 + "z", PotentialSyntaxError),
+        ("+".join(["z"] * 3000), PotentialSyntaxError),
+        ("sin(" * MAX_DEPTH + "z" + ")" * MAX_DEPTH, PotentialSyntaxError),
+        ("+".join(["z"] * (MAX_DEPTH + 1)), PotentialSyntaxError),
+    ])
+    def test_rejected_before_evaluation(self, text, error):
+        with pytest.raises(error):
+            parse_potential(text)
+
+    def test_max_depth_accepted(self):
+        n = MAX_DEPTH - 1
+        for text in ("sin(" * n + "z" + ")" * n, "+".join(["z"] * MAX_DEPTH),
+                     "*".join(["z"] * MAX_DEPTH)):
+            spec = SystemSpec.from_source(text)
+            assert cmath.isfinite(spec.dv(0.1 + 0.1j))
 
     def test_unknown_identifier_position(self):
         with pytest.raises(PotentialSyntaxError) as err:

@@ -1,0 +1,30 @@
+"""Smoke runs of the scripts under scripts/."""
+
+import json
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script_main(name):
+    # run_path with its default run_name does not execute the __main__ block
+    return runpy.run_path(str(SCRIPTS / f"{name}.py"))["main"]
+
+
+def test_orbit_gallery(tmp_path):
+    assert script_main("orbit_gallery")(["--out-dir", str(tmp_path), "--t-end", "0.5"]) == 0
+    runs = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    assert len(runs) == 6
+    for name, run in runs.items():
+        assert (tmp_path / f"{name}.csv").exists()
+        assert run["terminated_by"] == "t_end"
+        assert run["frame_deviation"] <= 1e-6
+
+
+def test_symplectic_sweep(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert script_main("symplectic_sweep")(["--trials", "5", "--out", str(out)]) == 0
+    stats = json.loads(out.read_text())["stats"]
+    assert stats["canonicity"]["max"] <= 1e-10
+    assert stats["momentum_equation"]["max"] <= 1e-10
