@@ -121,8 +121,13 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _summary_path(csv_path: str) -> Path:
+    """The JSON summary written beside a trajectory CSV; never the CSV itself."""
     p = Path(csv_path)
-    return p.with_suffix(".json") if p.suffix else p.with_name(p.name + ".json")
+    summary = p.with_suffix(".json") if p.suffix else p.with_name(p.name + ".json")
+    if summary == p:
+        raise ValueError(f"--out {csv_path} is also the path of its JSON summary; "
+                         "give the trajectory CSV another suffix")
+    return summary
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_simulate(args) -> int:
+    summary_path = _summary_path(args.out)
     spec = SystemSpec.from_source(args.potential, args.mass)
     cfg = IntegratorConfig(method=args.method, dt=args.dt,
                            rel_tol=args.rel_tol, abs_tol=args.abs_tol,
@@ -236,7 +242,7 @@ def cmd_simulate(args) -> int:
         keep = traj_c.t <= hi_t
         t = traj_c.t[keep]
         w_rows = traj_c.states[keep]
-        xi_rows = np.array([traj_d.state_at(tq) for tq in t])
+        xi_rows = traj_d.state_at(t)
         hr = traj_c.hr[keep]
         hi = traj_c.hi[keep]
         try:
@@ -267,7 +273,7 @@ def cmd_simulate(args) -> int:
     summary["samples"] = int(len(t))
 
     write_text_atomic(args.out, trajectory_csv(t, w_rows, xi_rows, hr, hi))
-    write_text_atomic(_summary_path(args.out), json_text(summary))
+    write_text_atomic(summary_path, json_text(summary))
     print(f"wrote {args.out} ({len(t)} samples), terminated by "
           f"{traj.terminated_by}; drift Hr={traj.drift_hr:.3e} "
           f"Hi={traj.drift_hi:.3e}")
@@ -355,6 +361,7 @@ def cmd_darboux(args) -> int:
 
 
 def cmd_hi_flow(args) -> int:
+    summary_path = _summary_path(args.out)
     spec = SystemSpec.from_source(args.potential, args.mass)
     xi0 = args.xi0
     if xi0 is None:
@@ -378,7 +385,7 @@ def cmd_hi_flow(args) -> int:
         "samples": int(len(traj.t)),
         "seed": args.seed,
     }
-    write_text_atomic(_summary_path(args.out), json_text(summary))
+    write_text_atomic(summary_path, json_text(summary))
     print(f"wrote {args.out} ({len(traj.t)} samples); "
           f"drift Hr={traj.drift_hr:.3e} Hi={traj.drift_hi:.3e}")
     return EXIT_OK if traj.terminated_by == "t_end" else EXIT_NUMERICAL

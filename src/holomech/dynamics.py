@@ -168,9 +168,18 @@ class Trajectory:
         self.drift_hr = _max_drift(self.hr)
         self.drift_hi = _max_drift(self.hi)
 
-    def state_at(self, t_query: float) -> np.ndarray:
-        """Cubic Hermite interpolation between recorded samples."""
-        return _hermite(self.t, self.states, self.derivs, float(t_query))
+    def state_at(self, t_query) -> np.ndarray:
+        """Cubic Hermite interpolation between recorded samples.
+
+        A scalar time gives one row of shape (4,), a 1-D array of N times an
+        (N, 4) stack.  Times outside the samples extrapolate the end
+        intervals.
+        """
+        tq = np.asarray(t_query, dtype=float)
+        if tq.ndim > 1:
+            raise ValueError("state_at takes a scalar or a 1-D array of times")
+        rows = _hermite(self.t, self.states, self.derivs, tq.reshape(-1))
+        return rows[0] if tq.ndim == 0 else rows
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
@@ -183,20 +192,27 @@ def _max_drift(values: np.ndarray) -> float:
     return float(np.max(np.abs(finite - values[0]))) if np.isfinite(values[0]) else math.nan
 
 
-def _hermite(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray, tq: float) -> np.ndarray:
+def _hermite(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray, tq: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant of the samples (ts, ys, ds) at the 1-D times tq.
+
+    Returns (N, 4) rows.  Queries outside [ts[0], ts[-1]] use the first or
+    last interval; a zero-length interval gives its left sample, and a
+    single sample is returned for every query.
+    """
     if len(ts) == 1:
-        return ys[0].copy()
-    i = int(np.searchsorted(ts, tq, side="right")) - 1
-    i = min(max(i, 0), len(ts) - 2)
+        return np.repeat(ys[:1], len(tq), axis=0)
+    i = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
     h = ts[i + 1] - ts[i]
-    if h == 0.0:
-        return ys[i].copy()
-    s = (tq - ts[i]) / h
+    flat = h == 0.0
+    s = (tq - ts[i]) / np.where(flat, 1.0, h)
     h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
     h10 = s * (1.0 - s) ** 2
     h01 = s * s * (3.0 - 2.0 * s)
     h11 = s * s * (s - 1.0)
-    return h00 * ys[i] + h * h10 * ds[i] + h01 * ys[i + 1] + h * h11 * ds[i + 1]
+    rows = (h00[:, None] * ys[i] + (h * h10)[:, None] * ds[i]
+            + h01[:, None] * ys[i + 1] + (h * h11)[:, None] * ds[i + 1])
+    rows[flat] = ys[i[flat]]
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -268,34 +284,50 @@ def invariant_flow_field(spec: SystemSpec, xi) -> np.ndarray:
 # pair of an adaptive rule, else None.
 # --------------------------------------------------------------------------
 
+def _sparse(row):
+    """A tableau row as (stage index, coefficient) pairs, zeros dropped."""
+    return tuple((j, c) for j, c in enumerate(row) if c != 0.0)
+
+
 # Dormand-Prince 5(4) tableau, rows 2..7 of A; the fifth-order solution is
 # propagated, and the last stage is the field at the new point (FSAL).
 # Stage times are omitted: every vector field integrated here is autonomous.
-_DP_A = (
+_DP_B5_ROW = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_A = tuple(map(_sparse, (
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(
-    _DP_B5,
+    _DP_B5_ROW[:6],
+)))
+_DP_B5 = _sparse(_DP_B5_ROW)
+_DP_ERR = _sparse(b5 - b4 for b5, b4 in zip(
+    _DP_B5_ROW,
     (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
 ))
-_RK4_A = ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
+_RK4_A = tuple(map(_sparse, ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))))
 
 
-def _combine(coefs, ks):
-    return sum(c * k for c, k in zip(coefs, ks) if c != 0.0)
+def _combine(terms, kz, kp):
+    """sum(c * k) over the (index, coefficient) terms, for z and p alike.
+
+    Accumulated from 0j in row order, so the result, signed zeros
+    included, is that of the plain sum over the full row.
+    """
+    az = ap = 0j
+    for j, c in terms:
+        az += c * kz[j]
+        ap += c * kp[j]
+    return az, ap
 
 
 def _stages(f, z, p, k, h, rows):
     """Field values at the stages of an explicit Runge-Kutta tableau."""
     kz, kp = [k[0]], [k[1]]
     for row in rows:
-        dz, dp = f(z + h * _combine(row, kz), p + h * _combine(row, kp))
+        az, ap = _combine(row, kz, kp)
+        dz, dp = f(z + h * az, p + h * ap)
         kz.append(dz)
         kp.append(dp)
     return kz, kp
@@ -303,8 +335,9 @@ def _stages(f, z, p, k, h, rows):
 
 def _dp45_rule(f, z, p, k, h):
     kz, kp = _stages(f, z, p, k, h, _DP_A)
-    return (z + h * _combine(_DP_B5, kz), p + h * _combine(_DP_B5, kp),
-            (kz[6], kp[6]), (h * _combine(_DP_ERR, kz), h * _combine(_DP_ERR, kp)))
+    bz, bp = _combine(_DP_B5, kz, kp)
+    ez, ep = _combine(_DP_ERR, kz, kp)
+    return z + h * bz, p + h * bp, (kz[6], kp[6]), (h * ez, h * ep)
 
 
 def _rk4_rule(f, z, p, k, h):
@@ -579,15 +612,17 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
     hi = min(ta[-1], tb[-1])
     grid = np.union1d(ta, tb)
     grid = grid[(grid >= lo) & (grid <= hi)]
-    worst = 0.0
-    t_worst = float(grid[0]) if grid.size else float(lo)
-    for tq in grid:
-        w = _hermite(ta, traj_complex.states, traj_complex.derivs, float(tq))
-        xi = _hermite(tb, traj_darboux.states, traj_darboux.derivs, float(tq))
-        dev = float(np.max(np.abs(w_to_darboux(w) - xi)))
-        if dev > worst:
-            worst = dev
-            t_worst = float(tq)
+    if grid.size == 0:
+        return EquivalenceReport(max_deviation=0.0, tolerance=tol, passed=True,
+                                 n_points=0, t_worst=float(lo))
+    w = _hermite(ta, traj_complex.states, traj_complex.derivs, grid)
+    xi = _hermite(tb, traj_darboux.states, traj_darboux.derivs, grid)
+    dev = np.max(np.abs(w_to_darboux(w) - xi), axis=1)
+    # a NaN row never exceeds the running maximum, and the first grid point
+    # attaining the maximum is the one reported
+    dev[np.isnan(dev)] = 0.0
+    k = int(np.argmax(dev))
+    worst = float(dev[k])
     return EquivalenceReport(max_deviation=worst, tolerance=tol,
                              passed=worst <= tol, n_points=int(grid.size),
-                             t_worst=t_worst)
+                             t_worst=float(grid[k]))

@@ -135,6 +135,16 @@ class TestSimulate:
         b_json = b.with_suffix(".json").read_text()
         assert a_json.replace("a.csv", "") == b_json.replace("b.csv", "")
 
+    def test_stray_temp_directory_does_not_block_write(self, tmp_path):
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.tmp").mkdir()
+        code = run(["simulate", "--potential", "z^2", "--t-end", "1",
+                    "--out", str(out)])
+        assert code == 0
+        assert read_csv(out).shape[1] == 11
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.csv", "out.csv.tmp", "out.json"]
+
 
 class TestVerifyTable1:
     def test_report(self, tmp_path):
@@ -239,6 +249,17 @@ class TestConstrain:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["simulate", "hi-flow"])
+    def test_out_equal_to_summary_path_exit_1(self, command, tmp_path, capsys):
+        # traj.json would be overwritten by its own JSON summary
+        out = tmp_path / "traj.json"
+        code = run([command, "--potential", "z^2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "summary" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_missing_required_exit_1(self, capsys):
         assert run(["simulate"]) == 1
 

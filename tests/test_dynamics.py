@@ -431,3 +431,111 @@ class TestTrajectoryContainer:
                                  IntegratorConfig(method="rk45", t_end=2.0))
         assert traj.drift_hr == np.max(np.abs(traj.hr - traj.hr[0]))
         assert traj.drift_hi == np.max(np.abs(traj.hi - traj.hi[0]))
+
+
+def _reference_hermite(ts, ys, ds, tq):
+    """Point-by-point cubic Hermite on Python floats, written out apart from
+    the library's array interpolant."""
+    n = len(ts)
+    if n == 1:
+        return ys[0]
+    i = 0
+    while i < n - 2 and ts[i + 1] <= tq:
+        i += 1
+    h = ts[i + 1] - ts[i]
+    if h == 0.0:
+        return ys[i]
+    s = (tq - ts[i]) / h
+    # u * u, not u ** 2: a float ** 2 calls libm pow, which can be 1 ulp off
+    # the correctly rounded square numpy forms for an array ** 2
+    u = 1.0 - s
+    h00 = (1.0 + 2.0 * s) * (u * u)
+    h10 = s * (u * u)
+    h01 = s * s * (3.0 - 2.0 * s)
+    h11 = s * s * (s - 1.0)
+    return h00 * ys[i] + h * h10 * ds[i] + h01 * ys[i + 1] + h * h11 * ds[i + 1]
+
+
+def _reference_report(tc, td):
+    """Loop over the clipped union grid with a strict > running maximum."""
+    lo, hi = max(tc.t[0], td.t[0]), min(tc.t[-1], td.t[-1])
+    grid = [t for t in np.union1d(tc.t, td.t) if lo <= t <= hi]
+    worst, t_worst = 0.0, (grid[0] if grid else lo)
+    for tq in grid:
+        w = _reference_hermite(tc.t, tc.states, tc.derivs, tq)
+        xi = _reference_hermite(td.t, td.states, td.derivs, tq)
+        dev = float(np.max(np.abs(w_to_darboux(w) - xi)))
+        if dev > worst:
+            worst, t_worst = dev, tq
+    return worst, float(t_worst), len(grid)
+
+
+class TestDenseOutput:
+    @pytest.fixture(scope="class")
+    def rk45_run(self):
+        return integrate_complex(spec_for("i*sin(z)"), 0.2 + 0.1j, 1 + 0j,
+                                 IntegratorConfig(method="rk45", t_end=3.0))
+
+    def test_matches_scipy_hermite_spline(self, rk45_run):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        traj = rk45_run
+        spline = interpolate.CubicHermiteSpline(traj.t, traj.states, traj.derivs)
+        mid = 0.5 * (traj.t[:-1] + traj.t[1:])
+        quarter = traj.t[:-1] + 0.25 * np.diff(traj.t)
+        # half an end interval past either end: extrapolated on that interval
+        past = np.array([traj.t[0] - 0.5 * (traj.t[1] - traj.t[0]),
+                         traj.t[-1] + 0.5 * (traj.t[-1] - traj.t[-2])])
+        tq = np.concatenate([mid, quarter, past])
+        scale = np.max(np.abs(traj.states))
+        rows = traj.state_at(tq)
+        assert rows.shape == (len(tq), 4)
+        np.testing.assert_allclose(rows, spline(tq), rtol=1e-12, atol=1e-12 * scale)
+        for t in (mid[3], past[0], past[1]):
+            row = traj.state_at(t)
+            assert row.shape == (4,)
+            np.testing.assert_allclose(row, spline(t), rtol=1e-12, atol=1e-12 * scale)
+
+    def test_array_and_scalar_queries_agree(self, rk45_run):
+        traj = rk45_run
+        tq = np.linspace(-0.1, traj.t[-1] + 0.1, 37)
+        rows = traj.state_at(tq)
+        for t, row in zip(tq, rows):
+            assert np.array_equal(traj.state_at(t), row)
+        assert traj.state_at(np.array([])).shape == (0, 4)
+        with pytest.raises(ValueError):
+            traj.state_at(tq.reshape(1, -1))
+
+    def test_single_sample_returns_its_row(self):
+        traj = integrate_complex(spec_for("z^2"), 0.5 + 0j, 0.25j,
+                                 IntegratorConfig(method="rk4", t_end=0.0))
+        assert np.array_equal(traj.state_at(0.7), traj.states[0])
+        assert np.array_equal(traj.state_at([0.0, 2.0]), traj.states[[0, 0]])
+
+    def test_tied_maximum_reports_first_grid_point(self, rk45_run):
+        # an exactly mapped twin: every grid point ties at deviation 0
+        from holomech.dynamics import Trajectory
+
+        tc = rk45_run
+        twin = Trajectory(frame="darboux", t=tc.t.copy(), states=w_to_darboux(tc.states),
+                          derivs=w_to_darboux(tc.derivs), hr=tc.hr, hi=tc.hi,
+                          terminated_by=tc.terminated_by, n_steps=tc.n_steps)
+        report = equivalence_report(tc, twin)
+        assert (report.max_deviation, report.t_worst) == _reference_report(tc, twin)[:2]
+        assert report.t_worst == tc.t[0]
+
+    @pytest.mark.parametrize("method,t_end", [("rk4", 2.0), ("rk45", 3.0), ("rk45", 0.0)])
+    def test_equivalence_report_matches_reference_loop(self, method, t_end):
+        spec = spec_for("i*sin(z)")
+        z0, p0 = 0.2 + 0.1j, 1 + 0j
+        cfg = IntegratorConfig(method=method, dt=0.01, t_end=t_end)
+        tc = integrate_complex(spec, z0, p0, cfg)
+        td = integrate_darboux(spec, xi_from(z0, p0), cfg)
+        if method == "rk4":
+            assert np.array_equal(tc.t, td.t)
+        elif t_end > 0.0:
+            assert not np.array_equal(tc.t, td.t)
+        report = equivalence_report(tc, td)
+        worst, t_worst, n_points = _reference_report(tc, td)
+        assert report.max_deviation == worst
+        assert report.t_worst == t_worst
+        assert report.n_points == n_points
