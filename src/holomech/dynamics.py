@@ -30,8 +30,9 @@ potentials reach infinity in finite time from generic data); a non-finite
 state or a controller step-size underflow is reported as
 ``terminated_by="step_failure"``.  Samples become (N, 4) float rows in the
 w or xi layout once, when the ``Trajectory`` is built, together with the
-energy split (H_r, H_i) per sample and its maximum drift.  H_i is an
-independent integral of motion; ``invariant_flow`` integrates its flow.
+energy split (H_r, H_i) per sample, one ``hamiltonian_split`` call on the
+whole stack, and its maximum drift.  H_i is an independent integral of
+motion; ``invariant_flow`` integrates its flow.
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ class Trajectory:
     ``states`` holds w = (x, p, y, q) rows for frame "complex" and
     xi = (x1, p1, x2, p2) rows for frame "darboux"; ``derivs`` holds the
     vector field at each sample (used for cubic Hermite dense output).
-    For flows in epsilon, ``t`` carries the flow parameter.  Treat instances
-    as read-only once produced; batch runs over initial conditions may then
-    integrate concurrently with no shared mutable state.
+    For flows in epsilon, ``t`` carries the flow parameter, descending from
+    0 on a backwards flow, and ``derivs`` are derivatives in epsilon.  Treat
+    instances as read-only once produced; batch runs over initial conditions
+    may then integrate concurrently with no shared mutable state.
     """
 
     frame: str
@@ -195,12 +197,15 @@ def _max_drift(values: np.ndarray) -> float:
 def _hermite(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray, tq: np.ndarray) -> np.ndarray:
     """Cubic Hermite interpolant of the samples (ts, ys, ds) at the 1-D times tq.
 
-    Returns (N, 4) rows.  Queries outside [ts[0], ts[-1]] use the first or
-    last interval; a zero-length interval gives its left sample, and a
-    single sample is returned for every query.
+    ``ts`` ascends, or descends (a backwards flow, whose ``ds`` are still
+    derivatives in t).  Returns (N, 4) rows.  Queries outside the samples
+    use the first or last interval; a zero-length interval gives its left
+    sample, and a single sample is returned for every query.
     """
     if len(ts) == 1:
         return np.repeat(ys[:1], len(tq), axis=0)
+    if ts[-1] < ts[0]:
+        ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
     i = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
     h = ts[i + 1] - ts[i]
     flat = h == 0.0
@@ -479,22 +484,11 @@ def _drive(rule, rhs, z, p, cfg: IntegratorConfig, frame: str):
 # --------------------------------------------------------------------------
 
 
-def _invariants(spec, w_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hr = np.empty(len(w_rows))
-    hi = np.empty(len(w_rows))
-    for i, w in enumerate(w_rows.tolist()):
-        try:
-            hr[i], hi[i] = hamiltonian_split(spec, w)
-        except PotentialOverflowError:
-            hr[i] = hi[i] = math.nan
-    return hr, hi
-
-
 def _trajectory(frame: str, spec: SystemSpec, run) -> Trajectory:
     ts, pairs, derivs, terminated, n_steps = run
     columns = _FRAMES[frame][1]
     states = _rows(pairs, columns)
-    hr, hi = _invariants(spec, states if frame == "complex" else darboux_to_w(states))
+    hr, hi = hamiltonian_split(spec, states if frame == "complex" else darboux_to_w(states))
     return Trajectory(frame=frame, t=np.array(ts), states=states,
                       derivs=_rows(derivs, columns), hr=hr, hi=hi,
                       terminated_by=terminated, n_steps=n_steps)
@@ -560,7 +554,11 @@ def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
                            t_end=span, escape_radius=math.inf)
     run = _drive(_rk4_rule, _hi_field(spec._dv, spec.mass, sign), Z, P, cfg, "darboux")
     traj = _trajectory("darboux", spec, run)
-    traj.t = sign * traj.t
+    if sign < 0.0:
+        # the run is in |eps|: t = 0 - |eps| keeps the first sample at +0,
+        # and the derivatives become d/d(eps)
+        traj.t = 0.0 - traj.t
+        traj.derivs = -traj.derivs
     return traj
 
 

@@ -9,7 +9,8 @@ Phase-space conventions used everywhere in this package:
 
 Real phase points are float arrays whose last axis holds the four
 coordinates; ``w_to_darboux`` and ``darboux_to_w`` map one point or a whole
-stack of trajectory samples alike.
+stack of trajectory samples alike, and so do ``hamiltonian_split``,
+``darboux_hamiltonian`` and ``darboux_invariant``.
 
 The energy splits as H = H_r + i H_i with
 
@@ -30,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .potentials import (
+    ARRAY_FUNCS,
     Expr,
     PotentialOverflowError,
     compile_potential,
@@ -70,7 +72,8 @@ class SystemSpec:
     """An entire potential plus a particle mass.
 
     Compiles the potential and its exact symbolic derivative once, so
-    integrators can evaluate both at every step without re-walking the AST.
+    integrators can evaluate both at every step without re-walking the AST,
+    and the potential once more over complex arrays for stacks of points.
     """
 
     potential: Expr
@@ -78,6 +81,8 @@ class SystemSpec:
     dv_expr: Expr = field(init=False, repr=False, compare=False)
     _v: Callable[[complex], complex] = field(init=False, repr=False, compare=False)
     _dv: Callable[[complex], complex] = field(init=False, repr=False, compare=False)
+    _v_array: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
+                                                         compare=False)
 
     def __post_init__(self):
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
@@ -85,6 +90,7 @@ class SystemSpec:
         object.__setattr__(self, "dv_expr", derivative(self.potential))
         object.__setattr__(self, "_v", compile_potential(self.potential))
         object.__setattr__(self, "_dv", compile_potential(self.dv_expr))
+        object.__setattr__(self, "_v_array", compile_potential(self.potential, ARRAY_FUNCS))
 
     @classmethod
     def from_source(cls, text: str, mass: float = 0.5) -> "SystemSpec":
@@ -120,20 +126,38 @@ def hamiltonian(spec: SystemSpec, z: complex, p: complex) -> complex:
     return p * p / (2.0 * spec.mass) + spec.v(z)
 
 
-def hamiltonian_split(spec: SystemSpec, w) -> tuple[float, float]:
+def hamiltonian_split(spec: SystemSpec, w):
     """(H_r, H_i) at the real phase point w = (x, p, y, q).
 
     Agrees with the real and imaginary parts of ``hamiltonian`` at the
-    corresponding complex point.
+    corresponding complex point.  A point gives two floats and raises
+    PotentialOverflowError where v is not finite; a (..., 4) stack gives two
+    (...) arrays from one evaluation of v, with NaN in both wherever v is not
+    finite.
     """
-    x, p, y, q = (float(c) for c in w)
-    v = spec.v(complex(x, y))
+    w = np.asarray(w, dtype=float)
     m = spec.mass
-    return (p * p - q * q) / (2.0 * m) + v.real, p * q / m + v.imag
+    if w.ndim < 2:
+        x, p, y, q = w.tolist()
+        v = spec.v(complex(x, y))
+        return (p * p - q * q) / (2.0 * m) + v.real, p * q / m + v.imag
+    if w.shape[-1] != 4:
+        raise ValueError(f"expected (..., 4) phase points, got shape {w.shape}")
+    x, p, y, q = np.moveaxis(w, -1, 0)
+    # the parts are copied: x + 1j*y would turn an infinite y into a NaN
+    # real part and a -0.0 y into +0.0
+    z = np.empty(x.shape, dtype=complex)
+    z.real, z.imag = x, y
+    with np.errstate(all="ignore"):
+        v = spec._v_array(z)
+        hr = (p * p - q * q) / (2.0 * m) + v.real
+        hi = p * q / m + v.imag
+    finite = np.isfinite(v)
+    return np.where(finite, hr, np.nan), np.where(finite, hi, np.nan)
 
 
-def darboux_hamiltonian(spec: SystemSpec, xi) -> float:
-    """Equivalent real Hamiltonian h(xi) = 2 H_r.
+def darboux_hamiltonian(spec: SystemSpec, xi):
+    """Equivalent real Hamiltonian h(xi) = 2 H_r, at a point or a stack.
 
     Spelled out, h = (p1^2 - x2^2)/(2m) + 2 v_r(x1/sqrt2, p2/sqrt2); it is
     computed as twice H_r of the inverse-mapped point so that h = 2 H_r holds
@@ -142,6 +166,7 @@ def darboux_hamiltonian(spec: SystemSpec, xi) -> float:
     return 2.0 * hamiltonian_split(spec, darboux_to_w(xi))[0]
 
 
-def darboux_invariant(spec: SystemSpec, xi) -> float:
-    """Integral of motion H_i(xi) = x2 p1/(2m) + v_i(x1/sqrt2, p2/sqrt2)."""
+def darboux_invariant(spec: SystemSpec, xi):
+    """Integral of motion H_i(xi) = x2 p1/(2m) + v_i(x1/sqrt2, p2/sqrt2), at a
+    point or a stack."""
     return hamiltonian_split(spec, darboux_to_w(xi))[1]

@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "PotentialError",
     "PotentialSyntaxError",
@@ -48,6 +50,7 @@ __all__ = [
     "to_source",
     "eval_potential",
     "compile_potential",
+    "ARRAY_FUNCS",
     "derivative",
     "split_real_imag",
     "cauchy_riemann_residual",
@@ -153,6 +156,15 @@ _ENTIRE_FUNCS: dict[str, Callable[[complex], complex]] = {
     "cos": cmath.cos,
     "sinh": cmath.sinh,
     "cosh": cmath.cosh,
+}
+
+# The same functions as ufuncs over complex arrays, for compile_potential.
+ARRAY_FUNCS: dict[str, Callable] = {
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
 }
 
 # Recognized names that are *not* entire, so the error can explain why.
@@ -594,33 +606,39 @@ def eval_potential(e: Expr, z: complex) -> complex:
     return value
 
 
-def compile_potential(e: Expr) -> Callable[[complex], complex]:
+def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
     """Build a fast closure computing the same floating-point operations as
     eval_potential, without the finiteness check (callers on hot paths handle
-    OverflowError and non-finite values themselves)."""
+    OverflowError and non-finite values themselves).
+
+    ``funcs`` maps each function name to its implementation: the default
+    cmath table gives a closure of one Python complex, ``ARRAY_FUNCS`` a
+    closure of a complex numpy array, evaluated elementwise, that overflows
+    to inf or nan instead of raising.
+    """
     match e:
         case Const(value):
             return lambda z, _v=value: _v
         case Z():
             return lambda z: z
         case Sum(l, r):
-            fl, fr = compile_potential(l), compile_potential(r)
+            fl, fr = compile_potential(l, funcs), compile_potential(r, funcs)
             return lambda z: fl(z) + fr(z)
         case Product(l, r):
-            fl, fr = compile_potential(l), compile_potential(r)
+            fl, fr = compile_potential(l, funcs), compile_potential(r, funcs)
             return lambda z: fl(z) * fr(z)
         case Quotient(n, d):
-            fn, fd = compile_potential(n), compile_potential(d)
+            fn, fd = compile_potential(n, funcs), compile_potential(d, funcs)
             return lambda z: fn(z) / fd(z)
         case Power(b, n):
-            fb = compile_potential(b)
+            fb = compile_potential(b, funcs)
             return lambda z, _n=n: fb(z) ** _n
         case Neg(a):
-            fa = compile_potential(a)
+            fa = compile_potential(a, funcs)
             return lambda z: -fa(z)
         case Call(f, a):
-            fa = compile_potential(a)
-            fn = _ENTIRE_FUNCS[f]
+            fa = compile_potential(a, funcs)
+            fn = funcs[f]
             return lambda z: fn(fa(z))
     raise TypeError(f"not an expression node: {e!r}")
 

@@ -5,6 +5,10 @@ from holomech import SystemSpec, builtin_potentials
 
 DEFAULT_SEED = 42
 
+# Entire potentials outside the catalog: a transcendental plus a polynomial,
+# a product of two calls under a quotient, and a high power with constants.
+NON_CATALOG_SOURCES = ["exp(z)+z^5", "cosh(z)*sinh(2*z)/3", "z^7 - i*z^2 + 2"]
+
 
 @pytest.fixture(scope="session")
 def builtins_map():

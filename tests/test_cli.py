@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import holomech
 from holomech.cli import main, parse_complex
 from holomech.output import TRAJECTORY_HEADER
 
@@ -108,6 +113,22 @@ class TestSimulate:
         assert summary["frames_equivalent"] is False
         assert summary["max_frame_deviation"] is None
         assert "grid_mismatch" in summary
+
+    def test_overflowing_invariants_warn_nothing(self, tmp_path):
+        # the last sample of this escaping run overflows v and p^2: its H
+        # columns are NaN, and the array evaluation says nothing on stderr
+        out = tmp_path / "esc.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(holomech.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "holomech.cli", "simulate", "--potential", "z^3",
+             "--z0", "3", "--method", "split", "--dt", "0.01", "--t-end", "10",
+             "--escape-radius", "1e120", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["terminated_by"] == "escape"
+        assert np.isnan(read_csv(out)[-1, 9:]).all()
 
     def test_darboux_frame_with_xi0(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -222,6 +243,15 @@ class TestHiFlow:
         assert summary["drift_Hi"] <= 1e-8
         rows = read_csv(out)
         assert rows[-1, 0] == pytest.approx(1.0)
+
+    def test_backwards_flow_starts_at_zero(self, tmp_path):
+        out = tmp_path / "back.csv"
+        code = run(["hi-flow", "--potential", "i*z^3", "--xi0", "0.4,0.3,-0.2,0.5",
+                    "--eps-end=-0.05", "--d-eps", "0.01", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[1].split(",")[0] == "0"
+        assert read_csv(out)[-1, 0] == pytest.approx(-0.05)
 
 
 class TestConstrain:

@@ -350,6 +350,24 @@ class TestInvariantFlow:
                               FlowConfig(epsilon_end=-0.5, d_epsilon=1e-3))
         assert np.max(np.abs(back.final_state() - xi0)) <= 1e-10
 
+    @pytest.mark.parametrize("eps_end", [0.5, -0.5])
+    def test_dense_output_in_either_direction(self, eps_end):
+        spec = spec_for("i*z^3")
+        xi0 = np.array([0.4, 0.3, -0.2, 0.5])
+        traj = invariant_flow(spec, xi0, FlowConfig(epsilon_end=eps_end, d_epsilon=0.01))
+        fine = invariant_flow(spec, xi0, FlowConfig(epsilon_end=eps_end, d_epsilon=0.001))
+        assert traj.t[0] == 0.0 and math.copysign(1.0, traj.t[0]) == 1.0
+        assert traj.t[-1] == pytest.approx(eps_end)
+        # the stored derivatives are d(xi)/d(eps), the generator itself
+        for xi, d in zip(traj.states, traj.derivs):
+            assert np.array_equal(d, invariant_flow_field(spec, xi))
+        assert np.array_equal(traj.state_at(traj.t), traj.states)
+        for k in range(len(traj.t)):
+            assert np.array_equal(traj.state_at(traj.t[k]), traj.states[k])
+        # midpoints of the coarse grid are samples of the 10x finer flow
+        mid = 0.5 * (traj.t[:-1] + traj.t[1:])
+        assert np.max(np.abs(traj.state_at(mid) - fine.states[5::10])) <= 1e-8
+
     def test_commutes_with_time_evolution(self):
         # both maps approximate commuting exact flows; the defect shrinks at
         # least cubically as the step is halved (Richardson consistency)

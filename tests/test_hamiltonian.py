@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from conftest import NON_CATALOG_SOURCES
 
 from holomech import (
+    BUILTIN_SOURCES,
     CORRECTED_FORMS,
+    REFERENCE_MASS,
+    REFERENCE_TABLE,
     FlowConfig,
     IntegratorConfig,
+    PotentialOverflowError,
     SystemSpec,
     darboux_hamiltonian,
     darboux_invariant,
     darboux_to_w,
+    get_builtin,
     hamiltonian,
     hamiltonian_split,
     integrate_complex,
@@ -23,6 +29,7 @@ from holomech import (
 )
 
 S2 = math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def spec_for(src, mass=0.5):
@@ -66,6 +73,73 @@ class TestEnergySplit:
                 hr, hi = hamiltonian_split(spec, w)
                 h = hamiltonian(spec, complex(w[0], w[2]), complex(w[1], w[3]))
                 assert abs(h - complex(hr, hi)) <= 1e-14 * max(1.0, abs(h))
+
+
+def log_uniform_points(rng, n, top):
+    """n points of R^4 with component magnitudes log-uniform in [1e-3, top]."""
+    mags = 10.0 ** rng.uniform(-3.0, math.log10(top), size=(n, 4))
+    return mags * rng.choice([-1.0, 1.0], size=(n, 4))
+
+
+class TestStackSplit:
+    """A (..., 4) stack evaluates v once over arrays; each row agrees with
+    the scalar path of its point."""
+
+    @pytest.mark.parametrize("src", [*BUILTIN_SOURCES.values(), *NON_CATALOG_SOURCES])
+    @pytest.mark.parametrize("top", [1e3, 1e60, 1e80])
+    def test_rows_match_scalar_path(self, src, top, rng):
+        spec = spec_for(src)
+        stack = log_uniform_points(rng, 400, top)
+        hr, hi = hamiltonian_split(spec, stack)
+        assert hr.shape == hi.shape == (400,)
+        for w, hr_k, hi_k in zip(stack, hr, hi):
+            try:
+                ref_r, ref_i = hamiltonian_split(spec, w)
+            except PotentialOverflowError:
+                assert math.isnan(hr_k) and math.isnan(hi_k)
+                continue
+            scale = max(1.0, abs(complex(ref_r, ref_i)))
+            assert abs(hr_k - ref_r) <= 4 * EPS * scale
+            assert abs(hi_k - ref_i) <= 4 * EPS * scale
+
+    def test_both_classes_drawn(self, rng):
+        # the comparison above covers finite rows and NaN rows alike
+        hr, _ = hamiltonian_split(spec_for("exp(z)+z^5"), log_uniform_points(rng, 400, 1e60))
+        assert np.isnan(hr).any() and np.isfinite(hr).any()
+
+    def test_point_and_stack_shapes(self, rng):
+        spec = spec_for("i*sin(z)")
+        point = hamiltonian_split(spec, [0.1, 0.2, 0.3, 0.4])
+        assert all(type(c) is float for c in point)
+        block = rng.uniform(-2, 2, size=(3, 5, 4))
+        hr, hi = hamiltonian_split(spec, block)
+        assert hr.shape == hi.shape == (3, 5)
+        sub_r, sub_i = hamiltonian_split(spec, block[1])
+        assert np.array_equal(sub_r, hr[1]) and np.array_equal(sub_i, hi[1])
+        empty = hamiltonian_split(spec, np.empty((0, 4)))
+        assert empty[0].shape == empty[1].shape == (0,)
+        with pytest.raises(ValueError):
+            hamiltonian_split(spec, np.zeros((2, 3)))
+
+    def test_constant_potential_stack(self):
+        hr, hi = hamiltonian_split(spec_for("2+i"), np.array([[0.0, 1.0, 0.0, 0.0]] * 3))
+        assert np.array_equal(hr, [3.0] * 3) and np.array_equal(hi, [1.0] * 3)
+
+    def test_overflow_point_raises_stack_gives_nan(self):
+        spec = spec_for("exp(z)")
+        with pytest.raises(PotentialOverflowError):
+            hamiltonian_split(spec, [1e4, 0.0, 0.0, 0.0])
+        hr, hi = hamiltonian_split(spec, np.array([[1e4, 0.0, 0.0, 0.0],
+                                                   [0.0, 1.0, 0.0, 0.0]]))
+        assert math.isnan(hr[0]) and math.isnan(hi[0])
+        assert (hr[1], hi[1]) == hamiltonian_split(spec, [0.0, 1.0, 0.0, 0.0])
+
+    def test_darboux_stack_is_twice_hr(self, builtin_specs, rng):
+        xi = rng.uniform(-2, 2, size=(100, 4))
+        for spec in builtin_specs.values():
+            hr, hi = hamiltonian_split(spec, darboux_to_w(xi))
+            assert np.array_equal(darboux_hamiltonian(spec, xi), 2.0 * hr)
+            assert np.array_equal(darboux_invariant(spec, xi), hi)
 
 
 class TestDarbouxQuantities:
@@ -185,3 +259,60 @@ class TestReferenceTable:
     def test_discrepancy_set_stable_across_seeds(self):
         r1 = verify_reference_table(seed=7, points=50)
         assert r1["n_discrepant"] == 2
+
+
+def table_by_points(seed, points, tol=1e-12):
+    """The per-point loop verify_reference_table ran before it was
+    vectorised: scalar closed forms and scalar generic values, one sample at
+    a time, with a strict ``>`` running maximum."""
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-2.0, 2.0, size=(points, 4))
+    specs = {name: SystemSpec(get_builtin(name), REFERENCE_MASS)
+             for name in {e.potential for e in REFERENCE_TABLE}}
+
+    def generic(spec, column, xi):
+        return darboux_hamiltonian(spec, xi) if column == "h" else darboux_invariant(spec, xi)
+
+    rows = []
+    consistent = True
+    for entry in REFERENCE_TABLE:
+        spec = specs[entry.potential]
+        worst = -1.0
+        worst_xi = samples[0]
+        for xi in samples:
+            dev = abs(entry.func(*xi) - generic(spec, entry.column, xi))
+            if dev > worst:
+                worst, worst_xi = dev, xi
+        row = {"max_deviation": worst, "status": "PASS" if worst <= tol else "DISCREPANT"}
+        if row["status"] == "DISCREPANT":
+            row["worst_point"] = [float(c) for c in worst_xi]
+            corrected = CORRECTED_FORMS.get((entry.potential, entry.column))
+            if corrected is None:
+                consistent = False
+            else:
+                src, func = corrected
+                row["corrected_form"] = src
+                row["corrected_max_deviation"] = max(
+                    abs(func(*xi) - generic(spec, entry.column, xi)) for xi in samples)
+                if row["corrected_max_deviation"] > tol:
+                    consistent = False
+        rows.append(row)
+    return {"rows": rows, "consistent": consistent,
+            "n_pass": sum(r["status"] == "PASS" for r in rows),
+            "n_discrepant": sum(r["status"] == "DISCREPANT" for r in rows)}
+
+
+@pytest.mark.parametrize("seed", [42, 7, 20261017])
+@pytest.mark.parametrize("points", [1, 100])
+def test_table_matches_per_point_loop(seed, points):
+    report = verify_reference_table(seed=seed, points=points)
+    oracle = table_by_points(seed, points)
+    for key in ("consistent", "n_pass", "n_discrepant"):
+        assert report[key] == oracle[key]
+    for row, ref in zip(report["rows"], oracle["rows"], strict=True):
+        assert row["status"] == ref["status"]
+        for key in ("worst_point", "corrected_form"):
+            assert row.get(key) == ref.get(key)
+        for key in ("max_deviation", "corrected_max_deviation"):
+            if key in ref:
+                assert abs(row[key] - ref[key]) <= 1e-15

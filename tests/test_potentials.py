@@ -2,12 +2,15 @@
 
 import cmath
 
+import numpy as np
 import pytest
+from conftest import NON_CATALOG_SOURCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holomech import SystemSpec
 from holomech.potentials import (
+    ARRAY_FUNCS,
     BUILTIN_SOURCES,
     MAX_DEPTH,
     Call,
@@ -139,6 +142,19 @@ class TestEval:
             for _ in range(50):
                 z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 assert f(z) == eval_potential(e, z)
+
+    def test_array_compile_matches_eval(self, rng):
+        # the numpy table evaluates a whole array in one call; cmath and the
+        # numpy ufuncs may round differently, by a few ulp at most
+        eps = np.finfo(float).eps
+        for src in [*BUILTIN_SOURCES.values(), *NON_CATALOG_SOURCES]:
+            e = parse_potential(src)
+            z = rng.uniform(-2, 2, 500) + 1j * rng.uniform(-2, 2, 500)
+            values = compile_potential(e, ARRAY_FUNCS)(z)
+            assert values.shape == z.shape
+            for zk, vk in zip(z.tolist(), values.tolist()):
+                ref = eval_potential(e, zk)
+                assert abs(vk - ref) <= 4 * eps * abs(ref)
 
     def test_overflow_flagged(self):
         e = parse_potential("exp(z)")
