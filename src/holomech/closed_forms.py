@@ -20,6 +20,7 @@ Corrected forms for both are bundled and verified alongside the report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -93,6 +94,13 @@ CORRECTED_FORMS: dict[tuple[str, str], tuple[str, FormFunc]] = {
 }
 
 
+@functools.cache
+def _reference_spec(name: str) -> SystemSpec:
+    """The catalog potential ``name`` at the reference mass, compiled once per
+    process (a SystemSpec is immutable)."""
+    return SystemSpec(get_builtin(name), REFERENCE_MASS)
+
+
 def _generic(spec: SystemSpec, column: str, xi: np.ndarray) -> np.ndarray:
     if column == "h":
         return darboux_hamiltonian(spec, xi)
@@ -113,13 +121,11 @@ def verify_reference_table(seed: int = 42, points: int = 100,
     rng = np.random.default_rng(seed)
     samples = rng.uniform(-2.0, 2.0, size=(points, 4))
     columns = samples.T
-    specs = {name: SystemSpec(get_builtin(name), REFERENCE_MASS)
-             for name in {e.potential for e in REFERENCE_TABLE}}
 
     rows = []
     consistent = True
     for entry in REFERENCE_TABLE:
-        gen = _generic(specs[entry.potential], entry.column, samples)
+        gen = _generic(_reference_spec(entry.potential), entry.column, samples)
         ref = entry.func(*columns)
         dev = np.abs(ref - gen)
         k = int(np.argmax(dev))

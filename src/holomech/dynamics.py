@@ -3,17 +3,19 @@
 The motion is two complex scalars, dz/dt = p/m and dp/dt = -v'(z).  One
 integration loop, ``_drive``, steps a state held as a pair of Python
 complex numbers; it owns the time grid or the step-size controller, the
-overflow and finiteness checks on every field evaluation, the escape test
-and the recording of samples.  Runs differ only in the field and the
-one-step rule handed to it.
+escape test and the recording of samples, and turns whatever a step raises
+on leaving double precision into a step failure or a smaller step.  Runs
+differ only in the field and the one-step rule handed to it.
 
 Fields (z, p) -> (dz/dt, dp/dt): the complex frame; the Darboux frame on
 the packed pair Z = x1 + i p2, P = p1 + i x2, which is sqrt(2) (z, p), with
 its force -sqrt(2) v'(Z/sqrt2) evaluated in its own arithmetic so that the
 cross-frame deviation stays a genuine check; and the H_i flow, which is the
-Darboux field at complex time dt = -i d(epsilon)/2.
+Darboux field at complex time dt = -i d(epsilon)/2.  Each field checks its
+own values and raises PotentialOverflowError on a non-finite one.
 
-Step rules:
+Step rules, each straight-line code over the pair with the tableau
+coefficients written in:
 
 * ``rk4``   - classical Runge-Kutta on the fixed grid t_k = k dt, ending at
   t_end;
@@ -235,14 +237,20 @@ _FRAMES = {
 
 def _complex_field(dv, m):
     def rhs(z, p):
-        return p / m, -dv(z)
+        dz, dp = p / m, -dv(z)
+        if cmath.isfinite(dz) and cmath.isfinite(dp):
+            return dz, dp
+        raise PotentialOverflowError("non-finite vector field")
 
     return rhs
 
 
 def _darboux_field(dv, m):
     def rhs(Z, P):
-        return P / m, -_SQRT2 * dv(Z / _SQRT2)
+        dZ, dP = P / m, -_SQRT2 * dv(Z / _SQRT2)
+        if cmath.isfinite(dZ) and cmath.isfinite(dP):
+            return dZ, dP
+        raise PotentialOverflowError("non-finite vector field")
 
     return rhs
 
@@ -254,7 +262,10 @@ def _hi_field(dv, m, sign=1.0):
 
     def rhs(Z, P):
         d = dv(Z / _SQRT2)
-        return sign * (-1j * P / m2), sign * (1j * d / _SQRT2)
+        dZ, dP = sign * (-1j * P / m2), sign * (1j * d / _SQRT2)
+        if cmath.isfinite(dZ) and cmath.isfinite(dP):
+            return dZ, dP
+        raise PotentialOverflowError("non-finite vector field")
 
     return rhs
 
@@ -289,66 +300,57 @@ def invariant_flow_field(spec: SystemSpec, xi) -> np.ndarray:
 # pair of an adaptive rule, else None.
 # --------------------------------------------------------------------------
 
-def _sparse(row):
-    """A tableau row as (stage index, coefficient) pairs, zeros dropped."""
-    return tuple((j, c) for j, c in enumerate(row) if c != 0.0)
-
-
-# Dormand-Prince 5(4) tableau, rows 2..7 of A; the fifth-order solution is
-# propagated, and the last stage is the field at the new point (FSAL).
-# Stage times are omitted: every vector field integrated here is autonomous.
-_DP_B5_ROW = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_A = tuple(map(_sparse, (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    _DP_B5_ROW[:6],
-)))
-_DP_B5 = _sparse(_DP_B5_ROW)
-_DP_ERR = _sparse(b5 - b4 for b5, b4 in zip(
-    _DP_B5_ROW,
-    (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
-))
-_RK4_A = tuple(map(_sparse, ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))))
-
-
-def _combine(terms, kz, kp):
-    """sum(c * k) over the (index, coefficient) terms, for z and p alike.
-
-    Accumulated from 0j in row order, so the result, signed zeros
-    included, is that of the plain sum over the full row.
-    """
-    az = ap = 0j
-    for j, c in terms:
-        az += c * kz[j]
-        ap += c * kp[j]
-    return az, ap
-
-
-def _stages(f, z, p, k, h, rows):
-    """Field values at the stages of an explicit Runge-Kutta tableau."""
-    kz, kp = [k[0]], [k[1]]
-    for row in rows:
-        az, ap = _combine(row, kz, kp)
-        dz, dp = f(z + h * az, p + h * ap)
-        kz.append(dz)
-        kp.append(dp)
-    return kz, kp
-
+# The Runge-Kutta rules are written out stage by stage with the tableau
+# coefficients inlined.  Every stage sum is accumulated from 0j in row order
+# over the nonzero coefficients, so its bits, signed zeros included, are
+# those of the plain sum over the full tableau row.  Stage times are omitted:
+# every vector field integrated here is autonomous.
 
 def _dp45_rule(f, z, p, k, h):
-    kz, kp = _stages(f, z, p, k, h, _DP_A)
-    bz, bp = _combine(_DP_B5, kz, kp)
-    ez, ep = _combine(_DP_ERR, kz, kp)
-    return z + h * bz, p + h * bp, (kz[6], kp[6]), (h * ez, h * ep)
+    """Dormand-Prince 5(4) (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5).
+
+    The fifth-order solution is propagated, its field is the last stage
+    (FSAL), and err is h times the difference of the fifth- and
+    fourth-order weights applied to the stages.
+    """
+    kz1, kp1 = k
+    kz2, kp2 = f(z + h * (0j + 1 / 5 * kz1),
+                 p + h * (0j + 1 / 5 * kp1))
+    kz3, kp3 = f(z + h * (0j + 3 / 40 * kz1 + 9 / 40 * kz2),
+                 p + h * (0j + 3 / 40 * kp1 + 9 / 40 * kp2))
+    kz4, kp4 = f(z + h * (0j + 44 / 45 * kz1 + -56 / 15 * kz2 + 32 / 9 * kz3),
+                 p + h * (0j + 44 / 45 * kp1 + -56 / 15 * kp2 + 32 / 9 * kp3))
+    kz5, kp5 = f(z + h * (0j + 19372 / 6561 * kz1 + -25360 / 2187 * kz2
+                          + 64448 / 6561 * kz3 + -212 / 729 * kz4),
+                 p + h * (0j + 19372 / 6561 * kp1 + -25360 / 2187 * kp2
+                          + 64448 / 6561 * kp3 + -212 / 729 * kp4))
+    kz6, kp6 = f(z + h * (0j + 9017 / 3168 * kz1 + -355 / 33 * kz2 + 46732 / 5247 * kz3
+                          + 49 / 176 * kz4 + -5103 / 18656 * kz5),
+                 p + h * (0j + 9017 / 3168 * kp1 + -355 / 33 * kp2 + 46732 / 5247 * kp3
+                          + 49 / 176 * kp4 + -5103 / 18656 * kp5))
+    z = z + h * (0j + 35 / 384 * kz1 + 500 / 1113 * kz3 + 125 / 192 * kz4
+                 + -2187 / 6784 * kz5 + 11 / 84 * kz6)
+    p = p + h * (0j + 35 / 384 * kp1 + 500 / 1113 * kp3 + 125 / 192 * kp4
+                 + -2187 / 6784 * kp5 + 11 / 84 * kp6)
+    kz7, kp7 = f(z, p)
+    # fifth- minus fourth-order weights
+    ez = (0j + (35 / 384 - 5179 / 57600) * kz1 + (500 / 1113 - 7571 / 16695) * kz3
+          + (125 / 192 - 393 / 640) * kz4 + (-2187 / 6784 - -92097 / 339200) * kz5
+          + (11 / 84 - 187 / 2100) * kz6 + (0.0 - 1 / 40) * kz7)
+    ep = (0j + (35 / 384 - 5179 / 57600) * kp1 + (500 / 1113 - 7571 / 16695) * kp3
+          + (125 / 192 - 393 / 640) * kp4 + (-2187 / 6784 - -92097 / 339200) * kp5
+          + (11 / 84 - 187 / 2100) * kp6 + (0.0 - 1 / 40) * kp7)
+    return z, p, (kz7, kp7), (h * ez, h * ep)
 
 
 def _rk4_rule(f, z, p, k, h):
-    kz, kp = _stages(f, z, p, k, h, _RK4_A)
-    z = z + h / 6.0 * (kz[0] + 2.0 * kz[1] + 2.0 * kz[2] + kz[3])
-    p = p + h / 6.0 * (kp[0] + 2.0 * kp[1] + 2.0 * kp[2] + kp[3])
+    """Classical fourth-order Runge-Kutta."""
+    kz1, kp1 = k
+    kz2, kp2 = f(z + h * (0j + 0.5 * kz1), p + h * (0j + 0.5 * kp1))
+    kz3, kp3 = f(z + h * (0j + 0.5 * kz2), p + h * (0j + 0.5 * kp2))
+    kz4, kp4 = f(z + h * (0j + 1.0 * kz3), p + h * (0j + 1.0 * kp3))
+    z = z + h / 6.0 * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
+    p = p + h / 6.0 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
     return z, p, f(z, p), None
 
 
@@ -392,43 +394,37 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 # What a step raises on leaving double precision: OverflowError,
-# ZeroDivisionError, cmath domain errors and PotentialOverflowError.
+# ZeroDivisionError, cmath domain errors and the PotentialOverflowError of a
+# field with a non-finite value.
 _STEP_ERRORS = (ArithmeticError, ValueError)
 
 
-def _checked(rhs):
-    """``rhs`` with non-finite values raised as PotentialOverflowError."""
-    def f(z, p):
-        dz, dp = rhs(z, p)
-        if not (cmath.isfinite(dz) and cmath.isfinite(dp)):
-            raise PotentialOverflowError("non-finite vector field")
-        return dz, dp
+def _error_norm(cfg: IntegratorConfig, darboux: bool, z, p, z1, p1, ez, ep) -> float:
+    """RMS of the error pair (ez, ep) scaled by the tolerances.
 
-    return f
-
-
-def _components(z: complex, p: complex) -> tuple[float, float, float, float]:
-    return z.real, z.imag, p.real, p.imag
-
-
-def _error_norm(cfg: IntegratorConfig, columns, old, new, err) -> float:
-    """RMS of the error pair scaled by the tolerances, over the row components."""
-    a, b, e = _components(*old), _components(*new), _components(*err)
-    total = 0.0
-    for c in columns:
-        r = e[c] / (cfg.abs_tol + cfg.rel_tol * max(abs(a[c]), abs(b[c])))
-        total += r * r
+    The squares are summed in the order of the frame's row components.
+    """
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    xr = ez.real / (atol + rtol * max(abs(z.real), abs(z1.real)))
+    xi = ez.imag / (atol + rtol * max(abs(z.imag), abs(z1.imag)))
+    yr = ep.real / (atol + rtol * max(abs(p.real), abs(p1.real)))
+    yi = ep.imag / (atol + rtol * max(abs(p.imag), abs(p1.imag)))
+    total = xr * xr + yr * yr
+    if darboux:  # (x1, p1, x2, p2) = (Re Z, Re P, Im P, Im Z)
+        total = total + yi * yi + xi * xi
+    else:        # (x, p, y, q) = (Re z, Re p, Im z, Im p)
+        total = total + xi * xi + yi * yi
     return math.sqrt(total / 4.0)
 
 
-def _drive(rule, rhs, z, p, cfg: IntegratorConfig, frame: str):
+def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str):
     """Integrate the pair (z, p) of ``frame`` over [0, t_end] with one rule.
 
     Escape is tested on |z| and |p| of the complex frame in either frame.
     Returns (t, pairs, field pairs, terminated_by, n_steps).
     """
-    unit, columns = _FRAMES[frame]
-    f = _checked(rhs)
+    unit = _FRAMES[frame][0]
+    darboux = frame == "darboux"
     ts, pairs, derivs = [0.0], [(z, p)], []
     try:
         k = f(z, p)
@@ -465,7 +461,7 @@ def _drive(rule, rhs, z, p, cfg: IntegratorConfig, frame: str):
             if not (ok and cmath.isfinite(err[0]) and cmath.isfinite(err[1])):
                 h *= 0.25
                 continue
-            e = _error_norm(cfg, columns, (z, p), (z1, p1), err)
+            e = _error_norm(cfg, darboux, z, p, z1, p1, *err)
             h *= min(5.0, max(0.2, 0.9 * (e + 1e-300) ** -0.2))
             if e > 1.0:
                 continue

@@ -104,7 +104,8 @@ class SystemSpec:
         """Checked potential value; raises PotentialOverflowError on overflow."""
         try:
             value = self._v(z)
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:
+            # cmath raises ValueError for a function of an infinite argument
             raise PotentialOverflowError(f"overflow evaluating v at z={z!r}") from exc
         if not cmath.isfinite(value):
             raise PotentialOverflowError(f"non-finite v at z={z!r}")
@@ -114,7 +115,8 @@ class SystemSpec:
         """Checked derivative value dv/dz."""
         try:
             value = self._dv(z)
-        except OverflowError as exc:
+        except (OverflowError, ValueError) as exc:
+            # cmath raises ValueError for a function of an infinite argument
             raise PotentialOverflowError(f"overflow evaluating dv at z={z!r}") from exc
         if not cmath.isfinite(value):
             raise PotentialOverflowError(f"non-finite dv at z={z!r}")

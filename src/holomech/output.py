@@ -13,25 +13,17 @@ import numpy as np
 TRAJECTORY_HEADER = "t,x,y,p,q,x1,p1,x2,p2,Hr,Hi"
 
 
-def fmt17(x: float) -> str:
-    """17 significant digits; enough to round-trip a double."""
-    return f"{float(x):.17g}"
-
-
 def trajectory_csv(t, w_rows, xi_rows, hr, hi) -> str:
     """Render samples to CSV with the fixed column schema.
 
     ``w_rows`` are (x, p, y, q) rows and ``xi_rows`` are (x1, p1, x2, p2)
-    rows on the same grid ``t``.
+    rows on the same grid ``t``.  Every cell is written with 17 significant
+    digits (``%.17g``), enough to round-trip a double.
     """
-    lines = [TRAJECTORY_HEADER]
-    for k in range(len(t)):
-        w = w_rows[k]
-        xi = xi_rows[k]
-        cells = (t[k], w[0], w[2], w[1], w[3], xi[0], xi[1], xi[2], xi[3],
-                 hr[k], hi[k])
-        lines.append(",".join(fmt17(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    w = np.asarray(w_rows, dtype=float)
+    table = np.column_stack((t, w[:, [0, 2, 1, 3]], xi_rows, hr, hi))
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return TRAJECTORY_HEADER + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def json_text(obj) -> str:

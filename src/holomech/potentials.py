@@ -179,8 +179,8 @@ _ONE = complex(1.0)
 
 # Deepest accepted nesting of parentheses, calls and unary minus, and deepest
 # accepted expression tree.  Parsing, differentiation, compilation and
-# evaluation all recurse over the tree, so this bound keeps them within the
-# default interpreter recursion limit.
+# the reference evaluator ``_eval`` recurse over the tree, so this bound
+# keeps them within the default interpreter recursion limit.
 MAX_DEPTH = 100
 
 
@@ -599,48 +599,68 @@ def eval_potential(e: Expr, z: complex) -> complex:
     """
     try:
         value = _eval(e, complex(z))
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:  # ValueError: cmath of an infinity
         raise PotentialOverflowError(f"overflow evaluating potential at z={z!r}") from exc
     if not (cmath.isfinite(value)):
         raise PotentialOverflowError(f"non-finite potential value at z={z!r}")
     return value
 
 
+_BINARY_OPS = {Sum: "+", Product: "*", Quotient: "/"}
+
+
 def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
-    """Build a fast closure computing the same floating-point operations as
+    """Generate one function computing the same floating-point operations as
     eval_potential, without the finiteness check (callers on hot paths handle
     OverflowError and non-finite values themselves).
 
+    The function body is straight-line code, one assignment per operation
+    node in the order ``_eval`` visits them, so a tree of any accepted depth
+    compiles and one call makes no further Python call except to the
+    functions of ``funcs``.  Constants and functions reach the body as names
+    (``c0``, ``f1``, ...) bound in its namespace and exponents as ``int``
+    literals; no text of the expression enters the generated source.
+
     ``funcs`` maps each function name to its implementation: the default
-    cmath table gives a closure of one Python complex, ``ARRAY_FUNCS`` a
-    closure of a complex numpy array, evaluated elementwise, that overflows
+    cmath table gives a function of one Python complex, ``ARRAY_FUNCS`` a
+    function of a complex numpy array, evaluated elementwise, that overflows
     to inf or nan instead of raising.
     """
-    match e:
-        case Const(value):
-            return lambda z, _v=value: _v
-        case Z():
-            return lambda z: z
-        case Sum(l, r):
-            fl, fr = compile_potential(l, funcs), compile_potential(r, funcs)
-            return lambda z: fl(z) + fr(z)
-        case Product(l, r):
-            fl, fr = compile_potential(l, funcs), compile_potential(r, funcs)
-            return lambda z: fl(z) * fr(z)
-        case Quotient(n, d):
-            fn, fd = compile_potential(n, funcs), compile_potential(d, funcs)
-            return lambda z: fn(z) / fd(z)
-        case Power(b, n):
-            fb = compile_potential(b, funcs)
-            return lambda z, _n=n: fb(z) ** _n
-        case Neg(a):
-            fa = compile_potential(a, funcs)
-            return lambda z: -fa(z)
-        case Call(f, a):
-            fa = compile_potential(a, funcs)
-            fn = funcs[f]
-            return lambda z: fn(fa(z))
-    raise TypeError(f"not an expression node: {e!r}")
+    body: list[str] = []
+    names: dict[str, object] = {}
+
+    def bind(prefix: str, value) -> str:
+        name = f"{prefix}{len(names)}"
+        names[name] = value
+        return name
+
+    def emit(node: Expr) -> str:
+        """Append the statements computing ``node``; return the name holding it."""
+        match node:
+            case Z():
+                return "z"
+            case Const(value):
+                return bind("c", value)
+            case Sum(l, r) | Product(l, r) | Quotient(l, r):
+                left = emit(l)
+                expr = f"{left} {_BINARY_OPS[type(node)]} {emit(r)}"
+            case Power(b, n):
+                expr = f"{emit(b)} ** {int(n)}"
+            case Neg(a):
+                expr = f"-{emit(a)}"
+            case Call(f, a):
+                func = bind("f", funcs[f])
+                expr = f"{func}({emit(a)})"
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+        body.append(f"    t{len(body)} = {expr}")
+        return f"t{len(body) - 1}"
+
+    result = emit(e)
+    source = "\n".join(["def potential(z):", *body, f"    return {result}", ""])
+    namespace = {"__builtins__": {}, **names}
+    exec(source, namespace)
+    return namespace["potential"]
 
 
 _CALL_DERIVS: dict[str, Callable[[Expr], Expr]] = {

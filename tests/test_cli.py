@@ -12,7 +12,7 @@ import pytest
 
 import holomech
 from holomech.cli import main, parse_complex
-from holomech.output import TRAJECTORY_HEADER
+from holomech.output import TRAJECTORY_HEADER, trajectory_csv
 
 
 def run(argv):
@@ -167,6 +167,27 @@ class TestSimulate:
             "out.csv", "out.csv.tmp", "out.json"]
 
 
+class TestTrajectoryCsv:
+    @staticmethod
+    def per_cell(t, w_rows, xi_rows, hr, hi):
+        """The renderer as it stood before the one-pass table, as oracle."""
+        lines = [TRAJECTORY_HEADER]
+        for k in range(len(t)):
+            w, xi = w_rows[k], xi_rows[k]
+            cells = (t[k], w[0], w[2], w[1], w[3], xi[0], xi[1], xi[2], xi[3], hr[k], hi[k])
+            lines.append(",".join(f"{float(c):.17g}" for c in cells))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    def test_matches_per_cell_rendering(self, n):
+        rng = np.random.default_rng(n)
+        cols = rng.standard_normal((11, n)) * 10.0 ** rng.integers(-300, 300, (11, n))
+        specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 5e-324, 0.1]
+        cols.ravel()[:len(specials)] = specials[:cols.size]
+        t, w, xi, hr, hi = cols[0], cols[1:5].T, cols[5:9].T, cols[9], cols[10]
+        assert trajectory_csv(t, w, xi, hr, hi) == self.per_cell(t, w, xi, hr, hi)
+
+
 class TestVerifyTable1:
     def test_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -276,6 +297,17 @@ class TestConstrain:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "any"
+
+    @pytest.mark.parametrize("potential, x1", [("exp(z)", "1e4"), ("sin(z*z*z*z*z)", "1e70")])
+    def test_overflowing_potential_exit_1(self, potential, x1, capsys):
+        # exp overflows; sin of an infinite argument is a cmath domain error
+        code = run(["constrain", "--potential", potential, "--x1", x1,
+                    "--p1", "1", "--p2", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("holomech: potential error: overflow")
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestUsage:

@@ -1,9 +1,11 @@
 """Integrators, invariant drift, split-step structure, and the H_i flow."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from conftest import NON_CATALOG_SOURCES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,8 @@ from holomech import (
     split_step,
     w_to_darboux,
 )
+from holomech import dynamics as dyn
+from holomech.potentials import PotentialOverflowError
 
 S2 = math.sqrt(2.0)
 
@@ -557,3 +561,185 @@ class TestDenseOutput:
         assert report.max_deviation == worst
         assert report.t_worst == t_worst
         assert report.n_points == n_points
+
+
+# The tableau-driven step rules, error norm and finiteness wrapper as they
+# stood before the rules were written out stage by stage; the unrolled rules
+# must reproduce them bit for bit.
+
+def _sparse(row):
+    return tuple((j, c) for j, c in enumerate(row) if c != 0.0)
+
+
+_OLD_DP_B5_ROW = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_OLD_DP_A = tuple(map(_sparse, (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    _OLD_DP_B5_ROW[:6],
+)))
+_OLD_DP_B5 = _sparse(_OLD_DP_B5_ROW)
+_OLD_DP_ERR = _sparse(b5 - b4 for b5, b4 in zip(
+    _OLD_DP_B5_ROW,
+    (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
+))
+_OLD_RK4_A = tuple(map(_sparse, ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))))
+
+
+def _combine(terms, kz, kp):
+    az = ap = 0j
+    for j, c in terms:
+        az += c * kz[j]
+        ap += c * kp[j]
+    return az, ap
+
+
+def _stages(f, z, p, k, h, rows):
+    kz, kp = [k[0]], [k[1]]
+    for row in rows:
+        az, ap = _combine(row, kz, kp)
+        dz, dp = f(z + h * az, p + h * ap)
+        kz.append(dz)
+        kp.append(dp)
+    return kz, kp
+
+
+def _old_dp45_rule(f, z, p, k, h):
+    kz, kp = _stages(f, z, p, k, h, _OLD_DP_A)
+    bz, bp = _combine(_OLD_DP_B5, kz, kp)
+    ez, ep = _combine(_OLD_DP_ERR, kz, kp)
+    return z + h * bz, p + h * bp, (kz[6], kp[6]), (h * ez, h * ep)
+
+
+def _old_rk4_rule(f, z, p, k, h):
+    kz, kp = _stages(f, z, p, k, h, _OLD_RK4_A)
+    z = z + h / 6.0 * (kz[0] + 2.0 * kz[1] + 2.0 * kz[2] + kz[3])
+    p = p + h / 6.0 * (kp[0] + 2.0 * kp[1] + 2.0 * kp[2] + kp[3])
+    return z, p, f(z, p), None
+
+
+def _old_checked(rhs):
+    def f(z, p):
+        dz, dp = rhs(z, p)
+        if not (cmath.isfinite(dz) and cmath.isfinite(dp)):
+            raise PotentialOverflowError("non-finite vector field")
+        return dz, dp
+
+    return f
+
+
+def _old_fields(dv, m):
+    """The complex, Darboux, forward and backward H_i fields, unchecked."""
+    m2 = 2.0 * m
+    return {
+        "complex": lambda z, p: (p / m, -dv(z)),
+        "darboux": lambda Z, P: (P / m, -S2 * dv(Z / S2)),
+        "hi": lambda Z, P: (1.0 * (-1j * P / m2), 1.0 * (1j * dv(Z / S2) / S2)),
+        "hi_back": lambda Z, P: (-1.0 * (-1j * P / m2), -1.0 * (1j * dv(Z / S2) / S2)),
+    }
+
+
+def _new_fields(dv, m):
+    return {
+        "complex": dyn._complex_field(dv, m),
+        "darboux": dyn._darboux_field(dv, m),
+        "hi": dyn._hi_field(dv, m),
+        "hi_back": dyn._hi_field(dv, m, -1.0),
+    }
+
+
+def _old_error_norm(cfg, columns, old, new, err):
+    def components(z, p):
+        return z.real, z.imag, p.real, p.imag
+
+    a, b, e = components(*old), components(*new), components(*err)
+    total = 0.0
+    for c in columns:
+        r = e[c] / (cfg.abs_tol + cfg.rel_tol * max(abs(a[c]), abs(b[c])))
+        total += r * r
+    return math.sqrt(total / 4.0)
+
+
+def _bits(value):
+    """Hex of every float part, signed zeros included; None and tuples nest."""
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _outcome(rule, f, z, p, h):
+    """Bits of rule(f, ...) at the field's own k, or the exception type raised."""
+    try:
+        return _bits(rule(f, z, p, f(z, p), h))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _draws(rng, n):
+    """(z, p, h) triples: uniform in [-2, 2]^4 with log-uniform h, plus points
+    on the real and imaginary axes with every sign of zero, where the sign of
+    each zero part depends on the exact order of the stage arithmetic."""
+    out = []
+    for _ in range(n):
+        z, p = (complex(*rng.uniform(-2, 2, 2)) for _ in range(2))
+        out.append((z, p, 10.0 ** rng.uniform(-4, -0.3)))
+    x, y = rng.uniform(-2, 2, 2)
+    for a in (0.0, -0.0):
+        for b in (0.0, -0.0):
+            out += [(complex(x, a), complex(y, b), 0.1), (complex(a, x), complex(b, y), 0.1),
+                    (complex(a, x), complex(y, b), 0.1), (complex(a, b), complex(b, a), 0.1)]
+    return out
+
+
+class TestUnrolledRules:
+    SOURCES = [*BUILTIN_SOURCES.values(), *NON_CATALOG_SOURCES]
+
+    @pytest.mark.parametrize("src", SOURCES)
+    @pytest.mark.parametrize("mass", [0.5, 1.0])
+    def test_rules_match_tableau_loop(self, src, mass, rng):
+        spec = spec_for(src, mass)
+        old = _old_fields(spec._dv, mass)
+        new = _new_fields(spec._dv, mass)
+        draws = _draws(rng, 40)
+        for frame in old:
+            f_old, f_new = _old_checked(old[frame]), new[frame]
+            for z, p, h in draws:
+                assert _bits(f_new(z, p)) == _bits(f_old(z, p))
+                for rule, oracle in ((dyn._dp45_rule, _old_dp45_rule),
+                                     (dyn._rk4_rule, _old_rk4_rule)):
+                    got = _outcome(rule, f_new, z, p, h)
+                    assert got == _outcome(oracle, f_old, z, p, h), (frame, z, p, h)
+
+    @pytest.mark.parametrize("src", ["z^2", "-(z^4)", "exp(z)+z^5", "z^7 - i*z^2 + 2"])
+    def test_overflowing_stage_raises_in_both(self, src):
+        # the first field value is finite, a later stage leaves double precision
+        spec = spec_for(src)
+        old = _old_fields(spec._dv, spec.mass)
+        new = _new_fields(spec._dv, spec.mass)
+        z, p = 1.0 + 0.5j, 1.0 - 0.25j
+        for frame in old:
+            f_old, f_new = _old_checked(old[frame]), new[frame]
+            for rule, oracle in ((dyn._dp45_rule, _old_dp45_rule),
+                                 (dyn._rk4_rule, _old_rk4_rule)):
+                got = _outcome(rule, f_new, z, p, 1e300)
+                assert isinstance(got, type) and got == _outcome(oracle, f_old, z, p, 1e300)
+
+    def test_non_finite_field_raises(self):
+        spec = spec_for("z^2", 1e-310)
+        for f in _new_fields(spec._dv, spec.mass).values():
+            with pytest.raises(PotentialOverflowError):
+                f(1.0 + 0j, 1e10 + 0j)
+
+    def test_error_norm_matches_component_loop(self, rng):
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
+        for _ in range(500):
+            z, p, z1, p1 = (complex(*rng.uniform(-3, 3, 2)) for _ in range(4))
+            ez, ep = (complex(*(1e-9 * rng.standard_normal(2))) for _ in range(2))
+            for frame, columns in (("complex", [0, 2, 1, 3]), ("darboux", [0, 2, 3, 1])):
+                got = dyn._error_norm(cfg, frame == "darboux", z, p, z1, p1, ez, ep)
+                ref = _old_error_norm(cfg, columns, (z, p), (z1, p1), (ez, ep))
+                assert got.hex() == ref.hex()

@@ -134,6 +134,15 @@ class TestStackSplit:
         assert math.isnan(hr[0]) and math.isnan(hi[0])
         assert (hr[1], hi[1]) == hamiltonian_split(spec, [0.0, 1.0, 0.0, 0.0])
 
+    def test_domain_error_raises_overflow(self):
+        # z^5 overflows to an infinite argument, where cmath.sin raises ValueError
+        spec = spec_for("sin(z*z*z*z*z)")
+        for f in (spec.v, spec.dv):
+            with pytest.raises(PotentialOverflowError):
+                f(1e70 + 0j)
+        with pytest.raises(PotentialOverflowError):
+            hamiltonian_split(spec, [1e70, 1.0, 0.0, 0.0])
+
     def test_darboux_stack_is_twice_hr(self, builtin_specs, rng):
         xi = rng.uniform(-2, 2, size=(100, 4))
         for spec in builtin_specs.values():

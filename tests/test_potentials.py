@@ -1,6 +1,8 @@
 """Parser, evaluator, exact derivative, and analyticity checks."""
 
 import cmath
+import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from holomech.potentials import (
     MAX_DEPTH,
     Call,
     Const,
+    Neg,
     Power,
     Product,
     Quotient,
+    Sum,
     Z,
     PotentialOverflowError,
     PotentialSyntaxError,
@@ -37,6 +41,7 @@ from holomech.potentials import (
     split_real_imag,
     to_source,
 )
+from holomech.potentials import _eval
 
 
 class TestParse:
@@ -160,6 +165,94 @@ class TestEval:
         e = parse_potential("exp(z)")
         with pytest.raises(PotentialOverflowError):
             eval_potential(e, 1e4 + 0j)
+
+    def test_domain_error_flagged(self):
+        # z^5 overflows to an infinite argument, where cmath.sin raises ValueError
+        with pytest.raises(PotentialOverflowError):
+            eval_potential(parse_potential("sin(z*z*z*z*z)"), 1e70 + 0j)
+
+
+# Trees compared bit for bit between the generated functions and the
+# reference evaluator: z itself (and its constant derivative), the catalog,
+# three potentials outside it, and the deepest accepted trees, each with its
+# exact derivative.
+_DEEP_SOURCES = ["sin(" * (MAX_DEPTH - 1) + "z" + ")" * (MAX_DEPTH - 1),
+                 "+".join(["z"] * MAX_DEPTH), "*".join(["z"] * MAX_DEPTH)]
+_ORACLE_TREES = [f(parse_potential(src))
+                 for src in ["z", *BUILTIN_SOURCES.values(), *NON_CATALOG_SOURCES,
+                             *_DEEP_SOURCES]
+                 for f in (lambda e: e, derivative)]
+
+
+def _closure_tree(e, funcs):
+    """The compiler as a tree of closures, one per node, as it stood before
+    the straight-line functions; the array oracle."""
+    match e:
+        case Const(value):
+            return lambda z, _v=value: _v
+        case Z():
+            return lambda z: z
+        case Sum(l, r):
+            fl, fr = _closure_tree(l, funcs), _closure_tree(r, funcs)
+            return lambda z: fl(z) + fr(z)
+        case Product(l, r):
+            fl, fr = _closure_tree(l, funcs), _closure_tree(r, funcs)
+            return lambda z: fl(z) * fr(z)
+        case Quotient(n, d):
+            fn, fd = _closure_tree(n, funcs), _closure_tree(d, funcs)
+            return lambda z: fn(z) / fd(z)
+        case Power(b, n):
+            fb = _closure_tree(b, funcs)
+            return lambda z, _n=n: fb(z) ** _n
+        case Neg(a):
+            fa = _closure_tree(a, funcs)
+            return lambda z: -fa(z)
+        case Call(f, a):
+            fa = _closure_tree(a, funcs)
+            fn = funcs[f]
+            return lambda z: fn(fa(z))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _scalar_outcome(f, *args):
+    """Hex of both parts of f(*args), signed zeros included, or the exception type."""
+    try:
+        v = f(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+class TestGeneratedFunctions:
+    @pytest.mark.parametrize("k", range(len(_ORACLE_TREES)))
+    def test_scalar_matches_eval_bitwise(self, k, rng):
+        e = _ORACLE_TREES[k]
+        f = compile_potential(e)
+        zs = [complex(*rng.uniform(-2, 2, 2)) for _ in range(60)]
+        zs += [complex(a, b) for a in (0.0, -0.0, 1.5) for b in (0.0, -0.0, -0.5)]
+        zs += [1e3 + 0j, 1e70 + 0j, complex(0.0, 800.0), complex(1e200, -1e200)]
+        for z in zs:
+            assert _scalar_outcome(f, z) == _scalar_outcome(_eval, e, z), (k, z)
+
+    @pytest.mark.parametrize("k", range(len(_ORACLE_TREES)))
+    def test_array_matches_closure_tree_bitwise(self, k, rng):
+        e = _ORACLE_TREES[k]
+        parts = [0.0, -0.0, 0.3, -1.7, 2e2, math.inf, -math.inf, math.nan]
+        z = np.array([complex(a, b) for a in parts for b in parts])
+        z = np.concatenate([z, rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)])
+        with np.errstate(all="ignore"):
+            got = compile_potential(e, ARRAY_FUNCS)(z)
+            ref = _closure_tree(e, ARRAY_FUNCS)(z)
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+    def test_no_expression_text_in_source(self):
+        # constants and functions reach the body as bound names, exponents as ints
+        code = compile_potential(parse_potential("0.1234567*exp(z) + 3e-5*z^2")).__code__
+        assert code.co_names and all(re.fullmatch(r"[cf]\d+", n) for n in code.co_names)
+        assert all(re.fullmatch(r"z|t\d+", n) for n in code.co_varnames)
+        assert all(c is None or type(c) is int for c in code.co_consts)
 
 
 class TestDerivative:
