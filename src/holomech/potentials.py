@@ -614,12 +614,15 @@ def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
     eval_potential, without the finiteness check (callers on hot paths handle
     OverflowError and non-finite values themselves).
 
-    The function body is straight-line code, one assignment per operation
-    node in the order ``_eval`` visits them, so a tree of any accepted depth
-    compiles and one call makes no further Python call except to the
-    functions of ``funcs``.  Constants and functions reach the body as names
-    (``c0``, ``f1``, ...) bound in its namespace and exponents as ``int``
-    literals; no text of the expression enters the generated source.
+    The function body is straight-line code, one assignment per distinct
+    operation node in the order ``_eval`` first visits them, so a tree of any
+    accepted depth compiles and one call makes no further Python call except
+    to the functions of ``funcs``.  A subtree shared by several parents (as
+    ``derivative`` builds them) is computed once and its name reused; every
+    node is a pure function of ``z``, so the values are those of ``_eval``.
+    Constants and functions reach the body as names (``c0``, ``f1``, ...)
+    bound in its namespace and exponents as ``int`` literals; no text of the
+    expression enters the generated source.
 
     ``funcs`` maps each function name to its implementation: the default
     cmath table gives a function of one Python complex, ``ARRAY_FUNCS`` a
@@ -628,6 +631,7 @@ def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
     """
     body: list[str] = []
     names: dict[str, object] = {}
+    emitted: dict[int, str] = {}  # id(node) -> name; e keeps every node alive
 
     def bind(prefix: str, value) -> str:
         name = f"{prefix}{len(names)}"
@@ -635,12 +639,17 @@ def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
         return name
 
     def emit(node: Expr) -> str:
-        """Append the statements computing ``node``; return the name holding it."""
+        """Return the name holding ``node``, appending the statements that
+        compute it on its first visit."""
+        name = emitted.get(id(node))
+        if name is not None:
+            return name
         match node:
             case Z():
                 return "z"
             case Const(value):
-                return bind("c", value)
+                name = emitted[id(node)] = bind("c", value)
+                return name
             case Sum(l, r) | Product(l, r) | Quotient(l, r):
                 left = emit(l)
                 expr = f"{left} {_BINARY_OPS[type(node)]} {emit(r)}"
@@ -653,8 +662,9 @@ def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
                 expr = f"{func}({emit(a)})"
             case _:
                 raise TypeError(f"not an expression node: {node!r}")
-        body.append(f"    t{len(body)} = {expr}")
-        return f"t{len(body) - 1}"
+        name = emitted[id(node)] = f"t{len(body)}"
+        body.append(f"    {name} = {expr}")
+        return name
 
     result = emit(e)
     source = "\n".join(["def potential(z):", *body, f"    return {result}", ""])

@@ -14,12 +14,22 @@ S^T J S in block form with eigen-magnitudes r+ >= r- > 0 on the blocks, and
 the rescaled coordinates xi = D^{-1/2} S^T w (D = diag(r+, r+, r-, r-)) in
 which the bracket becomes the standard one.
 
+Every caller asks for one structure at a time, so the structure path is
+straight-line float code over the six upper entries of J, with no eigen-solver:
+J J^T = -J^2 has eigenvalue r+^2 on the plus plane and r-^2 on the minus plane,
+which gives the plus-plane projector in closed form,
+P+ = (J J^T - r-^2 I) / (r+^2 - r-^2), and P- = I - P+.  Gram-Schmidt over
+the projector columns in a fixed seed order then picks each plane's first
+basis vector (see ``darboux_frame``).  The compatibility check contracts
+the exact gradient rows of z, p and H with those six entries directly.
+
 All operations are pure and matrices are freshly allocated, so parameter
 sweeps can run concurrently without shared state.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -120,6 +130,9 @@ J_STANDARD = np.array([
 ])
 J_STANDARD.setflags(write=False)
 
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
+
 
 def build_complex_J(params) -> np.ndarray:
     """Bracket matrix over the coordinates (z, p, z*, p*).
@@ -139,27 +152,47 @@ def build_complex_J(params) -> np.ndarray:
     return upper - upper.T
 
 
-def build_real_J(params) -> np.ndarray:
-    """Bracket matrix over the real coordinates w = (x, p, y, q).
+def _j_rows(p: SymplecticParams) -> tuple[tuple[float, ...], ...]:
+    """The rows of the real J as float 4-tuples.
 
-    Raises DegenerateStructureError when |alpha|^2 - ab = 1 (within
-    tolerance), where the matrix is not invertible.
+    Each lower entry is 0.0 - (upper entry), not its negation, so zero
+    entries carry the signs of ``upper - upper.T``.
+    """
+    al = complex(p.alpha)
+    j01, j02, j03 = 0.5 * (1.0 + al.real), 0.5 * (-p.a), 0.5 * (-al.imag)
+    j12, j13, j23 = 0.5 * (-al.imag), 0.5 * (-p.b), 0.5 * (-1.0 + al.real)
+    return ((0.0, j01, j02, j03),
+            (0.0 - j01, 0.0, j12, j13),
+            (0.0 - j02, 0.0 - j12, 0.0, j23),
+            (0.0 - j03, 0.0 - j13, 0.0 - j23, 0.0))
+
+
+def _checked_j_rows(params) -> tuple[SymplecticParams, tuple[tuple[float, ...], ...]]:
+    """Validated parameters and the rows of their invertible J.
+
+    Raises ValueError for a non-finite a, b or alpha and
+    DegenerateStructureError when |alpha|^2 - ab = 1 (within tolerance).
     """
     p = _as_params(params)
+    al = complex(p.alpha)
+    if not (math.isfinite(p.a) and math.isfinite(p.b) and cmath.isfinite(al)):
+        raise ValueError(f"structure parameters must be finite: a={p.a:g} "
+                         f"b={p.b:g} alpha={al.real:g}{al.imag:+g}i")
     if p.is_degenerate:
         raise DegenerateStructureError(
             f"|alpha|^2 - a*b = 1 within {DEGENERACY_TOL:g} "
             f"(defect {p.degeneracy_defect:.3e}); structure not invertible")
-    a, b = p.a, p.b
-    ar, ai = complex(p.alpha).real, complex(p.alpha).imag
-    upper = np.zeros((4, 4))
-    upper[0, 1] = 0.5 * (1.0 + ar)
-    upper[0, 2] = 0.5 * (-a)
-    upper[0, 3] = 0.5 * (-ai)
-    upper[1, 2] = 0.5 * (-ai)
-    upper[1, 3] = 0.5 * (-b)
-    upper[2, 3] = 0.5 * (-1.0 + ar)
-    return upper - upper.T
+    return p, _j_rows(p)
+
+
+def build_real_J(params) -> np.ndarray:
+    """Bracket matrix over the real coordinates w = (x, p, y, q).
+
+    Raises ValueError when a, b or alpha is not finite and
+    DegenerateStructureError when |alpha|^2 - ab = 1 (within tolerance),
+    where the matrix is not invertible.
+    """
+    return np.array(_checked_j_rows(params)[1])
 
 
 def eigenvalue_magnitudes(params) -> tuple[float, float]:
@@ -175,14 +208,16 @@ def eigenvalue_magnitudes(params) -> tuple[float, float]:
 
     The second form avoids the catastrophic cancellation of A - B near the
     degenerate surface, so r- vanishes to machine precision exactly when the
-    degeneracy defect does.
+    degeneracy defect does.  Squares are products, so huge parameters give
+    inf or nan here instead of raising OverflowError.
     """
     p = _as_params(params)
     a, b = p.a, p.b
     al = complex(p.alpha)
     s = al.real * al.real + al.imag * al.imag
     A = a * a + b * b + 2.0 * (s + 1.0)
-    B = math.sqrt(((a + b) ** 2 + 4.0) * ((a - b) ** 2 + 4.0 * s))
+    total, diff = a + b, a - b
+    B = math.sqrt((total * total + 4.0) * (diff * diff + 4.0 * s))
     r_plus = math.sqrt((A + B) / 8.0)
     r_minus = abs(p.degeneracy_defect) / math.sqrt(2.0 * (A + B))
     return r_plus, r_minus
@@ -213,12 +248,6 @@ class DarbouxFrame:
     def scaling(self) -> np.ndarray:
         return np.diag([self.r_plus, self.r_plus, self.r_minus, self.r_minus])
 
-    def to_darboux(self, w) -> np.ndarray:
-        return darboux_map(self, w)
-
-    def from_darboux(self, xi) -> np.ndarray:
-        return inverse_darboux_map(self, xi)
-
 
 # Column seeds for the deterministic kernel-basis orthogonalization, in the
 # order x, p, q, y: with this order the zero-parameter frame reduces to the
@@ -227,55 +256,92 @@ class DarbouxFrame:
 _SEED_ORDER = (0, 1, 3, 2)
 
 
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
 def darboux_frame(params) -> DarbouxFrame:
     """Construct the orthogonal frame mapping J to its block normal form.
 
-    The two invariant planes of J are the kernels of J^2 + r^2 I for
-    r = r+, r-.  Each plane's first basis vector u1 is chosen
-    deterministically (orthogonalization of the kernel projector's columns
-    in a fixed seed order, orientation fixed so u1's first nonzero component
-    is positive) and its partner is u2 = -(1/r) J u1, which makes the
-    corresponding block entry exactly +r.  Reproducible across runs and
-    platforms up to floating-point noise.
+    The two invariant planes of J are the eigenspaces of J J^T = -J^2 for
+    the eigenvalues r+^2 and r-^2; their projectors are, in closed form,
+
+        P+ = (J J^T - r-^2 I) / (r+^2 - r-^2),     P- = I - P+,
+
+    or both the identity when r+ = r- (a = b, alpha = 0, where every plane
+    is invariant).  Each plane's first basis vector u1 is chosen
+    deterministically: the first projector column, in the seed order
+    x, p, q, y, whose Gram-Schmidt remainder against the vectors already
+    accepted has norm above 1e-8, normalised and oriented so its first
+    component above 1e-9 in magnitude is positive.  Its partner is
+    u2 = -(1/r) J u1, which makes the corresponding block entry exactly +r.
+    Reproducible across runs and platforms up to floating-point noise.
+
+    Raises ValueError when a, b, alpha, r+ or r- is not finite and
+    DegenerateStructureError on (or within tolerance of) the degenerate
+    surface.
     """
-    p = _as_params(params)
-    J = build_real_J(p)  # raises on degenerate params
+    p, J = _checked_j_rows(params)
+    (_, j01, j02, j03), (_, _, j12, j13), (_, _, _, j23), _ = J
     r_plus, r_minus = eigenvalue_magnitudes(p)
+    if not (math.isfinite(r_plus) and math.isfinite(r_minus)):
+        al = complex(p.alpha)
+        raise ValueError(f"eigen-magnitudes r+ = {r_plus:g}, r- = {r_minus:g} "
+                         f"are not finite for a={p.a:g} b={p.b:g} "
+                         f"alpha={al.real:g}{al.imag:+g}i")
     if r_minus <= DEGENERACY_TOL:
         raise DegenerateStructureError(
             f"r_minus = {r_minus:.3e} <= {DEGENERACY_TOL:g}; no Darboux frame")
 
     if r_plus - r_minus <= 1e-9 * max(1.0, r_plus):
-        # Equal eigen-magnitudes (a = b, alpha = 0): J^2 = -r^2 I and the
-        # kernel is all of R^4; Gram-Schmidt against already-accepted
-        # columns picks the remaining plane.
-        projectors = (np.eye(4), np.eye(4))
+        # Equal eigen-magnitudes: J^2 = -r^2 I and every plane is invariant;
+        # Gram-Schmidt against already-accepted columns picks the second one.
+        plus = minus = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                        (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
     else:
-        evals, evecs = np.linalg.eigh(J @ J)  # ascending: -r+^2 pair first
-        plus = evecs[:, :2]
-        minus = evecs[:, 2:]
-        projectors = (plus @ plus.T, minus @ minus.T)
+        # The ten distinct entries of M = J J^T; rows and columns of the
+        # projectors coincide, since both are symmetric.
+        m01 = j02 * j12 + j03 * j13
+        m02 = j03 * j23 - j01 * j12
+        m03 = -j01 * j13 - j02 * j23
+        m12 = j01 * j02 + j13 * j23
+        m13 = j01 * j03 - j12 * j23
+        m23 = j02 * j03 + j12 * j13
+        rm2 = r_minus * r_minus
+        inv = 1.0 / ((r_plus - r_minus) * (r_plus + r_minus))
+        p00 = (j01 * j01 + j02 * j02 + j03 * j03 - rm2) * inv
+        p11 = (j01 * j01 + j12 * j12 + j13 * j13 - rm2) * inv
+        p22 = (j02 * j02 + j12 * j12 + j23 * j23 - rm2) * inv
+        p33 = (j03 * j03 + j13 * j13 + j23 * j23 - rm2) * inv
+        p01, p02, p03 = m01 * inv, m02 * inv, m03 * inv
+        p12, p13, p23 = m12 * inv, m13 * inv, m23 * inv
+        plus = ((p00, p01, p02, p03), (p01, p11, p12, p13),
+                (p02, p12, p22, p23), (p03, p13, p23, p33))
+        minus = ((1.0 - p00, -p01, -p02, -p03), (-p01, 1.0 - p11, -p12, -p13),
+                 (-p02, -p12, 1.0 - p22, -p23), (-p03, -p13, -p23, 1.0 - p33))
 
-    columns: list[np.ndarray] = []
-    for r, proj in zip((r_plus, r_minus), projectors):
-        u1 = None
+    columns: list[tuple[float, ...]] = []
+    for r, proj in ((r_plus, plus), (r_minus, minus)):
         for k in _SEED_ORDER:
-            c = proj[:, k].copy()
+            c = proj[k]
             for u in columns:
-                c -= (u @ c) * u
-            norm = np.linalg.norm(c)
+                d = _dot(u, c)
+                c = (c[0] - d * u[0], c[1] - d * u[1],
+                     c[2] - d * u[2], c[3] - d * u[3])
+            norm = math.sqrt(_dot(c, c))
             if norm > 1e-8:
-                u1 = c / norm
                 break
-        if u1 is None:  # projector rank defect; cannot happen for valid params
+        else:  # projector rank defect; cannot happen for valid params
             raise DegenerateStructureError("kernel basis extraction failed")
-        first_nonzero = int(np.argmax(np.abs(u1) > 1e-9))
-        if u1[first_nonzero] < 0.0:
-            u1 = -u1
-        u2 = -(J @ u1) / r
-        columns.extend((u1, u2))
+        x0, x1, x2, x3 = c[0] / norm, c[1] / norm, c[2] / norm, c[3] / norm
+        lead = next((x for x in (x0, x1, x2, x3) if abs(x) > 1e-9), x0)
+        if lead < 0.0:
+            x0, x1, x2, x3 = -x0, -x1, -x2, -x3
+        u1 = (x0, x1, x2, x3)
+        columns.append(u1)
+        columns.append(tuple(-_dot(row, u1) / r for row in J))
 
-    return DarbouxFrame(np.column_stack(columns), r_plus, r_minus)
+    return DarbouxFrame(np.array(columns).T, r_plus, r_minus)
 
 
 def darboux_map(frame: DarbouxFrame, w) -> np.ndarray:
@@ -292,18 +358,24 @@ def inverse_darboux_map(frame: DarbouxFrame, xi) -> np.ndarray:
 
 
 def frame_residuals(frame: DarbouxFrame, J: np.ndarray) -> dict:
-    """Max-norm residuals of the three defining frame properties."""
+    """Max-norm residuals of the three defining frame properties:
+    S^T J S = j_prime(r+, r-), S^T S = I and M J M^T = J_STANDARD for the
+    linear map M = D^{-1/2} S^T."""
+    r_plus, r_minus = frame.r_plus, frame.r_minus
     S = frame.S
-    block = S.T @ J @ S - j_prime(frame.r_plus, frame.r_minus)
-    orth = S.T @ S - np.eye(4)
-    d_inv_half = np.diag(1.0 / np.sqrt(np.array(
-        [frame.r_plus, frame.r_plus, frame.r_minus, frame.r_minus])))
-    lin = d_inv_half @ S.T
-    canon = lin @ J @ lin.T - J_STANDARD
+    ST = S.T
+    block = ST @ J @ S
+    block[0, 1] -= r_plus
+    block[1, 0] += r_plus
+    block[2, 3] -= r_minus
+    block[3, 2] += r_minus
+    lin = ST.copy()
+    lin[:2] *= 1.0 / math.sqrt(r_plus)
+    lin[2:] *= 1.0 / math.sqrt(r_minus)
     return {
-        "block_form": float(np.max(np.abs(block))),
-        "orthogonality": float(np.max(np.abs(orth))),
-        "canonicity": float(np.max(np.abs(canon))),
+        "block_form": float(abs(block).max()),
+        "orthogonality": float(abs(ST @ S - _EYE4).max()),
+        "canonicity": float(abs(lin @ J @ lin.T - J_STANDARD).max()),
     }
 
 
@@ -450,11 +522,15 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
         report["warning"] = (f"r_minus = {r_minus:.3e} < "
                              f"{CONDITIONING_WARN_R_MINUS:g}: near-degenerate "
                              "structure, results may be ill-conditioned")
-    J = build_real_J(p)
-    H = hamiltonian_field(spec)
-    z_mom = complex(w[1], w[3])
-    res_z = abs(bracket(position_field(), H, J, w) - z_mom / spec.mass)
-    res_p = abs(bracket(momentum_field(), H, J, w) + spec.dv(complex(w[0], w[2])))
+    # {{A, H}} = g_A . (J g_H) with the exact gradient row
+    # g_H = (v', p/m, i v', i p/m) and the constant rows g_z = (1, 0, i, 0),
+    # g_p = (0, 1, 0, i).
+    dv = spec.dv(complex(w[0], w[2]))
+    p_over_m = complex(w[1], w[3]) / spec.mass
+    g_h = (dv, p_over_m, 1j * dv, 1j * p_over_m)
+    jg0, jg1, jg2, jg3 = (_dot(row, g_h) for row in _j_rows(p))
+    res_z = abs(jg0 + 1j * jg2 - p_over_m)
+    res_p = abs(jg1 + 1j * jg3 + dv)
     report["residuals"] = {"position_equation": res_z, "momentum_equation": res_p}
     report["passed"] = bool(res_z <= 1e-10 and res_p <= 1e-10)
     return report

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,25 @@ class TestDarboux:
         code = run(["darboux", "--a", "1.2", "--b", "-0.4", "--alpha", "0.3+0.2i"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--a", "1e200", "--b", "1e200"],
+        ["--a", "nan"],
+        ["--alpha", "nan+0j"],
+        ["--a", "inf"],
+        ["--alpha", "1e200+0j"],
+    ])
+    def test_non_finite_structure_exit_1(self, argv, capsys):
+        # parameters, or eigen-magnitudes, out of float range: a usage error
+        # with one line, not a traceback, a warning or a degenerate verdict
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["darboux", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("holomech: error:") and "finite" in captured.err
 
 
 class TestHiFlow:

@@ -254,6 +254,18 @@ class TestGeneratedFunctions:
         assert all(re.fullmatch(r"z|t\d+", n) for n in code.co_varnames)
         assert all(c is None or type(c) is int for c in code.co_consts)
 
+    def test_shared_subtrees_compile_once(self):
+        # derivative shares each sin(...) level between the next level and its
+        # own cos(...); emitting every distinct node once keeps the body linear
+        def n_locals(depth):
+            e = parse_potential("sin(" * depth + "z" + ")" * depth)
+            return compile_potential(derivative(e)).__code__.co_nlocals
+
+        step = n_locals(2) - n_locals(1)
+        n = MAX_DEPTH - 1
+        assert n_locals(n) - n_locals(n - 1) == step
+        assert n_locals(n) <= n_locals(1) + step * (n - 1)
+
 
 class TestDerivative:
     def test_iz3(self):

@@ -31,7 +31,7 @@ from holomech import (
     standard_bracket,
     verify_compatibility,
 )
-from holomech.symplectic import format_matrix
+from holomech.symplectic import format_matrix, sample_params
 
 J0 = 0.5 * np.array([
     [0, 1, 0, 0],
@@ -357,3 +357,166 @@ def test_format_matrix_17_digits():
     text = format_matrix(np.array([[1 / 3, 2 / 3], [1.0, 0.1]]))
     assert "0.33333333333333331" in text
     assert len(text.splitlines()) == 2
+
+
+# --------------------------------------------------------------------------
+# Oracles for the straight-line structure path: the eigen-solver frame, the
+# numpy residuals and the bracket-based compatibility check it replaced.
+# --------------------------------------------------------------------------
+
+
+def _oracle_real_J(p):
+    ar, ai = complex(p.alpha).real, complex(p.alpha).imag
+    upper = np.zeros((4, 4))
+    upper[0, 1] = 0.5 * (1.0 + ar)
+    upper[0, 2] = 0.5 * (-p.a)
+    upper[0, 3] = 0.5 * (-ai)
+    upper[1, 2] = 0.5 * (-ai)
+    upper[1, 3] = 0.5 * (-p.b)
+    upper[2, 3] = 0.5 * (-1.0 + ar)
+    return upper - upper.T
+
+
+def _oracle_frame(p):
+    """(S, r+, r-) from the eigenvectors of J^2, Gram-Schmidt in seed order."""
+    J = _oracle_real_J(p)
+    r_plus, r_minus = eigenvalue_magnitudes(p)
+    if r_plus - r_minus <= 1e-9 * max(1.0, r_plus):
+        projectors = (np.eye(4), np.eye(4))
+    else:
+        evals, evecs = np.linalg.eigh(J @ J)  # ascending: -r+^2 pair first
+        plus = evecs[:, :2]
+        minus = evecs[:, 2:]
+        projectors = (plus @ plus.T, minus @ minus.T)
+    columns = []
+    for r, proj in zip((r_plus, r_minus), projectors):
+        u1 = None
+        for k in (0, 1, 3, 2):
+            c = proj[:, k].copy()
+            for u in columns:
+                c -= (u @ c) * u
+            norm = np.linalg.norm(c)
+            if norm > 1e-8:
+                u1 = c / norm
+                break
+        assert u1 is not None
+        first_nonzero = int(np.argmax(np.abs(u1) > 1e-9))
+        if u1[first_nonzero] < 0.0:
+            u1 = -u1
+        u2 = -(J @ u1) / r
+        columns.extend((u1, u2))
+    return np.column_stack(columns), r_plus, r_minus
+
+
+def _oracle_residuals(S, r_plus, r_minus, J):
+    block = S.T @ J @ S - j_prime(r_plus, r_minus)
+    orth = S.T @ S - np.eye(4)
+    d_inv_half = np.diag(1.0 / np.sqrt(np.array([r_plus, r_plus, r_minus, r_minus])))
+    lin = d_inv_half @ S.T
+    canon = lin @ J @ lin.T - J_STANDARD
+    return {
+        "block_form": float(np.max(np.abs(block))),
+        "orthogonality": float(np.max(np.abs(orth))),
+        "canonicity": float(np.max(np.abs(canon))),
+    }
+
+
+def _oracle_compatibility(p, spec, w):
+    """(passed, res_z, res_p) through ScalarField gradients and bracket."""
+    J = _oracle_real_J(p)
+    H = hamiltonian_field(spec)
+    res_z = abs(bracket(position_field(), H, J, w) - complex(w[1], w[3]) / spec.mass)
+    res_p = abs(bracket(momentum_field(), H, J, w) + spec.dv(complex(w[0], w[2])))
+    return bool(res_z <= 1e-10 and res_p <= 1e-10), res_z, res_p
+
+
+def _verdict(res):
+    return (res["block_form"] <= 1e-10, res["orthogonality"] <= 1e-12,
+            res["canonicity"] <= 1e-10)
+
+
+def _near_equal_params(rng):
+    """a ~ b and |alpha| small: r+ - r- of the order of each gap."""
+    out = []
+    for gap in (1e-4, 1e-8):
+        for _ in range(30):
+            a = float(rng.uniform(-2.0, 2.0))
+            b = a + gap * float(rng.uniform(-1.0, 1.0))
+            alpha = gap * complex(*rng.uniform(-1.0, 1.0, size=2))
+            out.append(SymplecticParams(a, b, alpha))
+    return out
+
+
+class TestStructureOracles:
+    def test_frame_matches_eigh_oracle(self, rng):
+        worst = 0.0
+        for _ in range(2000):
+            p = sample_params(rng)
+            frame = darboux_frame(p)
+            S, r_plus, r_minus = _oracle_frame(p)
+            assert (frame.r_plus, frame.r_minus) == (r_plus, r_minus)
+            worst = max(worst, float(np.max(np.abs(frame.S - S))))
+            J = build_real_J(p)
+            assert np.array_equal(J, _oracle_real_J(p))
+            assert _verdict(frame_residuals(frame, J)) == \
+                _verdict(_oracle_residuals(S, r_plus, r_minus, J))
+        assert worst <= 1e-12
+
+    def test_residuals_match_numpy_oracle(self, rng):
+        for p in [sample_params(rng) for _ in range(200)] + _near_equal_params(rng):
+            frame = darboux_frame(p)
+            J = build_real_J(p)
+            # same products in the same order: bit-equal on the same frame
+            assert frame_residuals(frame, J) == \
+                _oracle_residuals(frame.S, frame.r_plus, frame.r_minus, J)
+
+    @pytest.mark.parametrize("mass", [0.5, 1.0])
+    def test_compatibility_matches_bracket_oracle(self, builtins_map, mass, rng):
+        for expr in builtins_map.values():
+            spec = SystemSpec(expr, mass)
+            for _ in range(100):
+                p = sample_params(rng)
+                w = rng.uniform(-2.0, 2.0, size=4)
+                rep = verify_compatibility(p, spec, w)
+                passed, res_z, res_p = _oracle_compatibility(p, spec, w)
+                assert rep["passed"] == passed
+                assert abs(rep["residuals"]["position_equation"] - res_z) <= 1e-13
+                assert abs(rep["residuals"]["momentum_equation"] - res_p) <= 1e-13
+
+    def test_frame_residuals_against_mpmath(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            worst = mpmath.mpf(0)
+            for p in [sample_params(rng) for _ in range(300)] + _near_equal_params(rng):
+                frame = darboux_frame(p)
+                worst = max(worst, *_mp_residuals(mpmath, p, frame))
+        assert worst <= 1e-12, float(worst)
+
+
+def _mp_residuals(mpmath, p, frame):
+    """Residuals of the float frame against the exact J and r+-, at the
+    working precision of ``mpmath``."""
+    mpf = mpmath.mpf
+    a, b = mpf(p.a), mpf(p.b)
+    ar, ai = mpf(complex(p.alpha).real), mpf(complex(p.alpha).imag)
+    half = mpf(1) / 2
+    upper = {(0, 1): half * (1 + ar), (0, 2): -half * a, (0, 3): -half * ai,
+             (1, 2): -half * ai, (1, 3): -half * b, (2, 3): half * (ar - 1)}
+    J = mpmath.zeros(4, 4)
+    for (i, k), v in upper.items():
+        J[i, k], J[k, i] = v, -v
+    s = ar * ar + ai * ai
+    A = a * a + b * b + 2 * (s + 1)
+    B = mpmath.sqrt(((a + b) ** 2 + 4) * ((a - b) ** 2 + 4 * s))
+    r_plus = mpmath.sqrt((A + B) / 8)
+    r_minus = abs(s - a * b - 1) / mpmath.sqrt(2 * (A + B))
+    S = mpmath.matrix(frame.S.tolist())
+    sjs = S.T * J * S
+    d = [r_plus, r_plus, r_minus, r_minus]
+    jp = {(0, 1): r_plus, (1, 0): -r_plus, (2, 3): r_minus, (3, 2): -r_minus}
+    orth = S.T * S
+    block = max(abs(sjs[i, k] - jp.get((i, k), 0)) for i in range(4) for k in range(4))
+    canon = max(abs(sjs[i, k] / mpmath.sqrt(d[i] * d[k]) - J_STANDARD[i, k])
+                for i in range(4) for k in range(4))
+    ortho = max(abs(orth[i, k] - (i == k)) for i in range(4) for k in range(4))
+    return block, ortho, canon
