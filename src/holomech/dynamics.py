@@ -1,21 +1,25 @@
 """Trajectory integration in the complex and Darboux descriptions.
 
-The motion is two complex scalars, dz/dt = p/m and dp/dt = -v'(z).  One
-integration loop, ``_drive``, steps a state held as a pair of Python
-complex numbers; it owns the time grid or the step-size controller, the
-escape test and the recording of samples, and turns whatever a step raises
-on leaving double precision into a step failure or a smaller step.  Runs
-differ only in the field and the one-step rule handed to it.
+The motion is two complex scalars, dz/dt = p/m and dp/dt = -v'(z), stepped
+as a pair of Python complex numbers.  Each (method, frame) pair the package
+runs has one fused kernel: a straight-line function that owns the escape
+test, the time grid or the step-size controller, the stages with the
+frame's vector field written in, the error norm and the recording of
+samples, and that turns whatever a step raises on leaving double precision
+into a step failure or a smaller step.  The kernels are generated from one
+template on first use and cached for the process; they call the compiled
+v' of the ``SystemSpec`` and take tableau weights, h and m as complex
+constants.  In CPython 3.10-3.13 that gives the same bits as float weights;
+CPython 3.14 changed mixed float-complex arithmetic (see ``_kernel``).
 
-Fields (z, p) -> (dz/dt, dp/dt): the complex frame; the Darboux frame on
-the packed pair Z = x1 + i p2, P = p1 + i x2, which is sqrt(2) (z, p), with
-its force -sqrt(2) v'(Z/sqrt2) evaluated in its own arithmetic so that the
-cross-frame deviation stays a genuine check; and the H_i flow, which is the
-Darboux field at complex time dt = -i d(epsilon)/2.  Each field checks its
-own values and raises PotentialOverflowError on a non-finite one.
+Frames: the complex pair (z, p); the Darboux frame on the packed pair
+Z = x1 + i p2, P = p1 + i x2, which is sqrt(2) (z, p), with its force
+-sqrt(2) v'(Z/sqrt2) evaluated in its own arithmetic so that the
+cross-frame deviation stays a genuine check; and the H_i flow, the Darboux
+field at complex time dt = -i d(epsilon)/2, forwards or backwards.  Every
+field value is checked, and a non-finite one fails the step.
 
-Step rules, each straight-line code over the pair with the tableau
-coefficients written in:
+Methods:
 
 * ``rk4``   - classical Runge-Kutta on the fixed grid t_k = k dt, ending at
   t_end;
@@ -30,16 +34,19 @@ coefficients written in:
 Escape through ``escape_radius`` is a normal termination (cubic and quartic
 potentials reach infinity in finite time from generic data); a non-finite
 state or a controller step-size underflow is reported as
-``terminated_by="step_failure"``.  Samples become (N, 4) float rows in the
-w or xi layout once, when the ``Trajectory`` is built, together with the
-energy split (H_r, H_i) per sample, one ``hamiltonian_split`` call on the
-whole stack, and its maximum drift.  H_i is an independent integral of
-motion; ``invariant_flow`` integrates its flow.
+``terminated_by="step_failure"``.  A ``Trajectory`` also counts its field
+evaluations (``n_rhs``) and rejected steps (``n_rejected``).  Samples become
+(N, 4) float rows in the w or xi layout once, when the ``Trajectory`` is
+built, together with the energy split (H_r, H_i) per sample, one
+``hamiltonian_split`` call on the whole stack, and its maximum drift.  H_i
+is an independent integral of motion; ``invariant_flow`` integrates its
+flow.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +71,7 @@ __all__ = [
     "EquivalenceReport",
     "integrate_complex",
     "integrate_darboux",
+    "complex_view",
     "split_step",
     "invariant_flow",
     "invariant_flow_field",
@@ -155,6 +163,11 @@ class Trajectory:
     0 on a backwards flow, and ``derivs`` are derivatives in epsilon.  Treat
     instances as read-only once produced; batch runs over initial conditions
     may then integrate concurrently with no shared mutable state.
+
+    ``n_rhs`` counts field evaluations: one at the start, then 6 per rk45
+    step attempted (FSAL), 4 per rk4 and 1 per split step, a failed step in
+    full; so rk45 gives 1 + 6 (n_steps + n_rejected).  ``n_rejected`` counts
+    rk45 steps retried with a smaller h (error too large or not finite).
     """
 
     frame: str
@@ -165,6 +178,8 @@ class Trajectory:
     hi: np.ndarray
     terminated_by: str
     n_steps: int
+    n_rhs: int = 0
+    n_rejected: int = 0
     drift_hr: float = field(init=False)
     drift_hi: float = field(init=False)
 
@@ -223,51 +238,15 @@ def _hermite(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray, tq: np.ndarray) -> 
 
 
 # --------------------------------------------------------------------------
-# Vector fields on the pair (z, p)
+# Phase-point layouts
 # --------------------------------------------------------------------------
 
-# Per frame: the size of the pair relative to (z, p), and the row layout as
-# columns of (Re z, Im z, Re p, Im p), which is also what a complex (N, 2)
-# array of pairs viewed as float holds.
-_FRAMES = {
-    "complex": (1.0, [0, 2, 1, 3]),      # w = (x, p, y, q)
-    "darboux": (_SQRT2, [0, 2, 3, 1]),   # xi = (x1, p1, x2, p2); Z = x1 + i p2, P = p1 + i x2
+# Per frame, the row layout as columns of (Re z, Im z, Re p, Im p), which is
+# also what a complex (N, 2) array of pairs viewed as float holds.
+_COLUMNS = {
+    "complex": [0, 2, 1, 3],   # w = (x, p, y, q)
+    "darboux": [0, 2, 3, 1],   # xi = (x1, p1, x2, p2); Z = x1 + i p2, P = p1 + i x2
 }
-
-
-def _complex_field(dv, m):
-    def rhs(z, p):
-        dz, dp = p / m, -dv(z)
-        if cmath.isfinite(dz) and cmath.isfinite(dp):
-            return dz, dp
-        raise PotentialOverflowError("non-finite vector field")
-
-    return rhs
-
-
-def _darboux_field(dv, m):
-    def rhs(Z, P):
-        dZ, dP = P / m, -_SQRT2 * dv(Z / _SQRT2)
-        if cmath.isfinite(dZ) and cmath.isfinite(dP):
-            return dZ, dP
-        raise PotentialOverflowError("non-finite vector field")
-
-    return rhs
-
-
-def _hi_field(dv, m, sign=1.0):
-    """d(Z, P)/d(eps) = {(Z, P), H_i}, the Darboux field at dt = -i d(eps)/2;
-    ``sign`` = -1 runs it backwards."""
-    m2 = 2.0 * m
-
-    def rhs(Z, P):
-        d = dv(Z / _SQRT2)
-        dZ, dP = sign * (-1j * P / m2), sign * (1j * d / _SQRT2)
-        if cmath.isfinite(dZ) and cmath.isfinite(dP):
-            return dZ, dP
-        raise PotentialOverflowError("non-finite vector field")
-
-    return rhs
 
 
 def _pack(xi) -> tuple[complex, complex]:
@@ -289,92 +268,15 @@ def invariant_flow_field(spec: SystemSpec, xi) -> np.ndarray:
 
     d(xi)/d(epsilon) = {xi, H_i} = (x2/(2m), -Im v'/sqrt2, Re v'/sqrt2,
     -p1/(2m)) with v' evaluated at (x1 + i p2)/sqrt(2); one infinitesimal
-    step xi + eps * field is the first-order symmetry transformation.
+    step xi + eps * field is the first-order symmetry transformation.  It is
+    the field of the "hi" kernel, operation for operation.
     """
-    return _unpack(*_hi_field(spec.dv, spec.mass)(*_pack(xi)))
-
-
-# --------------------------------------------------------------------------
-# One-step rules: rule(f, z, p, k, h) -> (z, p, k, err).  k is the field at
-# (z, p) going in and at the new pair coming out; err is the embedded error
-# pair of an adaptive rule, else None.
-# --------------------------------------------------------------------------
-
-# The Runge-Kutta rules are written out stage by stage with the tableau
-# coefficients inlined.  Every stage sum is accumulated from 0j in row order
-# over the nonzero coefficients, so its bits, signed zeros included, are
-# those of the plain sum over the full tableau row.  Stage times are omitted:
-# every vector field integrated here is autonomous.
-
-def _dp45_rule(f, z, p, k, h):
-    """Dormand-Prince 5(4) (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5).
-
-    The fifth-order solution is propagated, its field is the last stage
-    (FSAL), and err is h times the difference of the fifth- and
-    fourth-order weights applied to the stages.
-    """
-    kz1, kp1 = k
-    kz2, kp2 = f(z + h * (0j + 1 / 5 * kz1),
-                 p + h * (0j + 1 / 5 * kp1))
-    kz3, kp3 = f(z + h * (0j + 3 / 40 * kz1 + 9 / 40 * kz2),
-                 p + h * (0j + 3 / 40 * kp1 + 9 / 40 * kp2))
-    kz4, kp4 = f(z + h * (0j + 44 / 45 * kz1 + -56 / 15 * kz2 + 32 / 9 * kz3),
-                 p + h * (0j + 44 / 45 * kp1 + -56 / 15 * kp2 + 32 / 9 * kp3))
-    kz5, kp5 = f(z + h * (0j + 19372 / 6561 * kz1 + -25360 / 2187 * kz2
-                          + 64448 / 6561 * kz3 + -212 / 729 * kz4),
-                 p + h * (0j + 19372 / 6561 * kp1 + -25360 / 2187 * kp2
-                          + 64448 / 6561 * kp3 + -212 / 729 * kp4))
-    kz6, kp6 = f(z + h * (0j + 9017 / 3168 * kz1 + -355 / 33 * kz2 + 46732 / 5247 * kz3
-                          + 49 / 176 * kz4 + -5103 / 18656 * kz5),
-                 p + h * (0j + 9017 / 3168 * kp1 + -355 / 33 * kp2 + 46732 / 5247 * kp3
-                          + 49 / 176 * kp4 + -5103 / 18656 * kp5))
-    z = z + h * (0j + 35 / 384 * kz1 + 500 / 1113 * kz3 + 125 / 192 * kz4
-                 + -2187 / 6784 * kz5 + 11 / 84 * kz6)
-    p = p + h * (0j + 35 / 384 * kp1 + 500 / 1113 * kp3 + 125 / 192 * kp4
-                 + -2187 / 6784 * kp5 + 11 / 84 * kp6)
-    kz7, kp7 = f(z, p)
-    # fifth- minus fourth-order weights
-    ez = (0j + (35 / 384 - 5179 / 57600) * kz1 + (500 / 1113 - 7571 / 16695) * kz3
-          + (125 / 192 - 393 / 640) * kz4 + (-2187 / 6784 - -92097 / 339200) * kz5
-          + (11 / 84 - 187 / 2100) * kz6 + (0.0 - 1 / 40) * kz7)
-    ep = (0j + (35 / 384 - 5179 / 57600) * kp1 + (500 / 1113 - 7571 / 16695) * kp3
-          + (125 / 192 - 393 / 640) * kp4 + (-2187 / 6784 - -92097 / 339200) * kp5
-          + (11 / 84 - 187 / 2100) * kp6 + (0.0 - 1 / 40) * kp7)
-    return z, p, (kz7, kp7), (h * ez, h * ep)
-
-
-def _rk4_rule(f, z, p, k, h):
-    """Classical fourth-order Runge-Kutta."""
-    kz1, kp1 = k
-    kz2, kp2 = f(z + h * (0j + 0.5 * kz1), p + h * (0j + 0.5 * kp1))
-    kz3, kp3 = f(z + h * (0j + 0.5 * kz2), p + h * (0j + 0.5 * kp2))
-    kz4, kp4 = f(z + h * (0j + 1.0 * kz3), p + h * (0j + 1.0 * kp3))
-    z = z + h / 6.0 * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
-    p = p + h / 6.0 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
-    return z, p, f(z, p), None
-
-
-_RK_RULES = {"rk45": _dp45_rule, "rk4": _rk4_rule}
-
-
-def _kdk(dv, m, Z, P, h):
-    """Strang kick-drift-kick step of the packed Darboux pair.
-
-    The kicks are the exact flow of G(x1, p2), the drift the exact flow of
-    F(p1, x2).
-    """
-    kick = 0.5 * h * _SQRT2
-    P = P - kick * dv(Z / _SQRT2)
-    Z = Z + h * P / m
-    return Z, P - kick * dv(Z / _SQRT2)
-
-
-def _split_rule(dv, m):
-    def rule(f, Z, P, k, h):
-        Z, P = _kdk(dv, m, Z, P, h)
-        return Z, P, f(Z, P), None
-
-    return rule
+    Z, P = _pack(xi)
+    d = spec.dv(Z / _SQRT2)
+    dZ, dP = 1.0 * (-1j * P / (2.0 * spec.mass)), 1.0 * (1j * d / _SQRT2)
+    if not (cmath.isfinite(dZ) and cmath.isfinite(dP)):
+        raise PotentialOverflowError("non-finite vector field")
+    return _unpack(dZ, dP)
 
 
 def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
@@ -382,16 +284,192 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
 
     Kick-drift-kick composition of the exact flows of G(x1, p2) (potential
     part) and F(p1, x2) (kinetic part); second-order accurate and exactly
-    symplectic for the standard structure.
+    symplectic for the standard structure.  Raises PotentialOverflowError
+    when the step leaves double precision.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _unpack(*_kdk(spec.dv, spec.mass, *_pack(xi), dt))
+    run = _kernel("split", "darboux")(spec._dv, spec.mass, *_pack(xi), dt, dt,
+                                      0.0, 0.0, math.inf)
+    if run[3] != "t_end":
+        raise PotentialOverflowError(f"split step of {dt!r} left double precision")
+    return _unpack(*run[1][-1])
 
 
 # --------------------------------------------------------------------------
-# The integration loop
+# Fused integration kernels
 # --------------------------------------------------------------------------
+
+# kernel(dv, m, z, p, t_end, h, atol, rtol, radius) integrates a pair over
+# [0, t_end] with v' as ``dv``, the fixed step or first adaptive step h, and
+# the escape radius on |z| and |p| of the complex frame, and returns
+# (t, pairs, field pairs, terminated_by, n_steps, n_rhs, n_rejected).  The
+# template is filled with one frame's field, written in at every stage, and
+# one method's grid, step and acceptance test.  Every Runge-Kutta stage sum
+# is accumulated from 0j in row order over the nonzero tableau coefficients,
+# so its bits, signed zeros included, are those of the plain sum over the
+# full row.  Stage times are omitted: every field here is autonomous.
+
+_KERNEL = """\
+def kernel(dv, m, z, p, t_end, h, atol, rtol, radius):
+    isfinite, sqrt = _isfinite, _sqrt
+    mc, m2 = complex(m), complex(2.0 * m)
+    ts, pairs, derivs = [0.0], [(z, p)], []
+    t, n, n_rej = 0.0, 0, 0
+    try:
+{first}
+    except _STEP_ERRORS:
+        # cannot even start; report failure with the initial sample only
+        return ts, pairs, [(0j, 0j)], "step_failure", 0, 1, 0
+    derivs.append((kz, kp))
+{setup}
+    while True:
+        if {escape}:
+            return ts, pairs, derivs, "escape", n, 1 + {S} * (n + n_rej), n_rej
+{advance}
+        try:
+{step}
+            ok = isfinite(z1) and isfinite(p1)
+        except _STEP_ERRORS:
+            ok = False
+{accept}
+        t, z, p, kz, kp = t_next, z1, p1, kz1, kp1
+        n += 1
+        ts.append(t)
+        pairs.append((z, p))
+        derivs.append((kz, kp))
+    return ts, pairs, derivs, "t_end", n, 1 + {S} * (n + n_rej), n_rej
+"""
+
+_S2 = repr(_SQRT2)
+
+# Fields (z, p) -> (dz, dp) of the frames in the module docstring, each
+# checking its own values; "hi_back" runs the H_i flow backwards.  Each
+# leaves v' at the stage in ``d`` where it has one.
+_FIELDS = {
+    "complex": "{dz} = {p} / mc\n{dp} = -dv({z})",
+    "darboux": f"d = dv({{z}} / ({_S2}+0j))\n{{dz}} = {{p}} / mc\n{{dp}} = (-{_S2}+0j) * d",
+    **{name: f"d = dv({{z}} / ({_S2}+0j))\n{{dz}} = ({sign}+0j) * (-1j * {{p}} / m2)\n"
+             f"{{dp}} = ({sign}+0j) * (1j * d / ({_S2}+0j))"
+       for name, sign in (("hi", "1.0"), ("hi_back", "-1.0"))},
+}
+_CHECK = ("\nif not (isfinite({dz}) and isfinite({dp})):\n"
+          "    raise PotentialOverflowError('non-finite vector field')")
+
+# Dormand-Prince 5(4) (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5):
+# stage rows, fifth-order weights, and fifth- minus fourth-order weights.
+# The fifth-order solution is propagated and its field is the last stage
+# (FSAL); (ez, ep) is h times the weight difference applied to the stages.
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640,
+         -2187 / 6784 - -92097 / 339200, 11 / 84 - 187 / 2100, 0.0 - 1 / 40)
+_RK4_A = ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
+
+
+def _field(frame: str, z: str, p: str, dz: str, dp: str) -> str:
+    return (_FIELDS[frame] + _CHECK).format(z=z, p=p, dz=dz, dp=dp)
+
+
+def _dot(row, ks) -> str:
+    """0j + c0 * k0 + c1 * k1 + ... over the nonzero c, as complex constants."""
+    return " + ".join(["0j"] + [f"{complex(c)!r} * {k}" for c, k in zip(row, ks) if c])
+
+
+def _rk_step(frame: str, rows) -> tuple[str, list, list]:
+    """Stages of an explicit Runge-Kutta rule; k1 is the field carried in."""
+    kz, kp = ["kz"], ["kp"]
+    lines = []
+    for j, row in enumerate(rows, 2):
+        lines += [f"zs = z + hc * ({_dot(row, kz)})", f"ps = p + hc * ({_dot(row, kp)})",
+                  _field(frame, "zs", "ps", f"kz{j}", f"kp{j}")]
+        kz.append(f"kz{j}")
+        kp.append(f"kp{j}")
+    return "\n".join(lines), kz, kp
+
+
+def _dp45_step(frame: str) -> str:
+    stages, kz, kp = _rk_step(frame, _DP_A)
+    return "\n".join([
+        stages,
+        f"z1 = z + hc * ({_dot(_DP_B, kz)})", f"p1 = p + hc * ({_dot(_DP_B, kp)})",
+        _field(frame, "z1", "p1", "kz1", "kp1"),
+        f"ez = hc * ({_dot(_DP_E, kz + ['kz1'])})", f"ep = hc * ({_dot(_DP_E, kp + ['kp1'])})"])
+
+
+def _rk4_step(frame: str) -> str:
+    stages, _, _ = _rk_step(frame, _RK4_A)
+    return "\n".join([
+        stages, "h6 = h / 6.0 + 0j",
+        "z1 = z + h6 * (kz + (2+0j) * kz2 + (2+0j) * kz3 + kz4)",
+        "p1 = p + h6 * (kp + (2+0j) * kp2 + (2+0j) * kp3 + kp4)",
+        _field(frame, "z1", "p1", "kz1", "kp1")])
+
+
+# Strang kick-drift-kick splitting of h = F(p1, x2) + G(x1, p2) (Hairer,
+# Lubich and Wanner, *Geometric Numerical Integration*, II.5): the kicks
+# are the exact flow of G, the drift the exact flow of F.  v' is evaluated
+# once per step: the second kick's force is also that of the recorded
+# field, whose finiteness check covers it, and of the next first kick.
+_SPLIT_STEP = f"""\
+kc = 0.5 * h * {_S2} + 0j
+p1 = p - kc * d
+z1 = z + hc * p1 / mc
+d = dv(z1 / ({_S2}+0j))
+p1 = p1 - kc * d
+kz1 = p1 / mc
+kp1 = (-{_S2}+0j) * d""" + _CHECK.format(dz="kz1", dp="kp1")
+
+_FIXED_SETUP = "dt = h\nn_grid = math.ceil(t_end / dt - 1e-12) if t_end > 0.0 else 0"
+# fixed grid t_n = n dt, with t_end as its last point
+_FIXED_ADVANCE = """\
+if n >= n_grid:
+    break
+t_next = (n + 1) * dt if n + 1 < n_grid else t_end
+h = t_next - t
+hc = h + 0j"""
+_FIXED_ACCEPT = """\
+if not ok:
+    return ts, pairs, derivs, "step_failure", n, 1 + {S} * (n + 1), 0"""
+
+# Elementary step control on the RMS of the error pair scaled by the
+# tolerances, its squares summed in the order of the frame's row components.
+_NORM = """\
+if not (ok and isfinite(ez) and isfinite(ep)):
+    h *= 0.25
+    n_rej += 1
+    continue
+a, b = abs(z.real), abs(z1.real)
+xr = ez.real / (atol + rtol * (b if b > a else a))
+a, b = abs(z.imag), abs(z1.imag)
+xi = ez.imag / (atol + rtol * (b if b > a else a))
+a, b = abs(p.real), abs(p1.real)
+yr = ep.real / (atol + rtol * (b if b > a else a))
+a, b = abs(p.imag), abs(p1.imag)
+yi = ep.imag / (atol + rtol * (b if b > a else a))
+e = sqrt(({total}) / 4.0)
+fac = 0.9 * (e + 1e-300) ** -0.2
+h *= (fac if fac < 5.0 else 5.0) if fac > 0.2 else 0.2
+if e > 1.0:
+    n_rej += 1
+    continue"""
+
+_METHODS = {  # stages per step, set-up, time advance, step, acceptance
+    "rk45": (6, "tiny = 1e-13 * max(1.0, t_end)", f"""\
+remaining = t_end - t
+if remaining <= tiny:
+    break  # landed within rounding of t_end; not a failure
+if remaining < h:
+    h = remaining
+if h < {_MIN_STEP!r}:
+    return ts, pairs, derivs, "step_failure", n, 1 + 6 * (n + n_rej), n_rej
+t_next = t + h
+hc = h + 0j""", _dp45_step, _NORM),
+    "rk4": (4, _FIXED_SETUP, _FIXED_ADVANCE, _rk4_step, _FIXED_ACCEPT),
+    "split": (1, _FIXED_SETUP, _FIXED_ADVANCE, lambda frame: _SPLIT_STEP, _FIXED_ACCEPT),
+}
 
 # What a step raises on leaving double precision: OverflowError,
 # ZeroDivisionError, cmath domain errors and the PotentialOverflowError of a
@@ -399,80 +477,37 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
 _STEP_ERRORS = (ArithmeticError, ValueError)
 
 
-def _error_norm(cfg: IntegratorConfig, darboux: bool, z, p, z1, p1, ez, ep) -> float:
-    """RMS of the error pair (ez, ep) scaled by the tolerances.
+def _indent(text: str, depth: int) -> str:
+    return "\n".join("    " * depth + line for line in text.split("\n"))
 
-    The squares are summed in the order of the frame's row components.
+
+@functools.cache
+def _kernel(method: str, frame: str):
+    """The fused kernel of ``method`` in ``frame``, generated once per process.
+
+    Tableau weights, h and m enter as complex constants, so no product pays
+    a failed float operation before the complex one.  In CPython 3.10-3.13 a
+    float operand of complex arithmetic is converted to (c, 0.0) and goes
+    through the same product, quotient or sum as the complex constant, so
+    the bits are those of the float-weighted rules; CPython 3.14 gives mixed
+    float-complex operands their own arithmetic, where the two may differ in
+    signed zeros.
     """
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    xr = ez.real / (atol + rtol * max(abs(z.real), abs(z1.real)))
-    xi = ez.imag / (atol + rtol * max(abs(z.imag), abs(z1.imag)))
-    yr = ep.real / (atol + rtol * max(abs(p.real), abs(p1.real)))
-    yi = ep.imag / (atol + rtol * max(abs(p.imag), abs(p1.imag)))
-    total = xr * xr + yr * yr
-    if darboux:  # (x1, p1, x2, p2) = (Re Z, Re P, Im P, Im Z)
-        total = total + yi * yi + xi * xi
-    else:        # (x, p, y, q) = (Re z, Re p, Im z, Im p)
-        total = total + xi * xi + yi * yi
-    return math.sqrt(total / 4.0)
-
-
-def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str):
-    """Integrate the pair (z, p) of ``frame`` over [0, t_end] with one rule.
-
-    Escape is tested on |z| and |p| of the complex frame in either frame.
-    Returns (t, pairs, field pairs, terminated_by, n_steps).
-    """
-    unit = _FRAMES[frame][0]
-    darboux = frame == "darboux"
-    ts, pairs, derivs = [0.0], [(z, p)], []
-    try:
-        k = f(z, p)
-    except _STEP_ERRORS:
-        # cannot even start; report failure with the initial sample only
-        return ts, pairs, [(0j, 0j)], "step_failure", 0
-    derivs.append(k)
-    adaptive = cfg.method == "rk45"
-    # fixed grid t_n = n dt, with t_end as its last point
-    n_grid = math.ceil(cfg.t_end / cfg.dt - 1e-12) if cfg.t_end > 0.0 else 0
-    t, h, n = 0.0, min(1e-3, cfg.t_end), 0
-    while True:
-        if abs(z) / unit > cfg.escape_radius or abs(p) / unit > cfg.escape_radius:
-            return ts, pairs, derivs, "escape", n
-        if adaptive:
-            remaining = cfg.t_end - t
-            if remaining <= 1e-13 * max(1.0, cfg.t_end):
-                break  # landed within rounding of t_end; not a failure
-            h = min(h, remaining)
-            if h < _MIN_STEP:
-                return ts, pairs, derivs, "step_failure", n
-            t_next = t + h
-        elif n < n_grid:
-            t_next = (n + 1) * cfg.dt if n + 1 < n_grid else cfg.t_end
-            h = t_next - t
-        else:
-            break
-        try:
-            z1, p1, k1, err = rule(f, z, p, k, h)
-            ok = cmath.isfinite(z1) and cmath.isfinite(p1)
-        except _STEP_ERRORS:
-            ok = False
-        if adaptive:
-            if not (ok and cmath.isfinite(err[0]) and cmath.isfinite(err[1])):
-                h *= 0.25
-                continue
-            e = _error_norm(cfg, darboux, z, p, z1, p1, *err)
-            h *= min(5.0, max(0.2, 0.9 * (e + 1e-300) ** -0.2))
-            if e > 1.0:
-                continue
-        elif not ok:
-            return ts, pairs, derivs, "step_failure", n
-        t, z, p, k = t_next, z1, p1, k1
-        n += 1
-        ts.append(t)
-        pairs.append((z, p))
-        derivs.append(k)
-    return ts, pairs, derivs, "t_end", n
+    S, setup, advance, step, accept = _METHODS[method]
+    unit = "" if frame == "complex" else f" / {_S2}"
+    source = _KERNEL.format(
+        first=_indent(_field(frame, "z", "p", "kz", "kp"), 2),
+        setup=_indent(setup, 1),
+        escape=f"abs(z){unit} > radius or abs(p){unit} > radius",
+        advance=_indent(advance, 2),
+        step=_indent(step(frame), 3),
+        accept=_indent(accept.format(S=S, total="xr * xr + yr * yr + " + (
+            "xi * xi + yi * yi" if frame == "complex" else "yi * yi + xi * xi")), 2),
+        S=S)
+    namespace = {"_isfinite": cmath.isfinite, "_sqrt": math.sqrt, "math": math,
+                 "_STEP_ERRORS": _STEP_ERRORS, "PotentialOverflowError": PotentialOverflowError}
+    exec(compile(source, f"<holomech kernel {method}/{frame}>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 # --------------------------------------------------------------------------
@@ -480,14 +515,21 @@ def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str):
 # --------------------------------------------------------------------------
 
 
+def _run(spec: SystemSpec, method: str, frame: str, z, p, cfg: IntegratorConfig):
+    h = min(1e-3, cfg.t_end) if method == "rk45" else cfg.dt
+    return _kernel(method, frame)(spec._dv, spec.mass, z, p, cfg.t_end, h,
+                                  cfg.abs_tol, cfg.rel_tol, cfg.escape_radius)
+
+
 def _trajectory(frame: str, spec: SystemSpec, run) -> Trajectory:
-    ts, pairs, derivs, terminated, n_steps = run
-    columns = _FRAMES[frame][1]
+    ts, pairs, derivs, terminated, n_steps, n_rhs, n_rejected = run
+    columns = _COLUMNS[frame]
     states = _rows(pairs, columns)
     hr, hi = hamiltonian_split(spec, states if frame == "complex" else darboux_to_w(states))
     return Trajectory(frame=frame, t=np.array(ts), states=states,
                       derivs=_rows(derivs, columns), hr=hr, hi=hi,
-                      terminated_by=terminated, n_steps=n_steps)
+                      terminated_by=terminated, n_steps=n_steps,
+                      n_rhs=n_rhs, n_rejected=n_rejected)
 
 
 def _initial_xi(xi0) -> tuple[complex, complex]:
@@ -497,28 +539,36 @@ def _initial_xi(xi0) -> tuple[complex, complex]:
     return _pack(xi0)
 
 
+def complex_view(traj: Trajectory) -> Trajectory:
+    """A Darboux-frame trajectory in the complex frame.
+
+    States and derivatives are mapped through ``darboux_to_w``, which is
+    exact (a scaled signed permutation); times, invariants and counters are
+    shared.
+    """
+    if traj.frame != "darboux":
+        raise ValueError("expected a Darboux-frame trajectory")
+    return Trajectory(frame="complex", t=traj.t, states=darboux_to_w(traj.states),
+                      derivs=darboux_to_w(traj.derivs), hr=traj.hr, hi=traj.hi,
+                      terminated_by=traj.terminated_by, n_steps=traj.n_steps,
+                      n_rhs=traj.n_rhs, n_rejected=traj.n_rejected)
+
+
 def integrate_complex(spec: SystemSpec, z0: complex, p0: complex,
                       cfg: IntegratorConfig) -> Trajectory:
     """Integrate dz/dt = p/m, dp/dt = -v'(z) over real time.
 
     States are recorded as real rows w = (x, p, y, q).  The ``split`` method
-    runs in the Darboux frame and maps states and derivatives back, which is
-    exact (a scaled signed permutation).
+    runs in the Darboux frame from w_to_darboux(z0, p0) and returns its
+    ``complex_view``.
     """
     z0, p0 = complex(z0), complex(p0)
     if not (cmath.isfinite(z0) and cmath.isfinite(p0)):
         raise ValueError("initial data must be finite")
     if cfg.method == "split":
-        xi_traj = integrate_darboux(
-            spec, w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag])), cfg)
-        return Trajectory(frame="complex", t=xi_traj.t,
-                          states=darboux_to_w(xi_traj.states),
-                          derivs=darboux_to_w(xi_traj.derivs),
-                          hr=xi_traj.hr, hi=xi_traj.hi,
-                          terminated_by=xi_traj.terminated_by,
-                          n_steps=xi_traj.n_steps)
-    rhs = _complex_field(spec._dv, spec.mass)
-    return _trajectory("complex", spec, _drive(_RK_RULES[cfg.method], rhs, z0, p0, cfg, "complex"))
+        return complex_view(integrate_darboux(
+            spec, w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag])), cfg))
+    return _trajectory("complex", spec, _run(spec, cfg.method, "complex", z0, p0, cfg))
 
 
 def integrate_darboux(spec: SystemSpec, xi0, cfg: IntegratorConfig) -> Trajectory:
@@ -527,13 +577,7 @@ def integrate_darboux(spec: SystemSpec, xi0, cfg: IntegratorConfig) -> Trajector
     dx1/dt = p1/m, dp2/dt = x2/m, with the potential forces -sqrt(2) Re v'
     and -sqrt(2) Im v' on p1 and x2, all evaluated at (x1 + i p2)/sqrt(2).
     """
-    Z, P = _initial_xi(xi0)
-    if cfg.method == "split":
-        rule = _split_rule(spec.dv, spec.mass)
-    else:
-        rule = _RK_RULES[cfg.method]
-    run = _drive(rule, _darboux_field(spec._dv, spec.mass), Z, P, cfg, "darboux")
-    return _trajectory("darboux", spec, run)
+    return _trajectory("darboux", spec, _run(spec, cfg.method, "darboux", *_initial_xi(xi0), cfg))
 
 
 def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
@@ -544,13 +588,13 @@ def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
     ``epsilon_end`` flows backwards.
     """
     Z, P = _initial_xi(xi0)
-    sign = 1.0 if flow.epsilon_end >= 0.0 else -1.0
+    backwards = flow.epsilon_end < 0.0
     span = abs(flow.epsilon_end)
     cfg = IntegratorConfig(method="rk4", dt=min(flow.d_epsilon, span) if span > 0 else flow.d_epsilon,
                            t_end=span, escape_radius=math.inf)
-    run = _drive(_rk4_rule, _hi_field(spec._dv, spec.mass, sign), Z, P, cfg, "darboux")
-    traj = _trajectory("darboux", spec, run)
-    if sign < 0.0:
+    traj = _trajectory("darboux", spec,
+                       _run(spec, "rk4", "hi_back" if backwards else "hi", Z, P, cfg))
+    if backwards:
         # the run is in |eps|: t = 0 - |eps| keeps the first sample at +0,
         # and the derivatives become d/d(eps)
         traj.t = 0.0 - traj.t

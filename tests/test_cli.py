@@ -363,3 +363,53 @@ class TestSeedEnvironment:
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         assert run(["verify-table1"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 42
+
+    def test_env_var_read_when_the_command_runs(self, monkeypatch, capsys):
+        # the parser is built once per process; the seed default is not
+        from holomech.cli import SEED_ENV_VAR, build_parser
+
+        assert build_parser() is build_parser()
+
+        for seed in ("7", "8"):
+            monkeypatch.setenv(SEED_ENV_VAR, seed)
+            assert run(["verify-table1", "--points", "5"]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
+
+
+class TestSplitBothFrames:
+    """``simulate --frame both --method split`` integrates once when the
+    complex run would start from the same Darboux point bit for bit."""
+
+    ARGS = ["simulate", "--potential=i*z^3", "--frame=both", "--method=split",
+            "--dt=0.01", "--t-end=2"]
+
+    def outputs(self, argv, tmp_path, capsys):
+        tmp_path.mkdir()
+        out = tmp_path / "traj.csv"
+        code = run(argv + [f"--out={out}"])
+        captured = capsys.readouterr()
+        return (code, out.read_bytes(), out.with_suffix(".json").read_bytes(),
+                captured.out.replace(str(tmp_path), "<dir>"), captured.err)
+
+    # --z0/--p0 give the mapped start exactly; an --xi0 does when the round
+    # trip through (z0, p0) is exact, and the last one is off by an ulp
+    @pytest.mark.parametrize("start, one_run", [
+        (["--z0=0.3+0.2i", "--p0=0.5-0.1i"], True),
+        (["--xi0=0.4,0.3,-0.2,0.5"], True),
+        (["--xi0=0.548,-0.921,-1.836,-1.934"], False)])
+    def test_matches_two_run_path(self, start, one_run, tmp_path, monkeypatch, capsys):
+        import holomech.cli as cli
+
+        calls = []
+        for name in ("integrate_complex", "integrate_darboux"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _fn=fn, _name=name:
+                                calls.append(_name) or _fn(*a))
+        got = self.outputs(self.ARGS + start, tmp_path / "one", capsys)
+        assert (calls == ["integrate_darboux"]) == one_run
+        calls.clear()
+        # the oracle: both frames integrated, as for the other methods
+        monkeypatch.setattr(cli, "_same_start", lambda *a: False)
+        want = self.outputs(self.ARGS + start, tmp_path / "two", capsys)
+        assert sorted(calls) == ["integrate_complex", "integrate_darboux"]
+        assert got == want

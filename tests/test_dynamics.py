@@ -564,8 +564,8 @@ class TestDenseOutput:
 
 
 # The tableau-driven step rules, error norm and finiteness wrapper as they
-# stood before the rules were written out stage by stage; the unrolled rules
-# must reproduce them bit for bit.
+# stood before the rules were written out stage by stage; driven by the
+# old loop below, they must give the fused kernels' runs bit for bit.
 
 def _sparse(row):
     return tuple((j, c) for j, c in enumerate(row) if c != 0.0)
@@ -641,15 +641,6 @@ def _old_fields(dv, m):
     }
 
 
-def _new_fields(dv, m):
-    return {
-        "complex": dyn._complex_field(dv, m),
-        "darboux": dyn._darboux_field(dv, m),
-        "hi": dyn._hi_field(dv, m),
-        "hi_back": dyn._hi_field(dv, m, -1.0),
-    }
-
-
 def _old_error_norm(cfg, columns, old, new, err):
     def components(z, p):
         return z.real, z.imag, p.real, p.imag
@@ -671,14 +662,6 @@ def _bits(value):
     return value.real.hex(), value.imag.hex()
 
 
-def _outcome(rule, f, z, p, h):
-    """Bits of rule(f, ...) at the field's own k, or the exception type raised."""
-    try:
-        return _bits(rule(f, z, p, f(z, p), h))
-    except (ArithmeticError, ValueError) as exc:
-        return type(exc)
-
-
 def _draws(rng, n):
     """(z, p, h) triples: uniform in [-2, 2]^4 with log-uniform h, plus points
     on the real and imaginary axes with every sign of zero, where the sign of
@@ -695,6 +678,267 @@ def _draws(rng, n):
     return out
 
 
+# The step rules, fields, error norm and integration loop that the fused
+# kernels replaced, copied as they stood (``_drive`` takes its first step
+# h0 as an argument, where it was fixed at 1e-3).  They are the oracle the
+# kernels must reproduce bit for bit.
+
+_MIN_STEP = 1e-14
+_SQRT2 = S2
+
+_FRAMES = {
+    "complex": (1.0, [0, 2, 1, 3]),      # w = (x, p, y, q)
+    "darboux": (_SQRT2, [0, 2, 3, 1]),   # xi = (x1, p1, x2, p2); Z = x1 + i p2, P = p1 + i x2
+}
+
+
+def _complex_field(dv, m):
+    def rhs(z, p):
+        dz, dp = p / m, -dv(z)
+        if cmath.isfinite(dz) and cmath.isfinite(dp):
+            return dz, dp
+        raise PotentialOverflowError("non-finite vector field")
+
+    return rhs
+
+
+def _darboux_field(dv, m):
+    def rhs(Z, P):
+        dZ, dP = P / m, -_SQRT2 * dv(Z / _SQRT2)
+        if cmath.isfinite(dZ) and cmath.isfinite(dP):
+            return dZ, dP
+        raise PotentialOverflowError("non-finite vector field")
+
+    return rhs
+
+
+def _hi_field(dv, m, sign=1.0):
+    """d(Z, P)/d(eps) = {(Z, P), H_i}, the Darboux field at dt = -i d(eps)/2;
+    ``sign`` = -1 runs it backwards."""
+    m2 = 2.0 * m
+
+    def rhs(Z, P):
+        d = dv(Z / _SQRT2)
+        dZ, dP = sign * (-1j * P / m2), sign * (1j * d / _SQRT2)
+        if cmath.isfinite(dZ) and cmath.isfinite(dP):
+            return dZ, dP
+        raise PotentialOverflowError("non-finite vector field")
+
+    return rhs
+
+
+def _dp45_rule(f, z, p, k, h):
+    """Dormand-Prince 5(4) (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5).
+
+    The fifth-order solution is propagated, its field is the last stage
+    (FSAL), and err is h times the difference of the fifth- and
+    fourth-order weights applied to the stages.
+    """
+    kz1, kp1 = k
+    kz2, kp2 = f(z + h * (0j + 1 / 5 * kz1),
+                 p + h * (0j + 1 / 5 * kp1))
+    kz3, kp3 = f(z + h * (0j + 3 / 40 * kz1 + 9 / 40 * kz2),
+                 p + h * (0j + 3 / 40 * kp1 + 9 / 40 * kp2))
+    kz4, kp4 = f(z + h * (0j + 44 / 45 * kz1 + -56 / 15 * kz2 + 32 / 9 * kz3),
+                 p + h * (0j + 44 / 45 * kp1 + -56 / 15 * kp2 + 32 / 9 * kp3))
+    kz5, kp5 = f(z + h * (0j + 19372 / 6561 * kz1 + -25360 / 2187 * kz2
+                          + 64448 / 6561 * kz3 + -212 / 729 * kz4),
+                 p + h * (0j + 19372 / 6561 * kp1 + -25360 / 2187 * kp2
+                          + 64448 / 6561 * kp3 + -212 / 729 * kp4))
+    kz6, kp6 = f(z + h * (0j + 9017 / 3168 * kz1 + -355 / 33 * kz2 + 46732 / 5247 * kz3
+                          + 49 / 176 * kz4 + -5103 / 18656 * kz5),
+                 p + h * (0j + 9017 / 3168 * kp1 + -355 / 33 * kp2 + 46732 / 5247 * kp3
+                          + 49 / 176 * kp4 + -5103 / 18656 * kp5))
+    z = z + h * (0j + 35 / 384 * kz1 + 500 / 1113 * kz3 + 125 / 192 * kz4
+                 + -2187 / 6784 * kz5 + 11 / 84 * kz6)
+    p = p + h * (0j + 35 / 384 * kp1 + 500 / 1113 * kp3 + 125 / 192 * kp4
+                 + -2187 / 6784 * kp5 + 11 / 84 * kp6)
+    kz7, kp7 = f(z, p)
+    # fifth- minus fourth-order weights
+    ez = (0j + (35 / 384 - 5179 / 57600) * kz1 + (500 / 1113 - 7571 / 16695) * kz3
+          + (125 / 192 - 393 / 640) * kz4 + (-2187 / 6784 - -92097 / 339200) * kz5
+          + (11 / 84 - 187 / 2100) * kz6 + (0.0 - 1 / 40) * kz7)
+    ep = (0j + (35 / 384 - 5179 / 57600) * kp1 + (500 / 1113 - 7571 / 16695) * kp3
+          + (125 / 192 - 393 / 640) * kp4 + (-2187 / 6784 - -92097 / 339200) * kp5
+          + (11 / 84 - 187 / 2100) * kp6 + (0.0 - 1 / 40) * kp7)
+    return z, p, (kz7, kp7), (h * ez, h * ep)
+
+
+def _rk4_rule(f, z, p, k, h):
+    """Classical fourth-order Runge-Kutta."""
+    kz1, kp1 = k
+    kz2, kp2 = f(z + h * (0j + 0.5 * kz1), p + h * (0j + 0.5 * kp1))
+    kz3, kp3 = f(z + h * (0j + 0.5 * kz2), p + h * (0j + 0.5 * kp2))
+    kz4, kp4 = f(z + h * (0j + 1.0 * kz3), p + h * (0j + 1.0 * kp3))
+    z = z + h / 6.0 * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
+    p = p + h / 6.0 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
+    return z, p, f(z, p), None
+
+
+_RK_RULES = {"rk45": _dp45_rule, "rk4": _rk4_rule}
+
+
+def _kdk(dv, m, Z, P, h):
+    """Strang kick-drift-kick step of the packed Darboux pair.
+
+    The kicks are the exact flow of G(x1, p2), the drift the exact flow of
+    F(p1, x2).
+    """
+    kick = 0.5 * h * _SQRT2
+    P = P - kick * dv(Z / _SQRT2)
+    Z = Z + h * P / m
+    return Z, P - kick * dv(Z / _SQRT2)
+
+
+def _split_rule(dv, m):
+    def rule(f, Z, P, k, h):
+        Z, P = _kdk(dv, m, Z, P, h)
+        return Z, P, f(Z, P), None
+
+    return rule
+
+
+_STEP_ERRORS = (ArithmeticError, ValueError)
+
+
+def _error_norm(cfg: IntegratorConfig, darboux: bool, z, p, z1, p1, ez, ep) -> float:
+    """RMS of the error pair (ez, ep) scaled by the tolerances.
+
+    The squares are summed in the order of the frame's row components.
+    """
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    xr = ez.real / (atol + rtol * max(abs(z.real), abs(z1.real)))
+    xi = ez.imag / (atol + rtol * max(abs(z.imag), abs(z1.imag)))
+    yr = ep.real / (atol + rtol * max(abs(p.real), abs(p1.real)))
+    yi = ep.imag / (atol + rtol * max(abs(p.imag), abs(p1.imag)))
+    total = xr * xr + yr * yr
+    if darboux:  # (x1, p1, x2, p2) = (Re Z, Re P, Im P, Im Z)
+        total = total + yi * yi + xi * xi
+    else:        # (x, p, y, q) = (Re z, Re p, Im z, Im p)
+        total = total + xi * xi + yi * yi
+    return math.sqrt(total / 4.0)
+
+
+def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str, h0=1e-3):
+    """Integrate the pair (z, p) of ``frame`` over [0, t_end] with one rule.
+
+    Escape is tested on |z| and |p| of the complex frame in either frame.
+    Returns (t, pairs, field pairs, terminated_by, n_steps).
+    """
+    unit = _FRAMES[frame][0]
+    darboux = frame == "darboux"
+    ts, pairs, derivs = [0.0], [(z, p)], []
+    try:
+        k = f(z, p)
+    except _STEP_ERRORS:
+        # cannot even start; report failure with the initial sample only
+        return ts, pairs, [(0j, 0j)], "step_failure", 0
+    derivs.append(k)
+    adaptive = cfg.method == "rk45"
+    # fixed grid t_n = n dt, with t_end as its last point
+    n_grid = math.ceil(cfg.t_end / cfg.dt - 1e-12) if cfg.t_end > 0.0 else 0
+    t, h, n = 0.0, min(h0, cfg.t_end), 0
+    while True:
+        if abs(z) / unit > cfg.escape_radius or abs(p) / unit > cfg.escape_radius:
+            return ts, pairs, derivs, "escape", n
+        if adaptive:
+            remaining = cfg.t_end - t
+            if remaining <= 1e-13 * max(1.0, cfg.t_end):
+                break  # landed within rounding of t_end; not a failure
+            h = min(h, remaining)
+            if h < _MIN_STEP:
+                return ts, pairs, derivs, "step_failure", n
+            t_next = t + h
+        elif n < n_grid:
+            t_next = (n + 1) * cfg.dt if n + 1 < n_grid else cfg.t_end
+            h = t_next - t
+        else:
+            break
+        try:
+            z1, p1, k1, err = rule(f, z, p, k, h)
+            ok = cmath.isfinite(z1) and cmath.isfinite(p1)
+        except _STEP_ERRORS:
+            ok = False
+        if adaptive:
+            if not (ok and cmath.isfinite(err[0]) and cmath.isfinite(err[1])):
+                h *= 0.25
+                continue
+            e = _error_norm(cfg, darboux, z, p, z1, p1, *err)
+            h *= min(5.0, max(0.2, 0.9 * (e + 1e-300) ** -0.2))
+            if e > 1.0:
+                continue
+        elif not ok:
+            return ts, pairs, derivs, "step_failure", n
+        t, z, p, k = t_next, z1, p1, k1
+        n += 1
+        ts.append(t)
+        pairs.append((z, p))
+        derivs.append(k)
+    return ts, pairs, derivs, "t_end", n
+
+
+def _moved_fields(dv, m):
+    return {
+        "complex": _complex_field(dv, m),
+        "darboux": _darboux_field(dv, m),
+        "hi": _hi_field(dv, m),
+        "hi_back": _hi_field(dv, m, -1.0),
+    }
+
+
+# The (method, frame) pairs the package runs.
+KERNELS = [("rk45", "complex"), ("rk45", "darboux"), ("rk4", "complex"), ("rk4", "darboux"),
+           ("rk4", "hi"), ("rk4", "hi_back"), ("split", "darboux")]
+
+
+def _kernel_run(spec, method, frame, z, p, cfg, h):
+    return dyn._kernel(method, frame)(spec._dv, spec.mass, z, p, cfg.t_end, h,
+                                      cfg.abs_tol, cfg.rel_tol, cfg.escape_radius)
+
+
+def _oracle_run(spec, method, frame, z, p, cfg, h, tableau=False, attempts=None):
+    """``_drive`` with the moved rules and fields, or with the tableau loops;
+    each step attempted appends to ``attempts`` when it is a list."""
+    if method == "split":
+        rule, f = _split_rule(spec.dv, spec.mass), _moved_fields(spec._dv, spec.mass)[frame]
+    elif tableau:
+        rule = {"rk45": _old_dp45_rule, "rk4": _old_rk4_rule}[method]
+        f = _old_checked(_old_fields(spec._dv, spec.mass)[frame])
+    else:
+        rule, f = _RK_RULES[method], _moved_fields(spec._dv, spec.mass)[frame]
+    if attempts is not None:
+        counted = rule
+
+        def rule(*args):
+            attempts.append(1)
+            return counted(*args)
+
+    return _drive(rule, f, z, p, cfg, "complex" if frame == "complex" else "darboux", h0=h)
+
+
+def _run_bits(run):
+    """(t, pairs, field pairs, terminated_by, n_steps) with every float as hex."""
+    ts, pairs, derivs, terminated, n_steps = run[:5]
+    return [t.hex() for t in ts], _bits(tuple(pairs)), _bits(tuple(derivs)), terminated, n_steps
+
+
+STAGES = {"rk45": 6, "rk4": 4, "split": 1}
+
+
+def _check_counters(run, method, attempts):
+    """n_rhs charges every attempted step in full; rk45 retries the rest."""
+    n_steps, n_rhs, n_rejected = run[4:]
+    assert n_rhs == 1 + STAGES[method] * len(attempts)
+    assert n_rejected == (len(attempts) - n_steps if method == "rk45" else 0)
+
+
+def _step_cfg(method, h):
+    """One rk45 step attempt from h (then on to t_end = h), or two fixed steps of h."""
+    if method == "rk45":
+        return IntegratorConfig(method=method, t_end=h)
+    return IntegratorConfig(method=method, dt=h, t_end=2 * h)
+
+
 class TestUnrolledRules:
     SOURCES = [*BUILTIN_SOURCES.values(), *NON_CATALOG_SOURCES]
 
@@ -702,44 +946,109 @@ class TestUnrolledRules:
     @pytest.mark.parametrize("mass", [0.5, 1.0])
     def test_rules_match_tableau_loop(self, src, mass, rng):
         spec = spec_for(src, mass)
-        old = _old_fields(spec._dv, mass)
-        new = _new_fields(spec._dv, mass)
         draws = _draws(rng, 40)
-        for frame in old:
-            f_old, f_new = _old_checked(old[frame]), new[frame]
+        for method, frame in KERNELS:
             for z, p, h in draws:
-                assert _bits(f_new(z, p)) == _bits(f_old(z, p))
-                for rule, oracle in ((dyn._dp45_rule, _old_dp45_rule),
-                                     (dyn._rk4_rule, _old_rk4_rule)):
-                    got = _outcome(rule, f_new, z, p, h)
-                    assert got == _outcome(oracle, f_old, z, p, h), (frame, z, p, h)
+                cfg = _step_cfg(method, h)
+                got = _run_bits(_kernel_run(spec, method, frame, z, p, cfg, h))
+                want = _run_bits(_oracle_run(spec, method, frame, z, p, cfg, h, tableau=True))
+                assert got == want, (method, frame, z, p, h)
 
     @pytest.mark.parametrize("src", ["z^2", "-(z^4)", "exp(z)+z^5", "z^7 - i*z^2 + 2"])
     def test_overflowing_stage_raises_in_both(self, src):
-        # the first field value is finite, a later stage leaves double precision
+        # the first field value is finite, a later stage of a step of 1e300
+        # leaves double precision: a fixed step fails, an rk45 step is retried
+        # with smaller h until the motion leaves the (small) escape radius
         spec = spec_for(src)
-        old = _old_fields(spec._dv, spec.mass)
-        new = _new_fields(spec._dv, spec.mass)
-        z, p = 1.0 + 0.5j, 1.0 - 0.25j
-        for frame in old:
-            f_old, f_new = _old_checked(old[frame]), new[frame]
-            for rule, oracle in ((dyn._dp45_rule, _old_dp45_rule),
-                                 (dyn._rk4_rule, _old_rk4_rule)):
-                got = _outcome(rule, f_new, z, p, 1e300)
-                assert isinstance(got, type) and got == _outcome(oracle, f_old, z, p, 1e300)
+        for method, frame in KERNELS:
+            # the same motion in each frame: the packed pairs are sqrt(2) (z, p)
+            unit = 1.0 if frame == "complex" else S2
+            z, p = unit * (1.0 + 0.5j), unit * (1.0 - 0.25j)
+            cfg = IntegratorConfig(method=method, dt=1e300, t_end=1e300, escape_radius=1.2)
+            run = _kernel_run(spec, method, frame, z, p, cfg, 1e300)
+            attempts = []
+            assert _run_bits(run) == _run_bits(_oracle_run(
+                spec, method, frame, z, p, cfg, 1e300, tableau=True, attempts=attempts))
+            _check_counters(run, method, attempts)
+            if method == "rk45":
+                assert run[3] == "escape" and run[6] > 0
+            else:
+                assert run[3] == "step_failure" and run[4] == 0
 
     def test_non_finite_field_raises(self):
         spec = spec_for("z^2", 1e-310)
-        for f in _new_fields(spec._dv, spec.mass).values():
-            with pytest.raises(PotentialOverflowError):
-                f(1.0 + 0j, 1e10 + 0j)
+        cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=1.0)
+        for method, frame in KERNELS:
+            run = _kernel_run(spec, method, frame, 1.0 + 0j, 1e10 + 0j, cfg, 0.1)
+            assert run[3:] == ("step_failure", 0, 1, 0) and run[2] == [(0j, 0j)]
+            assert _run_bits(run) == _run_bits(
+                _oracle_run(spec, method, frame, 1.0 + 0j, 1e10 + 0j, cfg, 0.1))
 
-    def test_error_norm_matches_component_loop(self, rng):
+    def test_error_norm_matches_component_loop(self, rng, monkeypatch):
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
         for _ in range(500):
             z, p, z1, p1 = (complex(*rng.uniform(-3, 3, 2)) for _ in range(4))
             ez, ep = (complex(*(1e-9 * rng.standard_normal(2))) for _ in range(2))
             for frame, columns in (("complex", [0, 2, 1, 3]), ("darboux", [0, 2, 3, 1])):
-                got = dyn._error_norm(cfg, frame == "darboux", z, p, z1, p1, ez, ep)
+                got = _error_norm(cfg, frame == "darboux", z, p, z1, p1, ez, ep)
                 ref = _old_error_norm(cfg, columns, (z, p), (z1, p1), (ez, ep))
                 assert got.hex() == ref.hex()
+
+        # whole rk45 runs, whose accepted grid the component-loop norm decides
+        def loop_norm(cfg, darboux, z, p, z1, p1, ez, ep):
+            columns = [0, 2, 3, 1] if darboux else [0, 2, 1, 3]
+            return _old_error_norm(cfg, columns, (z, p), (z1, p1), (ez, ep))
+
+        monkeypatch.setitem(globals(), "_error_norm", loop_norm)
+        spec = spec_for("i*sin(z)")
+        for z, p, _ in _draws(rng, 10):
+            cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, t_end=2.0)
+            for frame in ("complex", "darboux"):
+                run = _kernel_run(spec, "rk45", frame, z, p, cfg, 1e-3)
+                assert _run_bits(run) == _run_bits(_oracle_run(spec, "rk45", frame, z, p, cfg, 1e-3))
+
+
+FINITE = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(src=st.sampled_from(TestUnrolledRules.SOURCES), mass=st.sampled_from([0.25, 0.5, 1.0]),
+       kernel=st.sampled_from(KERNELS), tol=st.floats(1e-12, 1e-4),
+       start=st.tuples(FINITE, FINITE, FINITE, FINITE), t_end=st.floats(0.0, 2.0),
+       dt=st.sampled_from([1e-3, 0.01, 0.05, 0.3]))
+def test_kernels_match_moved_loop(src, mass, kernel, tol, start, t_end, dt):
+    method, frame = kernel
+    spec = spec_for(src, mass)
+    cfg = IntegratorConfig(method=method, dt=min(dt, t_end) if t_end > 0 else dt,
+                           rel_tol=tol, abs_tol=tol, t_end=t_end, escape_radius=50.0)
+    z, p = complex(start[0], start[1]), complex(start[2], start[3])
+    h = min(1e-3, t_end) if method == "rk45" else cfg.dt
+    run, attempts = _kernel_run(spec, method, frame, z, p, cfg, h), []
+    assert _run_bits(run) == _run_bits(_oracle_run(spec, method, frame, z, p, cfg, h,
+                                                   attempts=attempts))
+    _check_counters(run, method, attempts)
+
+
+class TestRunCounters:
+    def test_rk4_and_split(self):
+        spec = spec_for("i*sin(z)")
+        for method, per_step in (("rk4", 4), ("split", 1)):
+            cfg = IntegratorConfig(method=method, dt=0.01, t_end=3.0)
+            for traj in (integrate_complex(spec, 0.2 + 0.1j, 1 + 0j, cfg),
+                         integrate_darboux(spec, xi_from(0.2 + 0.1j, 1 + 0j), cfg)):
+                assert traj.terminated_by == "t_end" and traj.n_steps == 300
+                assert traj.n_rhs == per_step * traj.n_steps + 1
+                assert traj.n_rejected == 0
+
+    def test_rk45_counts_rejected_steps(self):
+        # a loose tolerance makes the controller overshoot and retry
+        spec = spec_for("-(z^4)")
+        cfg = IntegratorConfig(method="rk45", rel_tol=1e-3, abs_tol=1e-3, t_end=5.0)
+        traj = integrate_complex(spec, 0.5 + 0.2j, 0.3 - 0.1j, cfg)
+        assert traj.n_rejected > 0
+        assert traj.n_rhs == 6 * (traj.n_steps + traj.n_rejected) + 1
+
+    def test_flow_counts(self):
+        traj = invariant_flow(spec_for("i*z^3"), np.array([0.4, 0.3, -0.2, 0.5]),
+                              FlowConfig(epsilon_end=-0.5, d_epsilon=0.01))
+        assert traj.n_steps == 50 and traj.n_rhs == 4 * 50 + 1
