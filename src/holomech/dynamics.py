@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -128,8 +129,12 @@ class IntegratorConfig:
             raise ValueError("t_end must be a finite nonnegative real")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError("dt must be a positive finite real")
-        if self.t_end > 0.0 and self.method != "rk45" and self.dt > self.t_end:
-            raise ValueError("dt must not exceed t_end")
+        if self.method != "rk45":
+            if self.t_end > 0.0 and self.dt > self.t_end:
+                raise ValueError("dt must not exceed t_end")
+            if not math.isfinite(self.t_end / self.dt):
+                raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} overflows "
+                                 "the float range; no fixed-step grid")
         for name in ("rel_tol", "abs_tol"):
             tol = getattr(self, name)
             if not (0.0 < tol <= 1e-2):
@@ -260,7 +265,8 @@ def _unpack(Z: complex, P: complex) -> np.ndarray:
 
 def _rows(pairs, columns) -> np.ndarray:
     """List of (z, p) pairs -> (N, 4) float rows in the given layout."""
-    return np.array(pairs, dtype=complex).view(float)[:, columns]
+    flat = np.fromiter(itertools.chain.from_iterable(pairs), complex, 2 * len(pairs))
+    return flat.view(float).reshape(len(pairs), 4)[:, columns]
 
 
 def invariant_flow_field(spec: SystemSpec, xi) -> np.ndarray:

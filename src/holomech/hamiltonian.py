@@ -145,7 +145,7 @@ def hamiltonian_split(spec: SystemSpec, w):
         return (p * p - q * q) / (2.0 * m) + v.real, p * q / m + v.imag
     if w.shape[-1] != 4:
         raise ValueError(f"expected (..., 4) phase points, got shape {w.shape}")
-    x, p, y, q = np.moveaxis(w, -1, 0)
+    x, p, y, q = w[..., 0], w[..., 1], w[..., 2], w[..., 3]
     # the parts are copied: x + 1j*y would turn an infinite y into a NaN
     # real part and a -0.0 y into +0.0
     z = np.empty(x.shape, dtype=complex)

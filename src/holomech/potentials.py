@@ -572,24 +572,39 @@ def to_source(e: Expr) -> str:
 
 
 def _eval(e: Expr, z: complex) -> complex:
-    match e:
-        case Const(value):
+    """v(z) by walking the tree.  A subtree shared by several parents (as
+    ``derivative`` builds them) is evaluated once per call and its value
+    reused, keyed by node identity as in ``compile_potential``; every node is
+    a pure function of ``z``, so the values are those of a full walk."""
+    seen: dict[int, complex] = {}  # id(node) -> value; e keeps every node alive
+
+    def ev(node: Expr) -> complex:
+        value = seen.get(id(node))
+        if value is not None:
             return value
-        case Z():
-            return z
-        case Sum(l, r):
-            return _eval(l, z) + _eval(r, z)
-        case Product(l, r):
-            return _eval(l, z) * _eval(r, z)
-        case Quotient(n, d):
-            return _eval(n, z) / _eval(d, z)
-        case Power(b, n):
-            return _eval(b, z) ** n
-        case Neg(a):
-            return -_eval(a, z)
-        case Call(f, a):
-            return _ENTIRE_FUNCS[f](_eval(a, z))
-    raise TypeError(f"not an expression node: {e!r}")
+        match node:
+            case Const(value):
+                return value
+            case Z():
+                return z
+            case Sum(l, r):
+                value = ev(l) + ev(r)
+            case Product(l, r):
+                value = ev(l) * ev(r)
+            case Quotient(n, d):
+                value = ev(n) / ev(d)
+            case Power(b, n):
+                value = ev(b) ** n
+            case Neg(a):
+                value = -ev(a)
+            case Call(f, a):
+                value = _ENTIRE_FUNCS[f](ev(a))
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+        seen[id(node)] = value
+        return value
+
+    return ev(e)
 
 
 def eval_potential(e: Expr, z: complex) -> complex:

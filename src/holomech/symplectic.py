@@ -282,7 +282,8 @@ def darboux_frame(params) -> DarbouxFrame:
     surface.
     """
     p, J = _checked_j_rows(params)
-    (_, j01, j02, j03), (_, _, j12, j13), (_, _, _, j23), _ = J
+    ((j00, j01, j02, j03), (j10, j11, j12, j13),
+     (j20, j21, j22, j23), (j30, j31, j32, j33)) = J
     r_plus, r_minus = eigenvalue_magnitudes(p)
     if not (math.isfinite(r_plus) and math.isfinite(r_minus)):
         al = complex(p.alpha)
@@ -320,26 +321,38 @@ def darboux_frame(params) -> DarbouxFrame:
         minus = ((1.0 - p00, -p01, -p02, -p03), (-p01, 1.0 - p11, -p12, -p13),
                  (-p02, -p12, 1.0 - p22, -p23), (-p03, -p13, -p23, 1.0 - p33))
 
-    columns: list[tuple[float, ...]] = []
+    columns: list[tuple[float, float, float, float]] = []
     for r, proj in ((r_plus, plus), (r_minus, minus)):
         for k in _SEED_ORDER:
-            c = proj[k]
-            for u in columns:
-                d = _dot(u, c)
-                c = (c[0] - d * u[0], c[1] - d * u[1],
-                     c[2] - d * u[2], c[3] - d * u[3])
-            norm = math.sqrt(_dot(c, c))
+            c0, c1, c2, c3 = proj[k]
+            for u0, u1, u2, u3 in columns:
+                d = u0 * c0 + u1 * c1 + u2 * c2 + u3 * c3
+                c0, c1, c2, c3 = c0 - d * u0, c1 - d * u1, c2 - d * u2, c3 - d * u3
+            norm = math.sqrt(c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
             if norm > 1e-8:
                 break
         else:  # projector rank defect; cannot happen for valid params
             raise DegenerateStructureError("kernel basis extraction failed")
-        x0, x1, x2, x3 = c[0] / norm, c[1] / norm, c[2] / norm, c[3] / norm
-        lead = next((x for x in (x0, x1, x2, x3) if abs(x) > 1e-9), x0)
+        x0, x1, x2, x3 = c0 / norm, c1 / norm, c2 / norm, c3 / norm
+        # orient by the first component above 1e-9 in magnitude (x0 if none)
+        if abs(x0) > 1e-9:
+            lead = x0
+        elif abs(x1) > 1e-9:
+            lead = x1
+        elif abs(x2) > 1e-9:
+            lead = x2
+        elif abs(x3) > 1e-9:
+            lead = x3
+        else:
+            lead = x0
         if lead < 0.0:
             x0, x1, x2, x3 = -x0, -x1, -x2, -x3
-        u1 = (x0, x1, x2, x3)
-        columns.append(u1)
-        columns.append(tuple(-_dot(row, u1) / r for row in J))
+        columns.append((x0, x1, x2, x3))
+        # u2 = -J u1 / r
+        columns.append((-(j00 * x0 + j01 * x1 + j02 * x2 + j03 * x3) / r,
+                        -(j10 * x0 + j11 * x1 + j12 * x2 + j13 * x3) / r,
+                        -(j20 * x0 + j21 * x1 + j22 * x2 + j23 * x3) / r,
+                        -(j30 * x0 + j31 * x1 + j32 * x2 + j33 * x3) / r))
 
     return DarbouxFrame(np.array(columns).T, r_plus, r_minus)
 

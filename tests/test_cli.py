@@ -295,6 +295,25 @@ class TestHiFlow:
         assert read_csv(out)[-1, 0] == pytest.approx(-0.05)
 
 
+class TestGridOverflow:
+    # t_end / dt beyond the float range: one line and exit 1, no traceback
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--potential=z", "--method=rk4", "--t-end=1e300", "--dt=1e-300"],
+        ["simulate", "--potential=z", "--method=split", "--t-end=1e300", "--dt=1e-300"],
+        ["hi-flow", "--potential=z", "--eps-end=1e300", "--d-eps=1e-300"],
+        ["hi-flow", "--potential=z", "--eps-end=-1e300", "--d-eps=1e-300"],
+    ])
+    def test_exit_1_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "t_end / dt" in lines[0], captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+
 class TestConstrain:
     def test_solved(self, capsys):
         code = run(["constrain", "--potential", "i*z", "--x1", "1.4142135623730951",

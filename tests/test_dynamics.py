@@ -63,6 +63,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(method="rk4", dt=2.0, t_end=1.0)
 
+    @pytest.mark.parametrize("method", ["rk4", "split"])
+    def test_fixed_step_grid_must_be_finite(self, method):
+        # t_end / dt overflows to inf: no grid, where math.ceil would raise
+        with pytest.raises(ValueError, match="t_end / dt"):
+            IntegratorConfig(method=method, dt=1e-300, t_end=1e300)
+        IntegratorConfig(method=method, dt=1e-300, t_end=1e-10)
+
+    def test_adaptive_ignores_grid_size(self):
+        assert IntegratorConfig(method="rk45", dt=1e-300, t_end=1e300).t_end == 1e300
+
+    @pytest.mark.parametrize("eps_end", [1e300, -1e300])
+    def test_flow_grid_must_be_finite(self, eps_end):
+        with pytest.raises(ValueError, match="t_end / dt"):
+            invariant_flow(spec_for("z"), [0.1, 0.2, 0.3, 0.4],
+                           FlowConfig(epsilon_end=eps_end, d_epsilon=1e-300))
+
     def test_flow_config(self):
         with pytest.raises(ValueError):
             FlowConfig(d_epsilon=0.0)
@@ -1052,3 +1068,17 @@ class TestRunCounters:
         traj = invariant_flow(spec_for("i*z^3"), np.array([0.4, 0.3, -0.2, 0.5]),
                               FlowConfig(epsilon_end=-0.5, d_epsilon=0.01))
         assert traj.n_steps == 50 and traj.n_rhs == 4 * 50 + 1
+
+
+def test_rows_match_array_of_pairs():
+    # the rows are those of np.array(pairs, dtype=complex), byte for byte,
+    # signed zeros, infinities and NaN parts included
+    parts = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 5e-324]
+    values = [complex(a, b) for a in parts for b in parts]
+    pairs = list(zip(values, reversed(values)))
+    for columns in dyn._COLUMNS.values():
+        for n in (1, 2, len(pairs)):
+            got = dyn._rows(pairs[:n], columns)
+            ref = np.array(pairs[:n], dtype=complex).view(float)[:, columns]
+            assert got.shape == ref.shape == (n, 4)
+            assert got.tobytes() == ref.tobytes()

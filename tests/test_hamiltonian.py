@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import NON_CATALOG_SOURCES
 
+from holomech import closed_forms
 from holomech import (
     BUILTIN_SOURCES,
     CORRECTED_FORMS,
@@ -325,3 +326,79 @@ def test_table_matches_per_point_loop(seed, points):
         for key in ("max_deviation", "corrected_max_deviation"):
             if key in ref:
                 assert abs(row[key] - ref[key]) <= 1e-15
+
+
+def table_per_entry(seed=42, points=100, tol=1e-12):
+    """verify_reference_table as it stood with one generic evaluation per
+    entry (darboux_hamiltonian or darboux_invariant on the sample block),
+    its deviation and first maximum computed entry by entry."""
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-2.0, 2.0, size=(points, 4))
+    columns = samples.T
+    specs = {name: SystemSpec(get_builtin(name), REFERENCE_MASS)
+             for name in {e.potential for e in REFERENCE_TABLE}}
+
+    rows = []
+    consistent = True
+    for entry in REFERENCE_TABLE:
+        spec = specs[entry.potential]
+        if entry.column == "h":
+            gen = darboux_hamiltonian(spec, samples)
+        else:
+            gen = darboux_invariant(spec, samples)
+        ref = entry.func(*columns)
+        dev = np.abs(ref - gen)
+        k = int(np.argmax(dev))
+        row = {
+            "potential": entry.potential,
+            "column": entry.column,
+            "reference_form": entry.source,
+            "max_deviation": float(dev[k]),
+            "status": "PASS" if dev[k] <= tol else "DISCREPANT",
+        }
+        if row["status"] == "DISCREPANT":
+            row["worst_point"] = [float(c) for c in samples[k]]
+            row["reference_value"] = float(ref[k])
+            row["generic_value"] = float(gen[k])
+            corrected = CORRECTED_FORMS.get((entry.potential, entry.column))
+            if corrected is None:
+                consistent = False
+            else:
+                src, func = corrected
+                cdev = float(np.max(np.abs(func(*columns) - gen)))
+                row["corrected_form"] = src
+                row["corrected_max_deviation"] = cdev
+                if cdev > tol:
+                    consistent = False
+        rows.append(row)
+
+    return {
+        "seed": seed,
+        "points": points,
+        "mass": REFERENCE_MASS,
+        "tolerance": tol,
+        "rows": rows,
+        "n_pass": sum(r["status"] == "PASS" for r in rows),
+        "n_discrepant": sum(r["status"] == "DISCREPANT" for r in rows),
+        "consistent": consistent,
+    }
+
+
+@pytest.mark.parametrize("seed", [42, 7, 20261017])
+@pytest.mark.parametrize("points", [1, 100])
+def test_table_matches_per_entry_evaluation(seed, points):
+    # one split per potential gives the bits of one evaluation per entry
+    assert repr(verify_reference_table(seed=seed, points=points)) == \
+        repr(table_per_entry(seed, points))
+
+
+def test_table_splits_once_per_potential(monkeypatch):
+    calls = []
+
+    def counted(spec, w):
+        calls.append(spec.source)
+        return hamiltonian_split(spec, w)
+
+    monkeypatch.setattr(closed_forms, "hamiltonian_split", counted)
+    verify_reference_table(seed=42, points=100)
+    assert len(calls) == len(set(calls)) == len({e.potential for e in REFERENCE_TABLE}) == 6

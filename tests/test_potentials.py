@@ -267,6 +267,31 @@ class TestGeneratedFunctions:
         assert n_locals(n) <= n_locals(1) + step * (n - 1)
 
 
+def test_eval_walks_shared_subtrees_once(monkeypatch):
+    # derivative shares each sin(...) level between the next level and its own
+    # cos(...); a full walk would call sin quadratically often in the depth
+    from holomech import potentials
+
+    def n_calls(depth):
+        e = derivative(parse_potential("sin(" * depth + "z" + ")" * depth))
+        calls = [0]
+        for name, func in list(potentials._ENTIRE_FUNCS.items()):
+            def counted(w, _func=func):
+                calls[0] += 1
+                return _func(w)
+            monkeypatch.setitem(potentials._ENTIRE_FUNCS, name, counted)
+        value = eval_potential(e, 0.3 + 0.1j)
+        monkeypatch.undo()
+        assert _scalar_outcome(compile_potential(e), 0.3 + 0.1j) == \
+            (value.real.hex(), value.imag.hex())
+        return calls[0]
+
+    step = n_calls(2) - n_calls(1)
+    n = MAX_DEPTH - 1
+    assert n_calls(n) - n_calls(n - 1) == step
+    assert n_calls(n) == n_calls(1) + step * (n - 1)
+
+
 class TestDerivative:
     def test_iz3(self):
         d = derivative(parse_potential("i*z^3"))

@@ -31,7 +31,13 @@ from holomech import (
     standard_bracket,
     verify_compatibility,
 )
-from holomech.symplectic import format_matrix, sample_params
+from holomech.symplectic import (
+    DEGENERACY_TOL,
+    _SEED_ORDER,
+    _checked_j_rows,
+    format_matrix,
+    sample_params,
+)
 
 J0 = 0.5 * np.array([
     [0, 1, 0, 0],
@@ -445,6 +451,98 @@ def _near_equal_params(rng):
             alpha = gap * complex(*rng.uniform(-1.0, 1.0, size=2))
             out.append(SymplecticParams(a, b, alpha))
     return out
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
+
+
+def _loop_frame(params):
+    """darboux_frame as it stood with the Gram-Schmidt loop over 4-tuples and
+    a dot helper; returns (S, r+, r-) and the seed index accepted per plane."""
+    p, J = _checked_j_rows(params)
+    (_, j01, j02, j03), (_, _, j12, j13), (_, _, _, j23), _ = J
+    r_plus, r_minus = eigenvalue_magnitudes(p)
+    assert math.isfinite(r_plus) and r_minus > DEGENERACY_TOL
+    if r_plus - r_minus <= 1e-9 * max(1.0, r_plus):
+        plus = minus = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                        (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    else:
+        m01 = j02 * j12 + j03 * j13
+        m02 = j03 * j23 - j01 * j12
+        m03 = -j01 * j13 - j02 * j23
+        m12 = j01 * j02 + j13 * j23
+        m13 = j01 * j03 - j12 * j23
+        m23 = j02 * j03 + j12 * j13
+        rm2 = r_minus * r_minus
+        inv = 1.0 / ((r_plus - r_minus) * (r_plus + r_minus))
+        p00 = (j01 * j01 + j02 * j02 + j03 * j03 - rm2) * inv
+        p11 = (j01 * j01 + j12 * j12 + j13 * j13 - rm2) * inv
+        p22 = (j02 * j02 + j12 * j12 + j23 * j23 - rm2) * inv
+        p33 = (j03 * j03 + j13 * j13 + j23 * j23 - rm2) * inv
+        p01, p02, p03 = m01 * inv, m02 * inv, m03 * inv
+        p12, p13, p23 = m12 * inv, m13 * inv, m23 * inv
+        plus = ((p00, p01, p02, p03), (p01, p11, p12, p13),
+                (p02, p12, p22, p23), (p03, p13, p23, p33))
+        minus = ((1.0 - p00, -p01, -p02, -p03), (-p01, 1.0 - p11, -p12, -p13),
+                 (-p02, -p12, 1.0 - p22, -p23), (-p03, -p13, -p23, 1.0 - p33))
+
+    columns = []
+    seeds = []
+    for r, proj in ((r_plus, plus), (r_minus, minus)):
+        for k in _SEED_ORDER:
+            c = proj[k]
+            for u in columns:
+                d = _dot(u, c)
+                c = (c[0] - d * u[0], c[1] - d * u[1],
+                     c[2] - d * u[2], c[3] - d * u[3])
+            norm = math.sqrt(_dot(c, c))
+            if norm > 1e-8:
+                break
+        else:
+            raise AssertionError("kernel basis extraction failed")
+        seeds.append(k)
+        x0, x1, x2, x3 = c[0] / norm, c[1] / norm, c[2] / norm, c[3] / norm
+        lead = next((x for x in (x0, x1, x2, x3) if abs(x) > 1e-9), x0)
+        if lead < 0.0:
+            x0, x1, x2, x3 = -x0, -x1, -x2, -x3
+        u1 = (x0, x1, x2, x3)
+        columns.append(u1)
+        columns.append(tuple(-_dot(row, u1) / r for row in J))
+    return (np.array(columns).T, r_plus, r_minus), seeds
+
+
+def _assert_frame_bits(p):
+    frame = darboux_frame(p)
+    (S, r_plus, r_minus), seeds = _loop_frame(p)
+    assert frame.S.dtype == S.dtype and frame.S.shape == S.shape == (4, 4)
+    assert frame.S.tobytes() == S.tobytes(), p
+    assert (frame.r_plus, frame.r_minus) == (r_plus, r_minus)
+    return seeds
+
+
+class TestFrameLoopOracle:
+    def test_sampled_draws(self, rng):
+        for _ in range(2000):
+            _assert_frame_bits(sample_params(rng))
+
+    def test_near_equal_magnitudes(self, rng):
+        for p in _near_equal_params(rng):
+            _assert_frame_bits(p)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -1.5])
+    def test_equal_magnitudes(self, a):
+        # J^2 = -r^2 I: both planes take the identity, and the minus plane
+        # rejects the first seed column, which the plus plane took
+        assert _assert_frame_bits(SymplecticParams(a, a, 0j))[1] != 0
+
+    @pytest.mark.parametrize("p", [SymplecticParams(0.0, 0.0, -0.5 + 0j),
+                                   SymplecticParams(0.0, 0.0, -3.0 + 0j),
+                                   SymplecticParams(1e-12, -1e-12, -0.5 + 1e-12j)])
+    def test_first_seed_column_rejected(self, p):
+        # Re alpha < 0 with a = b = Im alpha = 0 puts x and p in the minus
+        # plane, so the plus plane rejects its first seed columns
+        assert _assert_frame_bits(p)[0] != 0
 
 
 class TestStructureOracles:
