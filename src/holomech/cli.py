@@ -46,6 +46,7 @@ from .hamiltonian import SystemSpec, darboux_invariant, darboux_to_w, w_to_darbo
 from .output import json_text, trajectory_csv, write_text_atomic
 from .potentials import PotentialError
 from .symplectic import (
+    RESIDUAL_LIMITS,
     DegenerateStructureError,
     SymplecticParams,
     build_real_J,
@@ -54,6 +55,7 @@ from .symplectic import (
     frame_residuals,
     sample_params,
     verify_compatibility,
+    within_limits,
 )
 
 EXIT_OK = 0
@@ -316,8 +318,7 @@ def cmd_verify_symplectic(args) -> int:
     spec = SystemSpec.from_source(args.potential, args.mass)
     rng = np.random.default_rng(args.seed)
     n_pass = 0
-    worst = {"block_form": 0.0, "orthogonality": 0.0, "canonicity": 0.0,
-             "position_equation": 0.0, "momentum_equation": 0.0}
+    worst = dict.fromkeys(RESIDUAL_LIMITS, 0.0)
     failures = []
     for k in range(args.random):
         params = sample_params(rng)
@@ -327,10 +328,7 @@ def cmd_verify_symplectic(args) -> int:
         compat = verify_compatibility(params, spec, w)
         res["position_equation"] = compat["residuals"]["position_equation"]
         res["momentum_equation"] = compat["residuals"]["momentum_equation"]
-        ok = (res["block_form"] <= 1e-10 and res["orthogonality"] <= 1e-12
-              and res["canonicity"] <= 1e-10
-              and res["position_equation"] <= 1e-10
-              and res["momentum_equation"] <= 1e-10)
+        ok = within_limits(res)
         for key in worst:
             worst[key] = max(worst[key], res[key])
         if ok:
@@ -375,8 +373,7 @@ def cmd_darboux(args) -> int:
     ]
     if frame.r_minus < 1e-6:
         lines.append("warning: r_minus < 1e-6, near-degenerate structure")
-    ok = (res["block_form"] <= 1e-10 and res["orthogonality"] <= 1e-12
-          and res["canonicity"] <= 1e-10)
+    ok = within_limits(res)
     lines.append("PASS" if ok else "FAIL")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -49,6 +49,10 @@ __all__ = [
 
 REFERENCE_MASS = 0.5
 
+# Most sample points ``verify_reference_table`` accepts; the check holds
+# about 550 bytes per point at its peak, so about 0.55 GB here.
+MAX_TABLE_POINTS = 10**6
+
 _S2 = math.sqrt(2.0)
 
 # (x1, p1, x2, p2) -> value, on floats or elementwise on equal-shape arrays.
@@ -121,8 +125,10 @@ def verify_reference_table(seed: int = 42, points: int = 100,
     absolute deviation exceeds ``tol`` are flagged DISCREPANT, with both
     values at the worst point (the first one attaining the maximum) printed
     and, where available, a corrected form that is itself verified against
-    the generic path.
+    the generic path.  Raises ValueError unless 1 <= points <= MAX_TABLE_POINTS.
     """
+    if not 1 <= points <= MAX_TABLE_POINTS:
+        raise ValueError(f"points must lie in [1, {MAX_TABLE_POINTS}], got {points}")
     rng = np.random.default_rng(seed)
     samples = rng.uniform(-2.0, 2.0, size=(points, 4))
     columns = samples.T

@@ -88,6 +88,11 @@ METHOD_ALIASES = {
     "split": "split", "split-step": "split",
 }
 
+# Longest fixed-step grid (rk4, split and the H_i flow) in steps.  Every
+# sample is kept, at about 300 bytes each in the kernel's lists, so this
+# bounds a run's memory to about 0.3 GB.
+MAX_GRID_STEPS = 10**6
+
 # Adaptive controller underflow threshold: below this step size the
 # integration is abandoned as a step failure.
 _MIN_STEP = 1e-14
@@ -132,9 +137,9 @@ class IntegratorConfig:
         if self.method != "rk45":
             if self.t_end > 0.0 and self.dt > self.t_end:
                 raise ValueError("dt must not exceed t_end")
-            if not math.isfinite(self.t_end / self.dt):
-                raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} overflows "
-                                 "the float range; no fixed-step grid")
+            if not self.t_end / self.dt <= MAX_GRID_STEPS:
+                raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} exceeds the "
+                                 f"{MAX_GRID_STEPS} steps of the longest fixed-step grid")
         for name in ("rel_tol", "abs_tol"):
             tol = getattr(self, name)
             if not (0.0 < tol <= 1e-2):
@@ -275,14 +280,14 @@ def invariant_flow_field(spec: SystemSpec, xi) -> np.ndarray:
     d(xi)/d(epsilon) = {xi, H_i} = (x2/(2m), -Im v'/sqrt2, Re v'/sqrt2,
     -p1/(2m)) with v' evaluated at (x1 + i p2)/sqrt(2); one infinitesimal
     step xi + eps * field is the first-order symmetry transformation.  It is
-    the field of the "hi" kernel, operation for operation.
+    the first field value of a zero-length run of the "hi" kernel.  Raises
+    PotentialOverflowError where the field is not finite.
     """
-    Z, P = _pack(xi)
-    d = spec.dv(Z / _SQRT2)
-    dZ, dP = 1.0 * (-1j * P / (2.0 * spec.mass)), 1.0 * (1j * d / _SQRT2)
-    if not (cmath.isfinite(dZ) and cmath.isfinite(dP)):
+    run = _kernel("rk4", "hi")(spec._dv, spec.mass, *_pack(xi), 0.0, 1.0,
+                               0.0, 0.0, math.inf)
+    if run[3] == "step_failure":
         raise PotentialOverflowError("non-finite vector field")
-    return _unpack(dZ, dP)
+    return _unpack(*run[2][0])
 
 
 def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
@@ -330,7 +335,12 @@ def kernel(dv, m, z, p, t_end, h, atol, rtol, radius):
     derivs.append((kz, kp))
 {setup}
     while True:
-        if {escape}:
+        try:
+            escaped = {escape}
+        except OverflowError:
+            # |z| or |p| past the float range lies beyond every finite radius
+            escaped = radius < math.inf
+        if escaped:
             return ts, pairs, derivs, "escape", n, 1 + {S} * (n + n_rej), n_rej
 {advance}
         try:

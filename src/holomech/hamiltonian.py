@@ -23,7 +23,6 @@ all containers immutable, so they are safe for concurrent use.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,7 +32,7 @@ import numpy as np
 from .potentials import (
     ARRAY_FUNCS,
     Expr,
-    PotentialOverflowError,
+    _checked,
     compile_potential,
     derivative,
     parse_potential,
@@ -102,25 +101,11 @@ class SystemSpec:
 
     def v(self, z: complex) -> complex:
         """Checked potential value; raises PotentialOverflowError on overflow."""
-        try:
-            value = self._v(z)
-        except (OverflowError, ValueError) as exc:
-            # cmath raises ValueError for a function of an infinite argument
-            raise PotentialOverflowError(f"overflow evaluating v at z={z!r}") from exc
-        if not cmath.isfinite(value):
-            raise PotentialOverflowError(f"non-finite v at z={z!r}")
-        return value
+        return _checked(self._v, z, "v")
 
     def dv(self, z: complex) -> complex:
         """Checked derivative value dv/dz."""
-        try:
-            value = self._dv(z)
-        except (OverflowError, ValueError) as exc:
-            # cmath raises ValueError for a function of an infinite argument
-            raise PotentialOverflowError(f"overflow evaluating dv at z={z!r}") from exc
-        if not cmath.isfinite(value):
-            raise PotentialOverflowError(f"non-finite dv at z={z!r}")
-        return value
+        return _checked(self._dv, z, "dv")
 
 
 def hamiltonian(spec: SystemSpec, z: complex, p: complex) -> complex:

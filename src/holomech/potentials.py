@@ -178,9 +178,9 @@ _ZERO = complex(0.0)
 _ONE = complex(1.0)
 
 # Deepest accepted nesting of parentheses, calls and unary minus, and deepest
-# accepted expression tree.  Parsing, differentiation, compilation and
-# the reference evaluator ``_eval`` recurse over the tree, so this bound
-# keeps them within the default interpreter recursion limit.
+# accepted expression tree.  Parsing, printing, differentiation and
+# compilation recurse over the tree, so this bound keeps them within the
+# default interpreter recursion limit.
 MAX_DEPTH = 100
 
 
@@ -571,73 +571,47 @@ def to_source(e: Expr) -> str:
 # --------------------------------------------------------------------------
 
 
-def _eval(e: Expr, z: complex) -> complex:
-    """v(z) by walking the tree.  A subtree shared by several parents (as
-    ``derivative`` builds them) is evaluated once per call and its value
-    reused, keyed by node identity as in ``compile_potential``; every node is
-    a pure function of ``z``, so the values are those of a full walk."""
-    seen: dict[int, complex] = {}  # id(node) -> value; e keeps every node alive
-
-    def ev(node: Expr) -> complex:
-        value = seen.get(id(node))
-        if value is not None:
-            return value
-        match node:
-            case Const(value):
-                return value
-            case Z():
-                return z
-            case Sum(l, r):
-                value = ev(l) + ev(r)
-            case Product(l, r):
-                value = ev(l) * ev(r)
-            case Quotient(n, d):
-                value = ev(n) / ev(d)
-            case Power(b, n):
-                value = ev(b) ** n
-            case Neg(a):
-                value = -ev(a)
-            case Call(f, a):
-                value = _ENTIRE_FUNCS[f](ev(a))
-            case _:
-                raise TypeError(f"not an expression node: {node!r}")
-        seen[id(node)] = value
-        return value
-
-    return ev(e)
+def _checked(f: Callable[[complex], complex], z: complex, what: str) -> complex:
+    """f(z) for a function from ``compile_potential``, raising
+    PotentialOverflowError where it overflows or its value is not finite;
+    ``what`` names the function in the message."""
+    try:
+        value = f(z)
+    except (OverflowError, ValueError) as exc:  # ValueError: cmath of an infinity
+        raise PotentialOverflowError(f"overflow evaluating {what} at z={z!r}") from exc
+    if not cmath.isfinite(value):
+        raise PotentialOverflowError(f"non-finite {what} at z={z!r}")
+    return value
 
 
 def eval_potential(e: Expr, z: complex) -> complex:
     """Evaluate v(z) in double-precision complex arithmetic.
 
-    Raises PotentialOverflowError if the result leaves the finite range.
+    Compiles ``e`` on every call; callers evaluating one potential at many
+    points compile it once (``SystemSpec``).  Raises PotentialOverflowError
+    if the result leaves the finite range.
     """
-    try:
-        value = _eval(e, complex(z))
-    except (OverflowError, ValueError) as exc:  # ValueError: cmath of an infinity
-        raise PotentialOverflowError(f"overflow evaluating potential at z={z!r}") from exc
-    if not (cmath.isfinite(value)):
-        raise PotentialOverflowError(f"non-finite potential value at z={z!r}")
-    return value
+    return _checked(compile_potential(e), complex(z), "potential")
 
 
 _BINARY_OPS = {Sum: "+", Product: "*", Quotient: "/"}
 
 
 def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
-    """Generate one function computing the same floating-point operations as
-    eval_potential, without the finiteness check (callers on hot paths handle
-    OverflowError and non-finite values themselves).
+    """Generate one function computing v(z); it is the package's only
+    evaluator of an expression tree.  The function does no finiteness check:
+    ``eval_potential`` and ``SystemSpec`` add one, and the integration kernels
+    handle OverflowError and non-finite values themselves.
 
     The function body is straight-line code, one assignment per distinct
-    operation node in the order ``_eval`` first visits them, so a tree of any
-    accepted depth compiles and one call makes no further Python call except
-    to the functions of ``funcs``.  A subtree shared by several parents (as
-    ``derivative`` builds them) is computed once and its name reused; every
-    node is a pure function of ``z``, so the values are those of ``_eval``.
-    Constants and functions reach the body as names (``c0``, ``f1``, ...)
-    bound in its namespace and exponents as ``int`` literals; no text of the
-    expression enters the generated source.
+    operation node in the order of a depth-first walk, left operand first,
+    so a tree of any accepted depth compiles and one call makes no further
+    Python call except to the functions of ``funcs``.  A subtree shared by
+    several parents (as ``derivative`` builds them) is computed once and its
+    name reused; every node is a pure function of ``z``, so the values are
+    those of a full walk of the tree.  Constants and functions reach the body
+    as names (``c0``, ``f1``, ...) bound in its namespace and exponents as
+    ``int`` literals; no text of the expression enters the generated source.
 
     ``funcs`` maps each function name to its implementation: the default
     cmath table gives a function of one Python complex, ``ARRAY_FUNCS`` a
@@ -725,10 +699,14 @@ def derivative(e: Expr) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _split(f: Callable[[complex], complex], x: float, y: float) -> tuple[float, float]:
+    v = _checked(f, complex(x, y), "potential")
+    return v.real, v.imag
+
+
 def split_real_imag(e: Expr, x: float, y: float) -> tuple[float, float]:
     """Return (v_r, v_i), the real and imaginary parts of v(x + i y)."""
-    v = eval_potential(e, complex(x, y))
-    return v.real, v.imag
+    return _split(compile_potential(e), x, y)
 
 
 def cauchy_riemann_residual(e: Expr, x: float, y: float,
@@ -740,10 +718,11 @@ def cauchy_riemann_residual(e: Expr, x: float, y: float,
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    vr_xp, vi_xp = split_real_imag(e, x + step, y)
-    vr_xm, vi_xm = split_real_imag(e, x - step, y)
-    vr_yp, vi_yp = split_real_imag(e, x, y + step)
-    vr_ym, vi_ym = split_real_imag(e, x, y - step)
+    f = compile_potential(e)
+    vr_xp, vi_xp = _split(f, x + step, y)
+    vr_xm, vi_xm = _split(f, x - step, y)
+    vr_yp, vi_yp = _split(f, x, y + step)
+    vr_ym, vi_ym = _split(f, x, y - step)
     dvr_dx = (vr_xp - vr_xm) / (2.0 * step)
     dvr_dy = (vr_yp - vr_ym) / (2.0 * step)
     dvi_dx = (vi_xp - vi_xm) / (2.0 * step)

@@ -76,6 +76,12 @@ DEGENERACY_TOL = 1e-12
 # conditioning warning.
 CONDITIONING_WARN_R_MINUS = 1e-6
 
+# Largest accepted residual of each check: the three frame properties of
+# ``frame_residuals`` and the two Hamilton equations of
+# ``verify_compatibility``.
+RESIDUAL_LIMITS = {"block_form": 1e-10, "orthogonality": 1e-12, "canonicity": 1e-10,
+                   "position_equation": 1e-10, "momentum_equation": 1e-10}
+
 # Randomized sweeps keep |degeneracy_defect| above this margin, a healthy
 # distance from the degenerate surface.
 SAMPLE_MARGIN = 0.05
@@ -512,8 +518,8 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
     """Check that the bracket of (z, p) with H reproduces Hamilton's equations.
 
     Residuals |{{z,H}} - p/m| and |{{p,H}} + v'(z)| are independent of the
-    structure parameters; both must be <= 1e-10 for the report to pass.
-    Failures (and degeneracy) are reported, never raised.
+    structure parameters; both must be within RESIDUAL_LIMITS (1e-10) for
+    the report to pass.  Failures (and degeneracy) are reported, never raised.
     """
     p = _as_params(params)
     w = np.asarray(w, dtype=float)
@@ -522,7 +528,7 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
                    "alpha_re": complex(p.alpha).real,
                    "alpha_im": complex(p.alpha).imag},
         "degenerate": p.is_degenerate,
-        "tolerance": 1e-10,
+        "tolerance": RESIDUAL_LIMITS["position_equation"],
     }
     r_plus, r_minus = eigenvalue_magnitudes(p)
     report["r_plus"] = r_plus
@@ -545,8 +551,13 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
     res_z = abs(jg0 + 1j * jg2 - p_over_m)
     res_p = abs(jg1 + 1j * jg3 + dv)
     report["residuals"] = {"position_equation": res_z, "momentum_equation": res_p}
-    report["passed"] = bool(res_z <= 1e-10 and res_p <= 1e-10)
+    report["passed"] = within_limits(report["residuals"])
     return report
+
+
+def within_limits(residuals: dict) -> bool:
+    """Whether every residual is within its entry of RESIDUAL_LIMITS."""
+    return all(value <= RESIDUAL_LIMITS[key] for key, value in residuals.items())
 
 
 def format_matrix(M: np.ndarray) -> str:

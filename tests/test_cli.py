@@ -210,6 +210,17 @@ class TestVerifyTable1:
         assert run(["verify-table1", "--points=0"]) == 1
         assert "positive integer" in capsys.readouterr().err
 
+    def test_points_over_cap_exit_1_one_line(self, tmp_path, capsys):
+        # rejected before any sample is drawn, so nothing is allocated
+        out = tmp_path / "table.json"
+        assert run(["verify-table1", "--points", str(10**15), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "points" in lines[0], captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
 class TestVerifySymplectic:
     def test_sweep_passes(self, tmp_path, capsys):
@@ -302,6 +313,11 @@ class TestGridOverflow:
         ["simulate", "--potential=z", "--method=split", "--t-end=1e300", "--dt=1e-300"],
         ["hi-flow", "--potential=z", "--eps-end=1e300", "--d-eps=1e-300"],
         ["hi-flow", "--potential=z", "--eps-end=-1e300", "--d-eps=1e-300"],
+        # one step past the longest fixed-step grid
+        ["simulate", "--potential=z", "--method=rk4", "--t-end=1000001", "--dt=1"],
+        ["simulate", "--potential=z", "--method=split", "--t-end=1000001", "--dt=1"],
+        ["hi-flow", "--potential=z", "--eps-end=1000001", "--d-eps=1"],
+        ["hi-flow", "--potential=z", "--eps-end=-1000001", "--d-eps=1"],
     ])
     def test_exit_1_one_line(self, argv, tmp_path, capsys):
         out = tmp_path / "x.csv"

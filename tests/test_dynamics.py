@@ -68,7 +68,23 @@ class TestConfigValidation:
         # t_end / dt overflows to inf: no grid, where math.ceil would raise
         with pytest.raises(ValueError, match="t_end / dt"):
             IntegratorConfig(method=method, dt=1e-300, t_end=1e300)
-        IntegratorConfig(method=method, dt=1e-300, t_end=1e-10)
+        IntegratorConfig(method=method, dt=1e-300, t_end=1e-295)
+
+    @pytest.mark.parametrize("method", ["rk4", "split"])
+    def test_fixed_step_grid_is_capped(self, method):
+        # rejected before integrating: every sample of the grid would be kept
+        cap = dyn.MAX_GRID_STEPS
+        IntegratorConfig(method=method, dt=1.0, t_end=float(cap))
+        for dt, t_end in [(1.0, cap + 1.0), (1e-310, 1e-300)]:
+            with pytest.raises(ValueError, match="t_end / dt"):
+                IntegratorConfig(method=method, dt=dt, t_end=t_end)
+
+    @pytest.mark.parametrize("eps_end", [1, -1])
+    def test_flow_grid_is_capped(self, eps_end):
+        with pytest.raises(ValueError, match="t_end / dt"):
+            invariant_flow(spec_for("z"), [0.1, 0.2, 0.3, 0.4],
+                           FlowConfig(epsilon_end=eps_end * (dyn.MAX_GRID_STEPS + 1.0),
+                                      d_epsilon=1.0))
 
     def test_adaptive_ignores_grid_size(self):
         assert IntegratorConfig(method="rk45", dt=1e-300, t_end=1e300).t_end == 1e300
@@ -214,6 +230,16 @@ class TestEscapeAndFailure:
             IntegratorConfig(method="rk45", t_end=10.0, escape_radius=1e300))
         assert traj.terminated_by == "step_failure"
 
+    @pytest.mark.parametrize("method", ["rk4", "rk45", "split"])
+    def test_start_past_float_range_escapes(self, method):
+        # |z| beyond the largest double lies outside every finite radius
+        cfg = IntegratorConfig(method=method, t_end=1.0)
+        trajs = [integrate_darboux(spec_for("z"), [1.7e308, 0.0, 0.0, 1.7e308], cfg)]
+        if method != "split":
+            trajs.append(integrate_complex(spec_for("z"), complex(1.7e308, 1.7e308), 0j, cfg))
+        for traj in trajs:
+            assert traj.terminated_by == "escape" and len(traj.t) == 1
+
     def test_initial_point_outside_radius(self):
         traj = integrate_complex(spec_for("z^2"), 2e3 + 0j, 0j,
                                  IntegratorConfig(method="rk45", t_end=1.0))
@@ -345,6 +371,19 @@ class TestInvariantFlow:
         f = invariant_flow_field(spec, xi)
         assert f[0] == xi[2] / (2 * spec.mass)
         assert f[3] == -xi[1] / (2 * spec.mass)
+
+    def test_generator_overflow_raises(self):
+        # v' = i exp(i z) overflows far down the imaginary axis
+        with pytest.raises(PotentialOverflowError):
+            invariant_flow_field(spec_for("exp(i*z)"), [0.0, 0.0, 0.0, -2000.0])
+
+    def test_generator_past_float_range(self):
+        # |x1 + i p2| beyond the largest double; the field of i*z stays finite,
+        # and so does a flow without an escape radius
+        spec, xi0 = spec_for("i*z"), np.array([1.7e308, 0.0, 0.0, 1.7e308])
+        assert np.array_equal(invariant_flow_field(spec, xi0), [0.0, -1 / S2, 0.0, 0.0])
+        traj = invariant_flow(spec, xi0, FlowConfig(epsilon_end=0.01, d_epsilon=1e-3))
+        assert traj.terminated_by == "t_end"
 
     def test_x2_component_vanishes_for_iz(self):
         # v_r of i z does not depend on x, so the x2 flow component is zero

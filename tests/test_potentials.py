@@ -41,7 +41,7 @@ from holomech.potentials import (
     split_real_imag,
     to_source,
 )
-from holomech.potentials import _eval
+from holomech.potentials import _ENTIRE_FUNCS
 
 
 class TestParse:
@@ -146,7 +146,7 @@ class TestEval:
             f = compile_potential(e)
             for _ in range(50):
                 z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                assert f(z) == eval_potential(e, z)
+                assert f(z) == _eval(e, z)
 
     def test_array_compile_matches_eval(self, rng):
         # the numpy table evaluates a whole array in one call; cmath and the
@@ -182,6 +182,54 @@ _ORACLE_TREES = [f(parse_potential(src))
                  for src in ["z", *BUILTIN_SOURCES.values(), *NON_CATALOG_SOURCES,
                              *_DEEP_SOURCES]
                  for f in (lambda e: e, derivative)]
+
+
+def _eval(e, z):
+    """v(z) by walking the tree, the package's evaluator before every potential
+    went through ``compile_potential``; the scalar oracle.  A subtree shared
+    by several parents (as ``derivative`` builds them) is evaluated once per
+    call and its value reused, keyed by node identity; every node is a pure
+    function of ``z``, so the values are those of a full walk."""
+    seen = {}  # id(node) -> value; e keeps every node alive
+
+    def ev(node):
+        value = seen.get(id(node))
+        if value is not None:
+            return value
+        match node:
+            case Const(value):
+                return value
+            case Z():
+                return z
+            case Sum(l, r):
+                value = ev(l) + ev(r)
+            case Product(l, r):
+                value = ev(l) * ev(r)
+            case Quotient(n, d):
+                value = ev(n) / ev(d)
+            case Power(b, n):
+                value = ev(b) ** n
+            case Neg(a):
+                value = -ev(a)
+            case Call(f, a):
+                value = _ENTIRE_FUNCS[f](ev(a))
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+        seen[id(node)] = value
+        return value
+
+    return ev(e)
+
+
+def _checked_eval(e, z):
+    """The tree walk with the finiteness check of ``eval_potential``."""
+    try:
+        value = _eval(e, complex(z))
+    except (OverflowError, ValueError) as exc:
+        raise PotentialOverflowError(f"overflow at z={z!r}") from exc
+    if not cmath.isfinite(value):
+        raise PotentialOverflowError(f"non-finite value at z={z!r}")
+    return value
 
 
 def _closure_tree(e, funcs):
@@ -235,6 +283,24 @@ class TestGeneratedFunctions:
             assert _scalar_outcome(f, z) == _scalar_outcome(_eval, e, z), (k, z)
 
     @pytest.mark.parametrize("k", range(len(_ORACLE_TREES)))
+    def test_checked_calls_match_checked_eval(self, k, rng):
+        # eval_potential, SystemSpec.v and SystemSpec.dv give the tree walk's
+        # bits where it is finite and PotentialOverflowError wherever it
+        # raises or is not finite
+        e = _ORACLE_TREES[k]
+        spec = SystemSpec(e)
+        zs = [complex(*rng.uniform(-2, 2, 2)) for _ in range(20)]
+        zs += [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+        zs += [1e3 + 0j, 1e70 + 0j, complex(0.0, 800.0), complex(0.0, -800.0),
+               complex(1e200, -1e200), complex(1.7e308, 1.7e308)]
+        for z in zs:
+            expected = _scalar_outcome(_checked_eval, e, z)
+            assert _scalar_outcome(eval_potential, e, z) == expected, (k, z)
+            assert _scalar_outcome(spec.v, z) == expected, (k, z)
+            assert _scalar_outcome(spec.dv, z) == \
+                _scalar_outcome(_checked_eval, spec.dv_expr, z), (k, z)
+
+    @pytest.mark.parametrize("k", range(len(_ORACLE_TREES)))
     def test_array_matches_closure_tree_bitwise(self, k, rng):
         e = _ORACLE_TREES[k]
         parts = [0.0, -0.0, 0.3, -1.7, 2e2, math.inf, -math.inf, math.nan]
@@ -280,7 +346,7 @@ def test_eval_walks_shared_subtrees_once(monkeypatch):
                 calls[0] += 1
                 return _func(w)
             monkeypatch.setitem(potentials._ENTIRE_FUNCS, name, counted)
-        value = eval_potential(e, 0.3 + 0.1j)
+        value = _eval(e, 0.3 + 0.1j)
         monkeypatch.undo()
         assert _scalar_outcome(compile_potential(e), 0.3 + 0.1j) == \
             (value.real.hex(), value.imag.hex())
