@@ -212,6 +212,20 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
+def _darboux_start(z0: complex, p0: complex) -> np.ndarray:
+    """Darboux start sqrt(2) (x, p, q, y) of --z0/--p0.
+
+    A start whose image is not finite (a part above about 1.27e308
+    overflows under the sqrt(2) scaling) is rejected as a usage error.
+    """
+    with np.errstate(over="ignore"):
+        xi0 = w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag]))
+    if not np.isfinite(xi0).all():
+        raise ValueError(f"initial data z0={z0}, p0={p0} has no finite "
+                         "Darboux image sqrt(2)*(x, p, q, y)")
+    return xi0
+
+
 def _same_start(z0: complex, p0: complex, xi0) -> bool:
     """Whether the Darboux start of ``integrate_complex`` is bitwise xi0."""
     xi_c = w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag]))
@@ -239,8 +253,7 @@ def cmd_simulate(args) -> int:
                            t_end=args.t_end, escape_radius=args.escape_radius)
     xi0 = args.xi0
     if xi0 is None:
-        xi0 = w_to_darboux(np.array([args.z0.real, args.p0.real,
-                                     args.z0.imag, args.p0.imag]))
+        xi0 = _darboux_start(args.z0, args.p0)
         z0, p0 = args.z0, args.p0
     else:
         w0 = darboux_to_w(xi0)
@@ -388,8 +401,7 @@ def cmd_hi_flow(args) -> int:
     spec = SystemSpec.from_source(args.potential, args.mass)
     xi0 = args.xi0
     if xi0 is None:
-        xi0 = w_to_darboux(np.array([args.z0.real, args.p0.real,
-                                     args.z0.imag, args.p0.imag]))
+        xi0 = _darboux_start(args.z0, args.p0)
     flow = FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps)
     traj = invariant_flow(spec, xi0, flow)
     write_text_atomic(args.out, trajectory_csv(

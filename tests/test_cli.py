@@ -5,13 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holomech
+from holomech import output
 from holomech.cli import main, parse_complex
 from holomech.output import TRAJECTORY_HEADER, trajectory_csv
 
@@ -188,6 +193,90 @@ class TestTrajectoryCsv:
         t, w, xi, hr, hi = cols[0], cols[1:5].T, cols[5:9].T, cols[9], cols[10]
         assert trajectory_csv(t, w, xi, hr, hi) == self.per_cell(t, w, xi, hr, hi)
 
+    @classmethod
+    def assert_renders(cls, cells):
+        """Cells laid out row by row (the last row padded with 1.0) render as
+        the per-cell oracle renders them."""
+        cells = np.asarray(cells, dtype=float).ravel()
+        table = np.ones((-(-cells.size // 11), 11))
+        table.ravel()[:cells.size] = cells
+        t, w, xi, hr, hi = table[:, 0], table[:, 1:5], table[:, 5:9], table[:, 9], table[:, 10]
+        assert trajectory_csv(t, w, xi, hr, hi) == cls.per_cell(t, w, xi, hr, hi)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=44))
+    def test_any_float(self, cells):
+        self.assert_renders(cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=44))
+    def test_any_bit_pattern(self, bits):
+        self.assert_renders(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @staticmethod
+    def ties():
+        """Doubles exactly half-way between two 17-digit decimals, two per
+        fixed-notation exponent X = -4 .. 15: odd multiples of 2**-(k + 1)
+        in [10**X, 10**(X + 1)) with k = 16 - X."""
+        out = []
+        for X in range(-4, 16):
+            k = 16 - X
+            base = 2 * int(Fraction(10) ** X * 2**k) + 1
+            for odd in (base + 2, base + 2 * (base // 10)):
+                x = Fraction(odd, 2 ** (k + 1))
+                assert 10 ** Fraction(X) <= x < 10 ** Fraction(X + 1)
+                assert (x * 10**k).denominator == 2  # a tie at 17 digits
+                assert Fraction(float(x)) == x
+                out.append(float(x))
+        return out
+
+    def boundary_cells(self):
+        powers = [float(f"1e{k}") for k in range(-5, 18)]
+        cells = []
+        # zero digit groups inside the 17 digits, before and after the point
+        inner = [1234.03125, 1.00390625, 10002.5, 12300004.0, 0.000100390625]
+        for v in powers + [0.1, 9.9999999999999995, 99999999999999984.0] + inner + self.ties():
+            cells += [v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)]
+        cells += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  math.inf, math.nan]
+        return cells + [-c for c in cells]
+
+    def test_boundaries(self):
+        # no 17-digit rounding carries a fixed-notation cell to the next
+        # power of ten: the doubles nearest the inexact powers lie above them
+        for k in range(-4, 0):
+            assert Fraction(float(f"1e{k}")) > Fraction(10) ** k
+        self.assert_renders(self.boundary_cells())
+
+    def test_boundaries_one_row_each(self):
+        for c in self.boundary_cells():
+            self.assert_renders([c] * 11)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_block_edges(self, blocks, extra):
+        n = blocks * output._BLOCK_ROWS + extra
+        rng = np.random.default_rng(n)
+        cells = rng.standard_normal(11 * n) * 10.0 ** rng.integers(-8, 20, 11 * n)
+        cells[::97] = 0.0
+        self.assert_renders(cells)
+
+    def test_memory_stays_bounded(self):
+        # 10**5 rows: about 2x the text (the block buffer and the decoded
+        # str) plus one block; one %-format pass over a tuple of every cell
+        # needs about 3.4x
+        n = 10**5
+        rng = np.random.default_rng(0)
+        t, w, xi = np.linspace(0.0, 100.0, n), rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+        hr, hi = rng.standard_normal(n), rng.standard_normal(n) * 1e-12
+        tracemalloc.start()
+        try:
+            text = trajectory_csv(t, w, xi, hr, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == n + 1
+        assert peak <= 2 * len(text) + 4_000_000, (peak, len(text))
+
 
 class TestVerifyTable1:
     def test_report(self, tmp_path):
@@ -328,6 +417,31 @@ class TestGridOverflow:
         assert len(lines) == 1 and "t_end / dt" in lines[0], captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+
+class TestHugeStart:
+    # a start whose sqrt(2)-scaled Darboux image overflows: one line and
+    # exit 1 before any integration, no numpy warning, no file
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--frame=complex", "--z0=1.7e308+1.7e308i"],
+        ["simulate", "--frame=darboux", "--z0=1.7e308+1.7e308i"],
+        ["simulate", "--frame=both", "--z0=1.7e308+1.7e308i"],
+        ["simulate", "--frame=complex", "--method=split", "--p0=-1.5e308"],
+        ["hi-flow", "--z0=1.7e308+1.7e308i"],
+    ])
+    def test_exit_1_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run([*argv, "--potential=z", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Darboux image" in lines[0], captured.err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
+    def test_largest_finite_image_runs(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--potential=z", "--z0=1.2e308", "--out", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["terminated_by"] == "escape"
 
 
 class TestConstrain:
