@@ -23,13 +23,14 @@ from holomech import (
     frame_residuals,
     verify_compatibility,
 )
+from holomech.cli import positive_int
 from holomech.output import json_text, write_text_atomic
-from holomech.symplectic import sample_params
+from holomech.symplectic import RESIDUAL_LIMITS, sample_params
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--trials", type=int, default=500)
+    ap.add_argument("--trials", type=positive_int, default=500)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--potential", default="i*z^3")
     ap.add_argument("--mass", type=float, default=0.5)
@@ -38,9 +39,7 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(args.seed)
     spec = SystemSpec.from_source(args.potential, args.mass)
-    keys = ("block_form", "orthogonality", "canonicity",
-            "position_equation", "momentum_equation")
-    data = {k: [] for k in keys}
+    data = {k: [] for k in RESIDUAL_LIMITS}
     r_minus_values = []
 
     for _ in range(args.trials):
@@ -48,18 +47,17 @@ def main(argv=None) -> int:
         frame = darboux_frame(params)
         res = frame_residuals(frame, build_real_J(params))
         compat = verify_compatibility(params, spec, rng.uniform(-2, 2, size=4))
-        res["position_equation"] = compat["residuals"]["position_equation"]
-        res["momentum_equation"] = compat["residuals"]["momentum_equation"]
+        res.update(compat["residuals"])
         r_minus_values.append(frame.r_minus)
-        for k in keys:
-            data[k].append(res[k])
+        for k, values in data.items():
+            values.append(res[k])
 
     print(f"sweep: {args.trials} trials, seed {args.seed}, "
           f"potential {args.potential}")
     print(f"{'residual':20s} {'p50':>10s} {'p95':>10s} {'max':>10s}")
     stats = {}
-    for k in keys:
-        arr = np.array(data[k])
+    for k, values in data.items():
+        arr = np.array(values)
         p50, p95, mx = np.percentile(arr, [50, 95]).tolist() + [float(arr.max())]
         stats[k] = {"p50": p50, "p95": p95, "max": mx}
         print(f"{k:20s} {p50:10.2e} {p95:10.2e} {mx:10.2e}")

@@ -13,20 +13,12 @@ from .potentials import (
     PotentialSyntaxError,
     UnsupportedFunctionError,
     PotentialOverflowError,
-    parse_potential,
-    to_source,
-    eval_potential,
-    compile_potential,
-    derivative,
     split_real_imag,
-    cauchy_riemann_residual,
     BUILTIN_SOURCES,
-    builtin_potentials,
     get_builtin,
 )
 from .hamiltonian import (
     SystemSpec,
-    hamiltonian,
     hamiltonian_split,
     darboux_hamiltonian,
     darboux_invariant,
@@ -37,22 +29,15 @@ from .symplectic import (
     DegenerateStructureError,
     SymplecticParams,
     J_STANDARD,
-    build_complex_J,
     build_real_J,
     eigenvalue_magnitudes,
-    j_prime,
     DarbouxFrame,
     darboux_frame,
-    darboux_map,
-    inverse_darboux_map,
     frame_residuals,
     ScalarField,
-    coordinate_field,
     position_field,
     momentum_field,
     hamiltonian_field,
-    hamiltonian_real_field,
-    hamiltonian_imag_field,
     bracket,
     standard_bracket,
     verify_compatibility,
@@ -70,15 +55,9 @@ from .dynamics import (
     integrate_darboux,
     split_step,
     invariant_flow,
-    invariant_flow_field,
     solve_invariant_zero,
     equivalence_report,
 )
-from .closed_forms import (
-    REFERENCE_MASS,
-    REFERENCE_TABLE,
-    CORRECTED_FORMS,
-    verify_reference_table,
-)
+from .closed_forms import verify_reference_table
 
 __version__ = "0.1.0"

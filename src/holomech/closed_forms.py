@@ -67,35 +67,31 @@ class ReferenceEntry:
     func: FormFunc
 
 
-def _entry(potential, column, source, func):
-    return ReferenceEntry(potential, column, source, func)
-
-
 REFERENCE_TABLE: list[ReferenceEntry] = [
-    _entry("iz", "h", "p1^2 - p2/sqrt(2) - x2^2",
-           lambda x1, p1, x2, p2: p1**2 - p2 / _S2 - x2**2),
-    _entry("iz", "Hi", "x2*p1 + x1/sqrt(2)",
-           lambda x1, p1, x2, p2: x2 * p1 + x1 / _S2),
-    _entry("z2", "h", "p1^2 - p2^2 + x1^2 - x2^2",
-           lambda x1, p1, x2, p2: p1**2 - p2**2 + x1**2 - x2**2),
-    _entry("z2", "Hi", "x2*p1 + x1*p2",
-           lambda x1, p1, x2, p2: x2 * p1 + x1 * p2),
-    _entry("iz3", "h", "p1^2 + (p2^3 - 3*x1^2*p2)/sqrt(2) - x2^2",
-           lambda x1, p1, x2, p2: p1**2 + (p2**3 - 3.0 * x1**2 * p2) / _S2 - x2**2),
-    _entry("iz3", "Hi", "x2*p1 + (x1^3 - 3*x1*p2^2)/(2*sqrt(2))",
-           lambda x1, p1, x2, p2: x2 * p1 + (x1**3 - 3.0 * x1 * p2**2) / (2.0 * _S2)),
-    _entry("neg_z4", "h", "p1^2 - (x1^4 - 6*x1^2*p2^2 + p2^4)/2 - x2^2",
-           lambda x1, p1, x2, p2: p1**2 - (x1**4 - 6.0 * x1**2 * p2**2 + p2**4) / 2.0 - x2**2),
-    _entry("neg_z4", "Hi", "x2*p1 - x1^3*p2 - x1*p2^3",
-           lambda x1, p1, x2, p2: x2 * p1 - x1**3 * p2 - x1 * p2**3),
-    _entry("exp_iz", "h", "p1^2 + 2*exp(-p2/sqrt(2))*cos(x1/sqrt(2)) - x2^2",
-           lambda x1, p1, x2, p2: p1**2 + 2.0 * np.exp(-p2 / _S2) * np.cos(x1 / _S2) - x2**2),
-    _entry("exp_iz", "Hi", "x2*p1 + exp(-p2/sqrt(2))*sin(x1/sqrt(2))",
-           lambda x1, p1, x2, p2: x2 * p1 + np.exp(-p2 / _S2) * np.sin(x1 / _S2)),
-    _entry("i_sin_z", "h", "p1^2 - 2*cos(x1/sqrt(2))*sinh(p2/sqrt(2)) - x2^2",
-           lambda x1, p1, x2, p2: p1**2 - 2.0 * np.cos(x1 / _S2) * np.sinh(p2 / _S2) - x2**2),
-    _entry("i_sin_z", "Hi", "x2*p1 + sin(x1/sqrt(2))*cosh(p2/sqrt(2))",
-           lambda x1, p1, x2, p2: x2 * p1 + np.sin(x1 / _S2) * np.cosh(p2 / _S2)),
+    ReferenceEntry("iz", "h", "p1^2 - p2/sqrt(2) - x2^2",
+                   lambda x1, p1, x2, p2: p1**2 - p2 / _S2 - x2**2),
+    ReferenceEntry("iz", "Hi", "x2*p1 + x1/sqrt(2)",
+                   lambda x1, p1, x2, p2: x2 * p1 + x1 / _S2),
+    ReferenceEntry("z2", "h", "p1^2 - p2^2 + x1^2 - x2^2",
+                   lambda x1, p1, x2, p2: p1**2 - p2**2 + x1**2 - x2**2),
+    ReferenceEntry("z2", "Hi", "x2*p1 + x1*p2",
+                   lambda x1, p1, x2, p2: x2 * p1 + x1 * p2),
+    ReferenceEntry("iz3", "h", "p1^2 + (p2^3 - 3*x1^2*p2)/sqrt(2) - x2^2",
+                   lambda x1, p1, x2, p2: p1**2 + (p2**3 - 3.0 * x1**2 * p2) / _S2 - x2**2),
+    ReferenceEntry("iz3", "Hi", "x2*p1 + (x1^3 - 3*x1*p2^2)/(2*sqrt(2))",
+                   lambda x1, p1, x2, p2: x2 * p1 + (x1**3 - 3.0 * x1 * p2**2) / (2.0 * _S2)),
+    ReferenceEntry("neg_z4", "h", "p1^2 - (x1^4 - 6*x1^2*p2^2 + p2^4)/2 - x2^2",
+                   lambda x1, p1, x2, p2: p1**2 - (x1**4 - 6.0 * x1**2 * p2**2 + p2**4) / 2.0 - x2**2),
+    ReferenceEntry("neg_z4", "Hi", "x2*p1 - x1^3*p2 - x1*p2^3",
+                   lambda x1, p1, x2, p2: x2 * p1 - x1**3 * p2 - x1 * p2**3),
+    ReferenceEntry("exp_iz", "h", "p1^2 + 2*exp(-p2/sqrt(2))*cos(x1/sqrt(2)) - x2^2",
+                   lambda x1, p1, x2, p2: p1**2 + 2.0 * np.exp(-p2 / _S2) * np.cos(x1 / _S2) - x2**2),
+    ReferenceEntry("exp_iz", "Hi", "x2*p1 + exp(-p2/sqrt(2))*sin(x1/sqrt(2))",
+                   lambda x1, p1, x2, p2: x2 * p1 + np.exp(-p2 / _S2) * np.sin(x1 / _S2)),
+    ReferenceEntry("i_sin_z", "h", "p1^2 - 2*cos(x1/sqrt(2))*sinh(p2/sqrt(2)) - x2^2",
+                   lambda x1, p1, x2, p2: p1**2 - 2.0 * np.cos(x1 / _S2) * np.sinh(p2 / _S2) - x2**2),
+    ReferenceEntry("i_sin_z", "Hi", "x2*p1 + sin(x1/sqrt(2))*cosh(p2/sqrt(2))",
+                   lambda x1, p1, x2, p2: x2 * p1 + np.sin(x1 / _S2) * np.cosh(p2 / _S2)),
 ]
 
 # Independently re-derived corrections for the two known-bad entries.

@@ -62,7 +62,7 @@ from .hamiltonian import (
 from .potentials import PotentialOverflowError
 
 __all__ = [
-    "METHOD_ALIASES",
+    "METHODS",
     "IntegratorConfig",
     "FlowConfig",
     "Trajectory",
@@ -75,18 +75,13 @@ __all__ = [
     "complex_view",
     "split_step",
     "invariant_flow",
-    "invariant_flow_field",
     "solve_invariant_zero",
     "equivalence_report",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 
-METHOD_ALIASES = {
-    "rk4": "rk4", "fixed-rk4": "rk4",
-    "rk45": "rk45", "adaptive-rk45": "rk45",
-    "split": "split", "split-step": "split",
-}
+METHODS = ("rk4", "rk45", "split")
 
 # Longest fixed-step grid (rk4, split and the H_i flow) in steps.  Every
 # sample is kept, at about 300 bytes each in the kernel's lists, so this
@@ -99,7 +94,8 @@ _MIN_STEP = 1e-14
 
 
 class ConstraintUnsolvableError(ZeroDivisionError):
-    """H_i = 0 has no solution for x2: p1 = 0 while v_i != 0."""
+    """H_i = 0 has no finite solution for x2: p1 = 0 while v_i != 0, or
+    -2 m v_i / p1 is not finite."""
 
 
 class ConstraintFreeError(ValueError):
@@ -126,10 +122,9 @@ class IntegratorConfig:
     escape_radius: float = 1e3
 
     def __post_init__(self):
-        if self.method not in METHOD_ALIASES:
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; "
-                             f"expected one of {sorted(set(METHOD_ALIASES))}")
-        object.__setattr__(self, "method", METHOD_ALIASES[self.method])
+                             f"expected one of {list(METHODS)}")
         if not (self.t_end >= 0.0 and math.isfinite(self.t_end)):
             raise ValueError("t_end must be a finite nonnegative real")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -272,22 +267,6 @@ def _rows(pairs, columns) -> np.ndarray:
     """List of (z, p) pairs -> (N, 4) float rows in the given layout."""
     flat = np.fromiter(itertools.chain.from_iterable(pairs), complex, 2 * len(pairs))
     return flat.view(float).reshape(len(pairs), 4)[:, columns]
-
-
-def invariant_flow_field(spec: SystemSpec, xi) -> np.ndarray:
-    """Generator of the H_i symmetry through the standard bracket.
-
-    d(xi)/d(epsilon) = {xi, H_i} = (x2/(2m), -Im v'/sqrt2, Re v'/sqrt2,
-    -p1/(2m)) with v' evaluated at (x1 + i p2)/sqrt(2); one infinitesimal
-    step xi + eps * field is the first-order symmetry transformation.  It is
-    the first field value of a zero-length run of the "hi" kernel.  Raises
-    PotentialOverflowError where the field is not finite.
-    """
-    run = _kernel("rk4", "hi")(spec._dv, spec.mass, *_pack(xi), 0.0, 1.0,
-                               0.0, 0.0, math.inf)
-    if run[3] == "step_failure":
-        raise PotentialOverflowError("non-finite vector field")
-    return _unpack(*run[2][0])
 
 
 def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
@@ -622,7 +601,8 @@ def solve_invariant_zero(spec: SystemSpec, x1: float, p1: float, p2: float) -> f
     """Solve H_i(x1, p1, x2, p2) = 0 for x2.
 
     x2 = -2 m v_i(x1/sqrt2, p2/sqrt2) / p1.  Raises
-    ConstraintUnsolvableError when p1 = 0 with v_i != 0, and
+    ConstraintUnsolvableError when p1 = 0 with v_i != 0 or when that quotient
+    is not finite (it overflows for a tiny p1, or p1 is NaN), and
     ConstraintFreeError when p1 = 0 with v_i = 0 (any x2 works).
     """
     x = x1 / _SQRT2
@@ -634,7 +614,11 @@ def solve_invariant_zero(spec: SystemSpec, x1: float, p1: float, p2: float) -> f
                 "p1 = 0 and v_i = 0: every x2 satisfies the constraint")
         raise ConstraintUnsolvableError(
             f"p1 = 0 while v_i = {vi!r}: H_i = 0 has no solution for x2")
-    return -2.0 * spec.mass * vi / p1
+    x2 = -2.0 * spec.mass * vi / p1
+    if not math.isfinite(x2):
+        raise ConstraintUnsolvableError(
+            f"p1 = {p1!r} with v_i = {vi!r}: the solution x2 = {x2!r} is not finite")
+    return x2
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .potentials import (
 
 __all__ = [
     "SystemSpec",
-    "hamiltonian",
     "hamiltonian_split",
     "darboux_hamiltonian",
     "darboux_invariant",
@@ -108,16 +107,11 @@ class SystemSpec:
         return _checked(self._dv, z, "dv")
 
 
-def hamiltonian(spec: SystemSpec, z: complex, p: complex) -> complex:
-    """Complex energy H(z, p) = p^2/(2m) + v(z)."""
-    return p * p / (2.0 * spec.mass) + spec.v(z)
-
-
 def hamiltonian_split(spec: SystemSpec, w):
     """(H_r, H_i) at the real phase point w = (x, p, y, q).
 
-    Agrees with the real and imaginary parts of ``hamiltonian`` at the
-    corresponding complex point.  A point gives two floats and raises
+    The real and imaginary parts of H = p^2/(2m) + v(z) at the corresponding
+    complex point.  A point gives two floats and raises
     PotentialOverflowError where v is not finite; a (..., 4) stack gives two
     (...) arrays from one evaluation of v, with NaN in both wherever v is not
     finite.

@@ -48,14 +48,11 @@ __all__ = [
     "Call",
     "parse_potential",
     "to_source",
-    "eval_potential",
     "compile_potential",
     "ARRAY_FUNCS",
     "derivative",
     "split_real_imag",
-    "cauchy_riemann_residual",
     "BUILTIN_SOURCES",
-    "builtin_potentials",
     "get_builtin",
 ]
 
@@ -584,23 +581,13 @@ def _checked(f: Callable[[complex], complex], z: complex, what: str) -> complex:
     return value
 
 
-def eval_potential(e: Expr, z: complex) -> complex:
-    """Evaluate v(z) in double-precision complex arithmetic.
-
-    Compiles ``e`` on every call; callers evaluating one potential at many
-    points compile it once (``SystemSpec``).  Raises PotentialOverflowError
-    if the result leaves the finite range.
-    """
-    return _checked(compile_potential(e), complex(z), "potential")
-
-
 _BINARY_OPS = {Sum: "+", Product: "*", Quotient: "/"}
 
 
 def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
     """Generate one function computing v(z); it is the package's only
     evaluator of an expression tree.  The function does no finiteness check:
-    ``eval_potential`` and ``SystemSpec`` add one, and the integration kernels
+    ``split_real_imag`` and ``SystemSpec`` add one, and the integration kernels
     handle OverflowError and non-finite values themselves.
 
     The function body is straight-line code, one assignment per distinct
@@ -699,35 +686,13 @@ def derivative(e: Expr) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _split(f: Callable[[complex], complex], x: float, y: float) -> tuple[float, float]:
-    v = _checked(f, complex(x, y), "potential")
-    return v.real, v.imag
-
-
 def split_real_imag(e: Expr, x: float, y: float) -> tuple[float, float]:
-    """Return (v_r, v_i), the real and imaginary parts of v(x + i y)."""
-    return _split(compile_potential(e), x, y)
+    """Return (v_r, v_i), the real and imaginary parts of v(x + i y).
 
-
-def cauchy_riemann_residual(e: Expr, x: float, y: float,
-                            step: float) -> tuple[float, float]:
-    """Central-difference residuals of the Cauchy-Riemann conditions.
-
-    Returns (d_x v_r - d_y v_i, d_y v_r + d_x v_i); both vanish (up to the
-    O(step^2) truncation of the differences) for an analytic potential.
+    Raises PotentialOverflowError where v is not finite.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    f = compile_potential(e)
-    vr_xp, vi_xp = _split(f, x + step, y)
-    vr_xm, vi_xm = _split(f, x - step, y)
-    vr_yp, vi_yp = _split(f, x, y + step)
-    vr_ym, vi_ym = _split(f, x, y - step)
-    dvr_dx = (vr_xp - vr_xm) / (2.0 * step)
-    dvr_dy = (vr_yp - vr_ym) / (2.0 * step)
-    dvi_dx = (vi_xp - vi_xm) / (2.0 * step)
-    dvi_dy = (vi_yp - vi_ym) / (2.0 * step)
-    return dvr_dx - dvi_dy, dvr_dy + dvi_dx
+    v = _checked(compile_potential(e), complex(x, y), "potential")
+    return v.real, v.imag
 
 
 # --------------------------------------------------------------------------
@@ -744,21 +709,10 @@ BUILTIN_SOURCES: dict[str, str] = {
     "i_sin_z": "i*sin(z)",
 }
 
-_builtin_cache: dict[str, Expr] | None = None
-
-
-def builtin_potentials() -> dict[str, Expr]:
-    """Name -> AST for the six built-in potentials, in catalog order."""
-    global _builtin_cache
-    if _builtin_cache is None:
-        _builtin_cache = {name: parse_potential(src)
-                          for name, src in BUILTIN_SOURCES.items()}
-    return dict(_builtin_cache)
-
 
 def get_builtin(name: str) -> Expr:
-    table = builtin_potentials()
-    if name not in table:
+    """AST of the catalog potential ``name``; KeyError for an unknown name."""
+    if name not in BUILTIN_SOURCES:
         raise KeyError(f"unknown builtin potential {name!r}; "
-                       f"available: {', '.join(table)}")
-    return table[name]
+                       f"available: {', '.join(BUILTIN_SOURCES)}")
+    return parse_potential(BUILTIN_SOURCES[name])

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import SystemSpec, hamiltonian_split
+from .hamiltonian import SystemSpec
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -46,22 +46,15 @@ __all__ = [
     "SymplecticParams",
     "sample_params",
     "J_STANDARD",
-    "build_complex_J",
     "build_real_J",
     "eigenvalue_magnitudes",
-    "j_prime",
     "DarbouxFrame",
     "darboux_frame",
-    "darboux_map",
-    "inverse_darboux_map",
     "frame_residuals",
     "ScalarField",
-    "coordinate_field",
     "position_field",
     "momentum_field",
     "hamiltonian_field",
-    "hamiltonian_real_field",
-    "hamiltonian_imag_field",
     "bracket",
     "standard_bracket",
     "verify_compatibility",
@@ -140,24 +133,6 @@ _EYE4 = np.eye(4)
 _EYE4.setflags(write=False)
 
 
-def build_complex_J(params) -> np.ndarray:
-    """Bracket matrix over the coordinates (z, p, z*, p*).
-
-    Antisymmetric by construction; degeneracy is flagged on the parameters,
-    never raised here.
-    """
-    p = _as_params(params)
-    a, b, al = p.a, p.b, complex(p.alpha)
-    upper = np.zeros((4, 4), dtype=complex)
-    upper[0, 1] = 1.0
-    upper[0, 2] = 1j * a
-    upper[0, 3] = al
-    upper[1, 2] = -al.conjugate()
-    upper[1, 3] = 1j * b
-    upper[2, 3] = 1.0
-    return upper - upper.T
-
-
 def _j_rows(p: SymplecticParams) -> tuple[tuple[float, ...], ...]:
     """The rows of the real J as float 4-tuples.
 
@@ -229,30 +204,18 @@ def eigenvalue_magnitudes(params) -> tuple[float, float]:
     return r_plus, r_minus
 
 
-def j_prime(r_plus: float, r_minus: float) -> np.ndarray:
-    """Block normal form with +r+ and +r- in the (1,2) and (3,4) entries."""
-    return np.array([
-        [0.0, r_plus, 0.0, 0.0],
-        [-r_plus, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, r_minus],
-        [0.0, 0.0, -r_minus, 0.0],
-    ])
-
-
 @dataclass(frozen=True, eq=False)
 class DarbouxFrame:
     """Orthogonal change of basis S plus the eigen-magnitudes (r+, r-).
 
-    S^T J S is the block form ``j_prime(r_plus, r_minus)``; the Darboux
+    S^T J S is the block normal form, +r+ in entry (1, 2) and +r- in entry
+    (3, 4), their negatives below the diagonal, zeros elsewhere; the Darboux
     coordinates are xi = D^{-1/2} S^T w with D = diag(r+, r+, r-, r-).
     """
 
     S: np.ndarray
     r_plus: float
     r_minus: float
-
-    def scaling(self) -> np.ndarray:
-        return np.diag([self.r_plus, self.r_plus, self.r_minus, self.r_minus])
 
 
 # Column seeds for the deterministic kernel-basis orthogonalization, in the
@@ -363,23 +326,10 @@ def darboux_frame(params) -> DarbouxFrame:
     return DarbouxFrame(np.array(columns).T, r_plus, r_minus)
 
 
-def darboux_map(frame: DarbouxFrame, w) -> np.ndarray:
-    """Symplectic coordinates xi_a = r^{-1/2} sum_k S_{k a} w_k."""
-    w = np.asarray(w, dtype=float)
-    scale = np.array([frame.r_plus, frame.r_plus, frame.r_minus, frame.r_minus])
-    return (frame.S.T @ w) / np.sqrt(scale)
-
-
-def inverse_darboux_map(frame: DarbouxFrame, xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    scale = np.array([frame.r_plus, frame.r_plus, frame.r_minus, frame.r_minus])
-    return frame.S @ (xi * np.sqrt(scale))
-
-
 def frame_residuals(frame: DarbouxFrame, J: np.ndarray) -> dict:
-    """Max-norm residuals of the three defining frame properties:
-    S^T J S = j_prime(r+, r-), S^T S = I and M J M^T = J_STANDARD for the
-    linear map M = D^{-1/2} S^T."""
+    """Max-norm residuals of the three defining frame properties: S^T J S
+    is the block normal form of ``DarbouxFrame``, S^T S = I and
+    M J M^T = J_STANDARD for the linear map M = D^{-1/2} S^T."""
     r_plus, r_minus = frame.r_plus, frame.r_minus
     S = frame.S
     ST = S.T
@@ -405,38 +355,10 @@ def frame_residuals(frame: DarbouxFrame, J: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function of w = (x, p, y, q) with an optional exact gradient.
-
-    Fields without a gradient fall back to central differences with step
-    1e-6 * max(1, |w|).
-    """
+    """Scalar function of w = (x, p, y, q) with its exact gradient."""
 
     func: Callable[[np.ndarray], complex]
-    grad: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def _as_field(f) -> ScalarField:
-    return f if isinstance(f, ScalarField) else ScalarField(func=f)
-
-
-def _gradient(field: ScalarField, w: np.ndarray) -> np.ndarray:
-    if field.grad is not None:
-        return np.asarray(field.grad(w))
-    step = 1e-6 * max(1.0, float(np.linalg.norm(w)))
-    g = np.zeros(4, dtype=complex)
-    for k in range(4):
-        wp = w.copy()
-        wm = w.copy()
-        wp[k] += step
-        wm[k] -= step
-        g[k] = (field.func(wp) - field.func(wm)) / (2.0 * step)
-    return g
-
-
-def coordinate_field(k: int) -> ScalarField:
-    e = np.zeros(4)
-    e[k] = 1.0
-    return ScalarField(func=lambda w: w[k], grad=lambda w: e)
+    grad: Callable[[np.ndarray], np.ndarray]
 
 
 def position_field() -> ScalarField:
@@ -471,32 +393,6 @@ def hamiltonian_field(spec: SystemSpec) -> ScalarField:
     return ScalarField(func=func, grad=grad)
 
 
-def hamiltonian_real_field(spec: SystemSpec) -> ScalarField:
-    """H_r with exact gradient (Re v', p/m, -Im v', -q/m)."""
-    def func(w):
-        return hamiltonian_split(spec, w)[0]
-
-    def grad(w):
-        dv = spec.dv(complex(w[0], w[2]))
-        m = spec.mass
-        return np.array([dv.real, w[1] / m, -dv.imag, -w[3] / m])
-
-    return ScalarField(func=func, grad=grad)
-
-
-def hamiltonian_imag_field(spec: SystemSpec) -> ScalarField:
-    """H_i with exact gradient (Im v', q/m, Re v', p/m)."""
-    def func(w):
-        return hamiltonian_split(spec, w)[1]
-
-    def grad(w):
-        dv = spec.dv(complex(w[0], w[2]))
-        m = spec.mass
-        return np.array([dv.imag, w[3] / m, dv.real, w[1] / m])
-
-    return ScalarField(func=func, grad=grad)
-
-
 def bracket(field_a, field_b, J: np.ndarray, w) -> complex:
     """{{A, B}} = sum_ij J_ij dA/dw_i dB/dw_j at the point w.
 
@@ -504,9 +400,7 @@ def bracket(field_a, field_b, J: np.ndarray, w) -> complex:
     with exactly zero imaginary part for real J.
     """
     w = np.asarray(w, dtype=float)
-    ga = _gradient(_as_field(field_a), w)
-    gb = _gradient(_as_field(field_b), w)
-    return complex(ga @ (np.asarray(J) @ gb))
+    return complex(field_a.grad(w) @ (np.asarray(J) @ field_b.grad(w)))
 
 
 def standard_bracket(field_a, field_b, w) -> complex:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holomech import SystemSpec, builtin_potentials
+from holomech import BUILTIN_SOURCES, SystemSpec, get_builtin
 
 DEFAULT_SEED = 42
 
@@ -12,7 +12,7 @@ NON_CATALOG_SOURCES = ["exp(z)+z^5", "cosh(z)*sinh(2*z)/3", "z^7 - i*z^2 + 2"]
 
 @pytest.fixture(scope="session")
 def builtins_map():
-    return builtin_potentials()
+    return {name: get_builtin(name) for name in BUILTIN_SOURCES}
 
 
 @pytest.fixture(scope="session")

@@ -467,6 +467,18 @@ class TestConstrain:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "any"
 
+    def test_non_finite_solution_exit_2(self, capsys):
+        # x2 = -2 m v_i / p1 overflows to -inf: unsolvable, and the report
+        # stays strict JSON
+        code = run(["constrain", "--potential", "i*z", "--x1", "1",
+                    "--p1", "1e-320", "--p2", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out, parse_constant=lambda c: pytest.fail(c))
+        assert report["status"] == "unsolvable" and "x2" not in report
+        assert captured.err.startswith("constrain: ")
+        assert len(captured.err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("potential, x1", [("exp(z)", "1e4"), ("sin(z*z*z*z*z)", "1e70")])
     def test_overflowing_potential_exit_1(self, potential, x1, capsys):
         # exp overflows; sin of an infinite argument is a cmath domain error

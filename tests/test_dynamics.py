@@ -24,7 +24,6 @@ from holomech import (
     integrate_complex,
     integrate_darboux,
     invariant_flow,
-    invariant_flow_field,
     solve_invariant_zero,
     split_step,
     w_to_darboux,
@@ -43,15 +42,25 @@ def xi_from(z0, p0):
     return w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag]))
 
 
+def hi_generator(spec, xi):
+    """{xi, H_i} = (x2/(2m), -Im v'/sqrt2, Re v'/sqrt2, -p1/(2m)) with v' at
+    (x1 + i p2)/sqrt2, through the standard bracket; raises
+    PotentialOverflowError where v' is not finite."""
+    x1, p1, x2, p2 = xi
+    dv = spec.dv(complex(x1 / S2, p2 / S2))
+    m2 = 2.0 * spec.mass
+    return np.array([x2 / m2, -dv.imag / S2, dv.real / S2, -p1 / m2])
+
+
 class TestConfigValidation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             IntegratorConfig(method="euler")
 
-    def test_method_aliases(self):
-        assert IntegratorConfig(method="fixed-rk4").method == "rk4"
-        assert IntegratorConfig(method="adaptive-rk45").method == "rk45"
-        assert IntegratorConfig(method="split-step").method == "split"
+    @pytest.mark.parametrize("method", ["fixed-rk4", "adaptive-rk45", "split-step"])
+    def test_only_the_three_method_names(self, method):
+        with pytest.raises(ValueError, match="unknown method"):
+            IntegratorConfig(method=method)
 
     def test_tolerances_range(self):
         with pytest.raises(ValueError):
@@ -361,27 +370,27 @@ class TestInvariantFlow:
         for spec in builtin_specs.values():
             traj = invariant_flow(spec, xi0, FlowConfig(epsilon_end=eps,
                                                         d_epsilon=eps))
-            linear = xi0 + eps * invariant_flow_field(spec, xi0)
+            linear = xi0 + eps * hi_generator(spec, xi0)
             assert np.max(np.abs(traj.final_state() - linear)) <= 5e-8
 
     def test_generator_components(self):
         # x1 component is x2/(2m); p2 component is -p1/(2m)
         spec = spec_for("z^2")
         xi = np.array([0.7, -0.3, 1.1, 0.2])
-        f = invariant_flow_field(spec, xi)
+        f = hi_generator(spec, xi)
         assert f[0] == xi[2] / (2 * spec.mass)
         assert f[3] == -xi[1] / (2 * spec.mass)
 
     def test_generator_overflow_raises(self):
         # v' = i exp(i z) overflows far down the imaginary axis
         with pytest.raises(PotentialOverflowError):
-            invariant_flow_field(spec_for("exp(i*z)"), [0.0, 0.0, 0.0, -2000.0])
+            hi_generator(spec_for("exp(i*z)"), [0.0, 0.0, 0.0, -2000.0])
 
     def test_generator_past_float_range(self):
         # |x1 + i p2| beyond the largest double; the field of i*z stays finite,
         # and so does a flow without an escape radius
         spec, xi0 = spec_for("i*z"), np.array([1.7e308, 0.0, 0.0, 1.7e308])
-        assert np.array_equal(invariant_flow_field(spec, xi0), [0.0, -1 / S2, 0.0, 0.0])
+        assert np.array_equal(hi_generator(spec, xi0), [0.0, -1 / S2, 0.0, 0.0])
         traj = invariant_flow(spec, xi0, FlowConfig(epsilon_end=0.01, d_epsilon=1e-3))
         assert traj.terminated_by == "t_end"
 
@@ -419,7 +428,7 @@ class TestInvariantFlow:
         assert traj.t[-1] == pytest.approx(eps_end)
         # the stored derivatives are d(xi)/d(eps), the generator itself
         for xi, d in zip(traj.states, traj.derivs):
-            assert np.array_equal(d, invariant_flow_field(spec, xi))
+            assert np.array_equal(d, hi_generator(spec, xi))
         assert np.array_equal(traj.state_at(traj.t), traj.states)
         for k in range(len(traj.t)):
             assert np.array_equal(traj.state_at(traj.t[k]), traj.states[k])
@@ -464,6 +473,13 @@ class TestConstraintSolver:
     def test_any_value(self):
         with pytest.raises(ConstraintFreeError):
             solve_invariant_zero(spec_for("z^2"), 0.0, 0.0, 5.0)
+
+    @pytest.mark.parametrize("p1", [1e-320, -1e-320, math.nan])
+    def test_non_finite_solution_unsolvable(self, p1):
+        # v_i = 1/sqrt(2): -2 m v_i / p1 overflows for a subnormal p1 and is
+        # NaN for a NaN p1
+        with pytest.raises(ConstraintUnsolvableError, match="not finite"):
+            solve_invariant_zero(spec_for("i*z"), 1.0, p1, 0.0)
 
     def test_residual_vanishes_on_random_inputs(self, builtin_specs, rng):
         from holomech import darboux_invariant

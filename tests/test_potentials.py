@@ -26,10 +26,8 @@ from holomech.potentials import (
     PotentialOverflowError,
     PotentialSyntaxError,
     UnsupportedFunctionError,
-    cauchy_riemann_residual,
     compile_potential,
     derivative,
-    eval_potential,
     get_builtin,
     make_call,
     make_neg,
@@ -41,7 +39,28 @@ from holomech.potentials import (
     split_real_imag,
     to_source,
 )
-from holomech.potentials import _ENTIRE_FUNCS
+from holomech.potentials import _ENTIRE_FUNCS, _checked
+
+
+def eval_checked(e, z):
+    """Checked v(z) through the compiled tree, as ``SystemSpec.v`` and
+    ``split_real_imag`` evaluate it."""
+    return _checked(compile_potential(e), complex(z), "potential")
+
+
+def cauchy_riemann_residual(e, x, y, step):
+    """Central-difference residuals of the Cauchy-Riemann conditions for the
+    parts ``split_real_imag`` gives: (d_x v_r - d_y v_i, d_y v_r + d_x v_i),
+    both vanishing up to the O(step^2) truncation for an analytic potential."""
+    vr_xp, vi_xp = split_real_imag(e, x + step, y)
+    vr_xm, vi_xm = split_real_imag(e, x - step, y)
+    vr_yp, vi_yp = split_real_imag(e, x, y + step)
+    vr_ym, vi_ym = split_real_imag(e, x, y - step)
+    dvr_dx = (vr_xp - vr_xm) / (2.0 * step)
+    dvr_dy = (vr_yp - vr_ym) / (2.0 * step)
+    dvi_dx = (vi_xp - vi_xm) / (2.0 * step)
+    dvi_dy = (vi_yp - vi_ym) / (2.0 * step)
+    return dvr_dx - dvi_dy, dvr_dy + dvi_dx
 
 
 class TestParse:
@@ -132,13 +151,13 @@ class TestParse:
 
 class TestEval:
     def test_square_at_one_plus_i(self):
-        assert eval_potential(parse_potential("z^2"), 1 + 1j) == 2j
+        assert eval_checked(parse_potential("z^2"), 1 + 1j) == 2j
 
     def test_i_sin_at_zero(self):
-        assert eval_potential(parse_potential("i*sin(z)"), 0j) == 0j
+        assert eval_checked(parse_potential("i*sin(z)"), 0j) == 0j
 
     def test_iz3_at_i(self):
-        assert eval_potential(parse_potential("i*z^3"), 1j) == 1 + 0j
+        assert eval_checked(parse_potential("i*z^3"), 1j) == 1 + 0j
 
     def test_compile_matches_eval(self, rng):
         for src in BUILTIN_SOURCES.values():
@@ -158,18 +177,18 @@ class TestEval:
             values = compile_potential(e, ARRAY_FUNCS)(z)
             assert values.shape == z.shape
             for zk, vk in zip(z.tolist(), values.tolist()):
-                ref = eval_potential(e, zk)
+                ref = eval_checked(e, zk)
                 assert abs(vk - ref) <= 4 * eps * abs(ref)
 
     def test_overflow_flagged(self):
         e = parse_potential("exp(z)")
         with pytest.raises(PotentialOverflowError):
-            eval_potential(e, 1e4 + 0j)
+            eval_checked(e, 1e4 + 0j)
 
     def test_domain_error_flagged(self):
         # z^5 overflows to an infinite argument, where cmath.sin raises ValueError
         with pytest.raises(PotentialOverflowError):
-            eval_potential(parse_potential("sin(z*z*z*z*z)"), 1e70 + 0j)
+            eval_checked(parse_potential("sin(z*z*z*z*z)"), 1e70 + 0j)
 
 
 # Trees compared bit for bit between the generated functions and the
@@ -222,7 +241,7 @@ def _eval(e, z):
 
 
 def _checked_eval(e, z):
-    """The tree walk with the finiteness check of ``eval_potential``."""
+    """The tree walk with the finiteness check of ``SystemSpec.v``."""
     try:
         value = _eval(e, complex(z))
     except (OverflowError, ValueError) as exc:
@@ -284,9 +303,8 @@ class TestGeneratedFunctions:
 
     @pytest.mark.parametrize("k", range(len(_ORACLE_TREES)))
     def test_checked_calls_match_checked_eval(self, k, rng):
-        # eval_potential, SystemSpec.v and SystemSpec.dv give the tree walk's
-        # bits where it is finite and PotentialOverflowError wherever it
-        # raises or is not finite
+        # SystemSpec.v and SystemSpec.dv give the tree walk's bits where it is
+        # finite and PotentialOverflowError wherever it raises or is not finite
         e = _ORACLE_TREES[k]
         spec = SystemSpec(e)
         zs = [complex(*rng.uniform(-2, 2, 2)) for _ in range(20)]
@@ -295,7 +313,6 @@ class TestGeneratedFunctions:
                complex(1e200, -1e200), complex(1.7e308, 1.7e308)]
         for z in zs:
             expected = _scalar_outcome(_checked_eval, e, z)
-            assert _scalar_outcome(eval_potential, e, z) == expected, (k, z)
             assert _scalar_outcome(spec.v, z) == expected, (k, z)
             assert _scalar_outcome(spec.dv, z) == \
                 _scalar_outcome(_checked_eval, spec.dv_expr, z), (k, z)
@@ -361,19 +378,19 @@ def test_eval_walks_shared_subtrees_once(monkeypatch):
 class TestDerivative:
     def test_iz3(self):
         d = derivative(parse_potential("i*z^3"))
-        assert eval_potential(d, 1.0 + 0j) == 3j
+        assert eval_checked(d, 1.0 + 0j) == 3j
 
     def test_exp_iz_at_zero(self):
         d = derivative(parse_potential("exp(i*z)"))
-        assert eval_potential(d, 0j) == 1j
+        assert eval_checked(d, 0j) == 1j
 
     def test_square_at_one_plus_i(self):
         d = derivative(parse_potential("z^2"))
-        assert eval_potential(d, 1 + 1j) == 2 + 2j
+        assert eval_checked(d, 1 + 1j) == 2 + 2j
 
     def test_quotient_rule_constant_denominator(self):
         d = derivative(parse_potential("z^3/3"))
-        assert eval_potential(d, 2.0 + 0j) == pytest.approx(4.0)
+        assert eval_checked(d, 2.0 + 0j) == pytest.approx(4.0)
 
     def test_matches_finite_differences(self, builtins_map, rng):
         # central differences with a real step approximate d/dz for an
@@ -383,8 +400,8 @@ class TestDerivative:
             d = derivative(expr)
             for _ in range(20):
                 z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                fd = (eval_potential(expr, z + h) - eval_potential(expr, z - h)) / (2 * h)
-                exact = eval_potential(d, z)
+                fd = (eval_checked(expr, z + h) - eval_checked(expr, z - h)) / (2 * h)
+                exact = eval_checked(d, z)
                 assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
@@ -403,7 +420,7 @@ class TestSplitAndAnalyticity:
             for _ in range(200):
                 x, y = rng.uniform(-2, 2, size=2)
                 vr, vi = split_real_imag(expr, x, y)
-                assert complex(vr, vi) == eval_potential(expr, complex(x, y))
+                assert complex(vr, vi) == _eval(expr, complex(x, y))
 
     def test_cauchy_riemann_iz3(self):
         r1, r2 = cauchy_riemann_residual(parse_potential("i*z^3"), 1.0, 1.0, 1e-5)
@@ -426,10 +443,6 @@ class TestSplitAndAnalyticity:
                 x, y = rng.uniform(-2, 2, size=2)
                 r1, r2 = cauchy_riemann_residual(expr, x, y, 1e-5)
                 assert abs(r1) <= 1e-7 and abs(r2) <= 1e-7
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            cauchy_riemann_residual(parse_potential("z^2"), 0.0, 0.0, 0.0)
 
 
 class TestBuiltins:

@@ -4,6 +4,8 @@ import json
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -28,3 +30,11 @@ def test_symplectic_sweep(tmp_path):
     stats = json.loads(out.read_text())["stats"]
     assert stats["canonicity"]["max"] <= 1e-10
     assert stats["momentum_equation"]["max"] <= 1e-10
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_symplectic_sweep_rejects_trials_below_one(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        script_main("symplectic_sweep")(["--trials", trials])
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err

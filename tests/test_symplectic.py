@@ -14,18 +14,12 @@ from holomech import (
     SystemSpec,
     SymplecticParams,
     bracket,
-    build_complex_J,
     build_real_J,
-    coordinate_field,
     darboux_frame,
-    darboux_map,
     eigenvalue_magnitudes,
     frame_residuals,
     hamiltonian_field,
-    hamiltonian_imag_field,
-    hamiltonian_real_field,
-    inverse_darboux_map,
-    j_prime,
+    hamiltonian_split,
     momentum_field,
     position_field,
     standard_bracket,
@@ -56,29 +50,78 @@ def random_params(rng, margin=0.05):
             return p
 
 
+# Fields and maps the tests build from the package's: the coordinate
+# functions, H_r and H_i with exact gradients, central-difference gradients
+# of any function, the block normal form of a frame and the Darboux map
+# xi = D^{-1/2} S^T w with its inverse.
+
+
+def coordinate_field(k):
+    e = np.zeros(4)
+    e[k] = 1.0
+    return ScalarField(func=lambda w: w[k], grad=lambda w: e)
+
+
+def fd_field(func):
+    """``func`` with central-difference gradients, step 1e-6 * max(1, |w|)."""
+    def grad(w):
+        step = 1e-6 * max(1.0, float(np.linalg.norm(w)))
+        g = np.zeros(4, dtype=complex)
+        for k in range(4):
+            wp = w.copy()
+            wm = w.copy()
+            wp[k] += step
+            wm[k] -= step
+            g[k] = (func(wp) - func(wm)) / (2.0 * step)
+        return g
+
+    return ScalarField(func=func, grad=grad)
+
+
+def hamiltonian_real_field(spec):
+    """H_r with exact gradient (Re v', p/m, -Im v', -q/m)."""
+    def grad(w):
+        dv = spec.dv(complex(w[0], w[2]))
+        m = spec.mass
+        return np.array([dv.real, w[1] / m, -dv.imag, -w[3] / m])
+
+    return ScalarField(func=lambda w: hamiltonian_split(spec, w)[0], grad=grad)
+
+
+def hamiltonian_imag_field(spec):
+    """H_i with exact gradient (Im v', q/m, Re v', p/m)."""
+    def grad(w):
+        dv = spec.dv(complex(w[0], w[2]))
+        m = spec.mass
+        return np.array([dv.imag, w[3] / m, dv.real, w[1] / m])
+
+    return ScalarField(func=lambda w: hamiltonian_split(spec, w)[1], grad=grad)
+
+
+def j_prime(r_plus, r_minus):
+    """Block normal form with +r+ and +r- in the (1,2) and (3,4) entries."""
+    return np.array([
+        [0.0, r_plus, 0.0, 0.0],
+        [-r_plus, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, r_minus],
+        [0.0, 0.0, -r_minus, 0.0],
+    ])
+
+
+def _scale(frame):
+    return np.array([frame.r_plus, frame.r_plus, frame.r_minus, frame.r_minus])
+
+
+def darboux_map(frame, w):
+    """Symplectic coordinates xi_a = r^{-1/2} sum_k S_{k a} w_k."""
+    return (frame.S.T @ np.asarray(w, dtype=float)) / np.sqrt(_scale(frame))
+
+
+def inverse_darboux_map(frame, xi):
+    return frame.S @ (np.asarray(xi, dtype=float) * np.sqrt(_scale(frame)))
+
+
 class TestStructureMatrices:
-    def test_complex_J_zero_params(self):
-        J = build_complex_J((0.0, 0.0, 0j))
-        expected = np.zeros((4, 4), complex)
-        expected[0, 1] = expected[2, 3] = 1.0
-        expected[1, 0] = expected[3, 2] = -1.0
-        assert np.array_equal(J, expected)
-
-    def test_complex_J_a_entry(self):
-        J = build_complex_J((1.0, 0.0, 0j))
-        assert J[0, 2] == 1j and J[2, 0] == -1j
-
-    def test_complex_J_alpha_i(self):
-        J = build_complex_J((0.0, 0.0, 1j))
-        assert J[0, 3] == 1j
-        assert J[1, 2] == 1j  # -conj(i) = i
-
-    def test_complex_J_antisymmetric(self, rng):
-        for _ in range(20):
-            p = random_params(rng)
-            J = build_complex_J(p)
-            assert np.array_equal(J, -J.T)
-
     def test_real_J_zero_params_is_J0(self):
         assert np.array_equal(build_real_J((0.0, 0.0, 0j)), J0)
 
@@ -201,8 +244,8 @@ class TestBrackets:
                                 np.zeros(4)) == 1.0
 
     def test_antisymmetry_with_fd_fields(self, rng):
-        f = ScalarField(func=lambda w: math.sin(w[0]) * w[3] + w[1] ** 2)
-        g = ScalarField(func=lambda w: math.cosh(w[2]) - w[0] * w[1])
+        f = fd_field(lambda w: math.sin(w[0]) * w[3] + w[1] ** 2)
+        g = fd_field(lambda w: math.cosh(w[2]) - w[0] * w[1])
         for _ in range(20):
             p = random_params(rng)
             J = build_real_J(p)
@@ -349,15 +392,9 @@ class TestDarbouxFrame:
             p = random_params(rng)
             frame = darboux_frame(p)
             J = build_real_J(p)
-            D = frame.scaling()
+            D = np.diag(_scale(frame))
             M = np.diag(1.0 / np.sqrt(np.diag(D))) @ frame.S.T
             assert np.max(np.abs(M @ J @ M.T - J_STANDARD)) <= 1e-10
-
-    def test_j_prime_shape(self):
-        Jp = j_prime(2.0, 1.0)
-        assert Jp[0, 1] == 2.0 and Jp[2, 3] == 1.0
-        assert np.array_equal(Jp, -Jp.T)
-
 
 def test_format_matrix_17_digits():
     text = format_matrix(np.array([[1 / 3, 2 / 3], [1.0, 0.1]]))
