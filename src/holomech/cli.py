@@ -47,6 +47,7 @@ from .hamiltonian import SystemSpec, darboux_invariant, darboux_to_w, w_to_darbo
 from .output import json_text, trajectory_csv, write_text_atomic
 from .potentials import PotentialError
 from .symplectic import (
+    CONDITIONING_WARN_R_MINUS,
     RESIDUAL_LIMITS,
     DegenerateStructureError,
     SymplecticParams,
@@ -117,8 +118,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json_text(report)
+def _emit(text: str, out: str | None) -> None:
     if out:
         write_text_atomic(out, text)
     else:
@@ -151,12 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="potential expression, e.g. 'i*z^3'")
         p.add_argument("--mass", type=float, default=0.5)
 
+    def add_start_args(p):
+        p.add_argument("--z0", type=parse_complex, default=0j)
+        p.add_argument("--p0", type=parse_complex, default=0j)
+        p.add_argument("--xi0", type=parse_xi, default=None,
+                       help="Darboux initial point x1,p1,x2,p2 (overrides --z0/--p0)")
+
     sim = sub.add_parser("simulate", help="integrate a trajectory")
     add_system_args(sim)
-    sim.add_argument("--z0", type=parse_complex, default=0j)
-    sim.add_argument("--p0", type=parse_complex, default=0j)
-    sim.add_argument("--xi0", type=parse_xi, default=None,
-                     help="Darboux initial point x1,p1,x2,p2 (overrides --z0/--p0)")
+    add_start_args(sim)
     sim.add_argument("--frame", choices=["complex", "darboux", "both"],
                      default="complex")
     sim.add_argument("--method", choices=METHODS, default="rk45")
@@ -190,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hf = sub.add_parser("hi-flow", help="integrate the H_i symmetry flow")
     add_system_args(hf)
-    hf.add_argument("--z0", type=parse_complex, default=0j)
-    hf.add_argument("--p0", type=parse_complex, default=0j)
-    hf.add_argument("--xi0", type=parse_xi, default=None)
+    add_start_args(hf)
     hf.add_argument("--eps-end", type=float, default=1.0)
     hf.add_argument("--d-eps", type=float, default=1e-3)
     hf.add_argument("--seed", type=int, default=None)
@@ -213,18 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
-def _darboux_start(z0: complex, p0: complex) -> np.ndarray:
-    """Darboux start sqrt(2) (x, p, q, y) of --z0/--p0.
-
-    A start whose image is not finite (a part above about 1.27e308
-    overflows under the sqrt(2) scaling) is rejected as a usage error.
-    """
+def _start(args):
+    """(z0, p0, xi0) of --xi0 if given, else of --z0/--p0, whose Darboux
+    image must be finite (a part above about 1.27e308 overflows it)."""
+    if args.xi0 is not None:
+        w0 = darboux_to_w(args.xi0)
+        return complex(w0[0], w0[2]), complex(w0[1], w0[3]), args.xi0
+    z0, p0 = args.z0, args.p0
     with np.errstate(over="ignore"):
         xi0 = w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag]))
     if not np.isfinite(xi0).all():
         raise ValueError(f"initial data z0={z0}, p0={p0} has no finite "
                          "Darboux image sqrt(2)*(x, p, q, y)")
-    return xi0
+    return z0, p0, xi0
 
 
 def _same_start(z0: complex, p0: complex, xi0) -> bool:
@@ -246,24 +248,36 @@ def _both_frames(spec, z0, p0, xi0, cfg):
     return integrate_complex(spec, z0, p0, cfg), traj_d
 
 
+def _write_run(args, summary, traj, t, w_rows, xi_rows, hr, hi) -> int:
+    """Add the shared run fields to ``summary``, write the CSV and then the
+    summary, print the run's line; exit 0 if it ran to the end or escaped."""
+    summary.update({
+        "command": args.command,
+        "potential": args.potential,
+        "mass": args.mass,
+        "seed": args.seed,
+        "drift_Hr": traj.drift_hr,
+        "drift_Hi": traj.drift_hi,
+        "terminated_by": traj.terminated_by,
+        "n_steps": traj.n_steps,
+        "samples": len(t),
+    })
+    write_text_atomic(args.out, trajectory_csv(t, w_rows, xi_rows, hr, hi))
+    write_text_atomic(_summary_path(args.out), json_text(summary))
+    ending = "" if args.command == "hi-flow" else f", terminated by {traj.terminated_by}"
+    print(f"wrote {args.out} ({len(t)} samples){ending}; "
+          f"drift Hr={traj.drift_hr:.3e} Hi={traj.drift_hi:.3e}")
+    return EXIT_OK if traj.terminated_by in ("t_end", "escape") else EXIT_NUMERICAL
+
+
 def cmd_simulate(args) -> int:
-    summary_path = _summary_path(args.out)
+    _summary_path(args.out)  # a clashing --out fails before any work
     spec = SystemSpec.from_source(args.potential, args.mass)
     cfg = IntegratorConfig(method=args.method, dt=args.dt,
                            rel_tol=args.rel_tol, abs_tol=args.abs_tol,
                            t_end=args.t_end, escape_radius=args.escape_radius)
-    xi0 = args.xi0
-    if xi0 is None:
-        xi0 = _darboux_start(args.z0, args.p0)
-        z0, p0 = args.z0, args.p0
-    else:
-        w0 = darboux_to_w(xi0)
-        z0, p0 = complex(w0[0], w0[2]), complex(w0[1], w0[3])
-
+    z0, p0, xi0 = _start(args)
     summary = {
-        "command": "simulate",
-        "potential": args.potential,
-        "mass": args.mass,
         "frame": args.frame,
         "method": cfg.method,
         "dt": cfg.dt,
@@ -273,58 +287,36 @@ def cmd_simulate(args) -> int:
         "escape_radius": cfg.escape_radius,
         "z0": z0,
         "p0": p0,
-        "xi0": [float(c) for c in xi0],
-        "seed": args.seed,
+        "xi0": xi0,
     }
-
-    if args.frame == "both":
-        traj_c, traj_d = _both_frames(spec, z0, p0, xi0, cfg)
-        # master grid: complex-frame samples clipped to the common range
-        hi_t = min(traj_c.t[-1], traj_d.t[-1])
-        keep = traj_c.t <= hi_t
-        t = traj_c.t[keep]
-        w_rows = traj_c.states[keep]
-        xi_rows = traj_d.state_at(t)
-        hr = traj_c.hr[keep]
-        hi = traj_c.hi[keep]
-        try:
-            eq = equivalence_report(traj_c, traj_d)
-            summary["max_frame_deviation"] = eq.max_deviation
-            summary["frames_equivalent"] = eq.passed
-        except GridMismatchError as exc:
-            summary["max_frame_deviation"] = None
-            summary["frames_equivalent"] = False
-            summary["grid_mismatch"] = str(exc)
-        traj = traj_c
-    else:
-        if args.frame == "complex":
-            traj = integrate_complex(spec, z0, p0, cfg)
-            w_rows = traj.states
-            xi_rows = w_to_darboux(w_rows)
-        else:
-            traj = integrate_darboux(spec, xi0, cfg)
-            xi_rows = traj.states
-            w_rows = darboux_to_w(xi_rows)
-        t = traj.t
-        hr, hi = traj.hr, traj.hi
-
-    summary["drift_Hr"] = traj.drift_hr
-    summary["drift_Hi"] = traj.drift_hi
-    summary["terminated_by"] = traj.terminated_by
-    summary["n_steps"] = traj.n_steps
-    summary["samples"] = int(len(t))
-
-    write_text_atomic(args.out, trajectory_csv(t, w_rows, xi_rows, hr, hi))
-    write_text_atomic(summary_path, json_text(summary))
-    print(f"wrote {args.out} ({len(t)} samples), terminated by "
-          f"{traj.terminated_by}; drift Hr={traj.drift_hr:.3e} "
-          f"Hi={traj.drift_hi:.3e}")
-    return EXIT_OK if traj.terminated_by in ("t_end", "escape") else EXIT_NUMERICAL
+    if args.frame == "complex":
+        traj = integrate_complex(spec, z0, p0, cfg)
+        return _write_run(args, summary, traj, traj.t, traj.states,
+                          w_to_darboux(traj.states), traj.hr, traj.hi)
+    if args.frame == "darboux":
+        traj = integrate_darboux(spec, xi0, cfg)
+        return _write_run(args, summary, traj, traj.t, darboux_to_w(traj.states),
+                          traj.states, traj.hr, traj.hi)
+    traj, traj_d = _both_frames(spec, z0, p0, xi0, cfg)
+    # master grid: complex-frame samples clipped to the common range
+    keep = traj.t <= min(traj.t[-1], traj_d.t[-1])
+    t = traj.t[keep]
+    xi_rows = traj_d.state_at(t)
+    try:
+        eq = equivalence_report(traj, traj_d)
+        summary["max_frame_deviation"] = eq.max_deviation
+        summary["frames_equivalent"] = eq.passed
+    except GridMismatchError as exc:
+        summary["max_frame_deviation"] = None
+        summary["frames_equivalent"] = False
+        summary["grid_mismatch"] = str(exc)
+    return _write_run(args, summary, traj, t, traj.states[keep], xi_rows,
+                      traj.hr[keep], traj.hi[keep])
 
 
 def cmd_verify_table1(args) -> int:
     report = verify_reference_table(seed=args.seed, points=args.points)
-    _emit(report, args.out)
+    _emit(json_text(report), args.out)
     return EXIT_OK if report["consistent"] else EXIT_NUMERICAL
 
 
@@ -361,7 +353,7 @@ def cmd_verify_symplectic(args) -> int:
         "failures": failures,
         "passed": n_pass == args.random,
     }
-    _emit(report, args.out)
+    _emit(json_text(report), args.out)
     print(f"{n_pass}/{args.random} PASS (seed {args.seed})")
     return EXIT_OK if n_pass == args.random else EXIT_NUMERICAL
 
@@ -384,49 +376,32 @@ def cmd_darboux(args) -> int:
         f"residual |S^T S - I|      = {res['orthogonality']:.3e}",
         f"residual canonicity       = {res['canonicity']:.3e}",
     ]
-    if frame.r_minus < 1e-6:
+    if frame.r_minus < CONDITIONING_WARN_R_MINUS:
         lines.append("warning: r_minus < 1e-6, near-degenerate structure")
     ok = within_limits(res)
     lines.append("PASS" if ok else "FAIL")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        write_text_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def cmd_hi_flow(args) -> int:
-    summary_path = _summary_path(args.out)
+    _summary_path(args.out)  # a clashing --out fails before any work
     spec = SystemSpec.from_source(args.potential, args.mass)
-    xi0 = args.xi0
-    if xi0 is None:
-        xi0 = _darboux_start(args.z0, args.p0)
-    flow = FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps)
-    traj = invariant_flow(spec, xi0, flow)
-    write_text_atomic(args.out, trajectory_csv(
-        traj.t, darboux_to_w(traj.states), traj.states, traj.hr, traj.hi))
+    xi0 = _start(args)[2]
+    traj = invariant_flow(spec, xi0, FlowConfig(epsilon_end=args.eps_end,
+                                                d_epsilon=args.d_eps))
     summary = {
-        "command": "hi-flow",
-        "potential": args.potential,
-        "mass": args.mass,
-        "xi0": [float(c) for c in xi0],
+        "xi0": xi0,
         "epsilon_end": args.eps_end,
         "d_epsilon": args.d_eps,
-        "drift_Hr": traj.drift_hr,
-        "drift_Hi": traj.drift_hi,
-        "terminated_by": traj.terminated_by,
-        "n_steps": traj.n_steps,
-        "samples": int(len(traj.t)),
-        "seed": args.seed,
     }
-    write_text_atomic(summary_path, json_text(summary))
-    print(f"wrote {args.out} ({len(traj.t)} samples); "
-          f"drift Hr={traj.drift_hr:.3e} Hi={traj.drift_hi:.3e}")
-    return EXIT_OK if traj.terminated_by == "t_end" else EXIT_NUMERICAL
+    return _write_run(args, summary, traj, traj.t, darboux_to_w(traj.states),
+                      traj.states, traj.hr, traj.hi)
 
 
 def cmd_constrain(args) -> int:
+    if not np.isfinite([args.x1, args.p1, args.p2]).all():
+        raise ValueError(f"x1, p1 and p2 must be finite, got {args.x1}, {args.p1}, {args.p2}")
     spec = SystemSpec.from_source(args.potential, args.mass)
     report = {
         "command": "constrain",
@@ -442,19 +417,19 @@ def cmd_constrain(args) -> int:
         report["status"] = "any"
         report["x2"] = 0.0
         report["note"] = "p1 = 0 and v_i = 0: every x2 satisfies H_i = 0"
-        _emit(report, args.out)
+        _emit(json_text(report), args.out)
         return EXIT_OK
     except ConstraintUnsolvableError as exc:
         report["status"] = "unsolvable"
         report["error"] = str(exc)
-        _emit(report, args.out)
+        _emit(json_text(report), args.out)
         print(f"constrain: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     report["status"] = "solved"
     report["x2"] = x2
     report["hi_residual"] = darboux_invariant(
         spec, np.array([args.x1, args.p1, x2, args.p2]))
-    _emit(report, args.out)
+    _emit(json_text(report), args.out)
     return EXIT_OK
 
 

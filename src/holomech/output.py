@@ -190,25 +190,16 @@ def _csv_block(table) -> bytearray:
 
 def json_text(obj) -> str:
     """Canonical JSON rendering (sorted keys, stable float repr)."""
-    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+def _json_default(obj):
+    """A complex as [re, im], a numpy scalar or array as its tolist()."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_text_atomic(path, text: str) -> None:

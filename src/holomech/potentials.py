@@ -58,17 +58,18 @@ __all__ = [
 
 
 class PotentialError(ValueError):
-    """Base class for potential parsing and evaluation failures."""
-
-
-class PotentialSyntaxError(PotentialError):
-    """Malformed expression text; carries the offending position if known."""
+    """Base class for potential parsing and evaluation failures; carries the
+    offending position in the expression text if known."""
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class PotentialSyntaxError(PotentialError):
+    """Malformed expression text."""
 
 
 class UnsupportedFunctionError(PotentialError):
@@ -77,12 +78,6 @@ class UnsupportedFunctionError(PotentialError):
     Non-entire potentials (sqrt, log, fractional powers, poles) would force
     trajectories to track branch cuts; they are rejected outright.
     """
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
 
 
 class PotentialOverflowError(PotentialError):

@@ -278,6 +278,70 @@ class TestTrajectoryCsv:
         assert peak <= 2 * len(text) + 4_000_000, (peak, len(text))
 
 
+class TestRunWriter:
+    """``simulate`` and ``hi-flow`` write through one run writer."""
+
+    RUNS = {
+        "complex": ["simulate", "--frame=complex", "--method=rk4", "--dt=0.01", "--t-end=0.5"],
+        "darboux": ["simulate", "--frame=darboux", "--method=rk4", "--dt=0.01", "--t-end=0.5"],
+        "both": ["simulate", "--frame=both", "--method=rk4", "--dt=0.01", "--t-end=0.5"],
+        "hi-flow": ["hi-flow", "--d-eps=0.01", "--eps-end=0.5"],
+    }
+    SHARED = {"command", "potential", "mass", "seed", "drift_Hr", "drift_Hi",
+              "terminated_by", "n_steps", "samples"}
+
+    def write(self, name, tmp_path):
+        out = tmp_path / f"{name}.csv"
+        assert run([*self.RUNS[name], "--potential=i*z^3", "--z0=0.3+0.2i",
+                    "--p0=0.5-0.1i", f"--out={out}"]) == 0
+        return out
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_one_csv_two_writes(self, name, tmp_path, monkeypatch):
+        # the benchmark's tracer counts these names on the cli module
+        import holomech.cli as cli
+
+        calls = []
+        for fn_name in ("trajectory_csv", "write_text_atomic"):
+            fn = getattr(cli, fn_name)
+            monkeypatch.setattr(cli, fn_name, lambda *a, _fn=fn, _name=fn_name:
+                                calls.append(_name) or _fn(*a))
+        self.write(name, tmp_path)
+        assert calls == ["trajectory_csv", "write_text_atomic", "write_text_atomic"]
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_shared_run_fields(self, name, tmp_path, capsys):
+        out = self.write(name, tmp_path)
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert self.SHARED <= summary.keys()
+        assert summary["command"] == self.RUNS[name][0]
+        assert summary["potential"] == "i*z^3" and summary["seed"] == holomech.cli.default_seed()
+        assert summary["terminated_by"] == "t_end"
+        assert summary["samples"] == len(read_csv(out))
+        assert capsys.readouterr().out.startswith(f"wrote {out} ({summary['samples']} samples)")
+
+
+class TestJsonText:
+    def test_golden(self):
+        obj = {"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-3),
+               "u8": np.uint8(200), "b": np.bool_(True), "arr": np.array([1.5, -0.0, 1e300]),
+               "grid": np.arange(4).reshape(2, 2), "carr": np.array([1 + 2j, -0.5j]),
+               "c128": np.complex128(1.5 - 0.25j), "c": 2j,
+               "tup": (1, np.float64(2.5), (np.int32(4), "x")), "none": None}
+        assert output.json_text(obj) == (
+            '{\n  "arr": [\n    1.5,\n    -0.0,\n    1e+300\n  ],\n  "b": true,\n'
+            '  "c": [\n    0.0,\n    2.0\n  ],\n  "c128": [\n    1.5,\n    -0.25\n  ],\n'
+            '  "carr": [\n    [\n      1.0,\n      2.0\n    ],\n    [\n      -0.0,\n'
+            '      -0.5\n    ]\n  ],\n  "f32": 0.10000000149011612,\n  "f64": 0.1,\n'
+            '  "grid": [\n    [\n      0,\n      1\n    ],\n    [\n      2,\n      3\n'
+            '    ]\n  ],\n  "i64": -3,\n  "none": null,\n  "tup": [\n    1,\n    2.5,\n'
+            '    [\n      4,\n      "x"\n    ]\n  ],\n  "u8": 200\n}\n')
+
+    def test_unknown_object_raises(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            output.json_text({"x": object()})
+
+
 class TestVerifyTable1:
     def test_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -478,6 +542,18 @@ class TestConstrain:
         assert report["status"] == "unsolvable" and "x2" not in report
         assert captured.err.startswith("constrain: ")
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--x1", "--p1", "--p2"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_argument_exit_1(self, flag, value, capsys):
+        # a usage error with one line, not a "solved" report with NaN in it
+        argv = {"--x1": "1", "--p1": "1", "--p2": "0", flag: value}
+        code = run(["constrain", "--potential", "i*z", *(f"{k}={v}" for k, v in argv.items())])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("holomech: error:") and "finite" in captured.err
 
     @pytest.mark.parametrize("potential, x1", [("exp(z)", "1e4"), ("sin(z*z*z*z*z)", "1e70")])
     def test_overflowing_potential_exit_1(self, potential, x1, capsys):

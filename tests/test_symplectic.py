@@ -41,15 +41,6 @@ J0 = 0.5 * np.array([
 ], dtype=float)
 
 
-def random_params(rng, margin=0.05):
-    while True:
-        a, b = rng.uniform(-2, 2, size=2)
-        alpha = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        p = SymplecticParams(float(a), float(b), alpha)
-        if abs(p.degeneracy_defect) > margin:
-            return p
-
-
 # Fields and maps the tests build from the package's: the coordinate
 # functions, H_r and H_i with exact gradients, central-difference gradients
 # of any function, the block normal form of a frame and the Darboux map
@@ -140,7 +131,7 @@ class TestStructureMatrices:
 
     def test_real_J_antisymmetric_exactly(self, rng):
         for _ in range(50):
-            J = build_real_J(random_params(rng))
+            J = build_real_J(sample_params(rng))
             assert np.array_equal(J, -J.T)
 
     def test_degeneracy_flag(self):
@@ -172,7 +163,7 @@ class TestEigenMagnitudes:
 
     def test_matches_textbook_formula(self, rng):
         for _ in range(100):
-            p = random_params(rng)
+            p = sample_params(rng)
             s = abs(p.alpha) ** 2
             A = p.a**2 + p.b**2 + 2 * (s + 1)
             B = math.sqrt(((p.a + p.b) ** 2 + 4) * ((p.a - p.b) ** 2 + 4 * s))
@@ -184,12 +175,12 @@ class TestEigenMagnitudes:
 
     def test_ordering_and_positivity(self, rng):
         for _ in range(100):
-            rp, rm = eigenvalue_magnitudes(random_params(rng))
+            rp, rm = eigenvalue_magnitudes(sample_params(rng))
             assert rp >= rm >= 0.0
 
     def test_eigenvalues_of_J_are_pm_i_r(self, rng):
         for _ in range(30):
-            p = random_params(rng)
+            p = sample_params(rng)
             J = build_real_J(p)
             rp, rm = eigenvalue_magnitudes(p)
             eig = np.sort(np.abs(np.linalg.eigvals(J).imag))
@@ -198,7 +189,7 @@ class TestEigenMagnitudes:
 
     def test_det_equals_product_squared(self, rng):
         for _ in range(100):
-            p = random_params(rng)
+            p = sample_params(rng)
             J = build_real_J(p)
             rp, rm = eigenvalue_magnitudes(p)
             assert np.linalg.det(J) == pytest.approx((rp * rm) ** 2, rel=1e-8)
@@ -247,7 +238,7 @@ class TestBrackets:
         f = fd_field(lambda w: math.sin(w[0]) * w[3] + w[1] ** 2)
         g = fd_field(lambda w: math.cosh(w[2]) - w[0] * w[1])
         for _ in range(20):
-            p = random_params(rng)
+            p = sample_params(rng)
             J = build_real_J(p)
             w = rng.uniform(-2, 2, size=4)
             ab = bracket(f, g, J, w)
@@ -259,7 +250,7 @@ class TestBrackets:
         hr = hamiltonian_real_field(spec)
         hi = hamiltonian_imag_field(spec)
         x = coordinate_field(0)
-        J = build_real_J(random_params(rng))
+        J = build_real_J(sample_params(rng))
         w = rng.uniform(-2, 2, size=4)
         lhs = bracket(x, ScalarField(
             func=lambda v: 2.0 * hr.func(v) - 3.0 * hi.func(v),
@@ -273,7 +264,7 @@ class TestBrackets:
             hr = hamiltonian_real_field(spec)
             hi = hamiltonian_imag_field(spec)
             for _ in range(10):
-                p = random_params(rng)
+                p = sample_params(rng)
                 J = build_real_J(p)
                 w = rng.uniform(-2, 2, size=4)
                 assert bracket(hr, hi, J, w).imag == 0.0
@@ -297,7 +288,7 @@ class TestCompatibility:
     def test_parameter_independence_all_builtins(self, builtin_specs, rng):
         for spec in builtin_specs.values():
             for _ in range(100):
-                p = random_params(rng)
+                p = sample_params(rng)
                 w = rng.uniform(-2, 2, size=4)
                 rep = verify_compatibility(p, spec, w)
                 assert rep["passed"], (spec.source, p)
@@ -349,7 +340,7 @@ class TestDarbouxFrame:
 
     def test_random_params_residuals(self, rng):
         for _ in range(100):
-            p = random_params(rng)
+            p = sample_params(rng)
             frame = darboux_frame(p)
             res = frame_residuals(frame, build_real_J(p))
             assert res["block_form"] <= 1e-10
@@ -366,20 +357,20 @@ class TestDarbouxFrame:
 
     def test_block_entries_positive(self, rng):
         for _ in range(20):
-            p = random_params(rng)
+            p = sample_params(rng)
             frame = darboux_frame(p)
             Jp = frame.S.T @ build_real_J(p) @ frame.S
             assert Jp[0, 1] == pytest.approx(frame.r_plus, rel=1e-12)
             assert Jp[2, 3] == pytest.approx(frame.r_minus, rel=1e-9)
 
     def test_frame_deterministic(self, rng):
-        p = random_params(rng)
+        p = sample_params(rng)
         f1 = darboux_frame(p)
         f2 = darboux_frame(p)
         assert np.array_equal(f1.S, f2.S)
 
     def test_map_roundtrip(self, rng):
-        p = random_params(rng)
+        p = sample_params(rng)
         frame = darboux_frame(p)
         for _ in range(20):
             w = rng.uniform(-2, 2, size=4)
@@ -389,7 +380,7 @@ class TestDarbouxFrame:
     def test_mapped_coordinates_are_canonical(self, rng):
         # M J M^T = J_st for the linear map M = D^{-1/2} S^T
         for _ in range(30):
-            p = random_params(rng)
+            p = sample_params(rng)
             frame = darboux_frame(p)
             J = build_real_J(p)
             D = np.diag(_scale(frame))
