@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -151,13 +152,7 @@ _ENTIRE_FUNCS: dict[str, Callable[[complex], complex]] = {
 }
 
 # The same functions as ufuncs over complex arrays, for compile_potential.
-ARRAY_FUNCS: dict[str, Callable] = {
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-}
+ARRAY_FUNCS: dict[str, Callable] = {name: getattr(np, name) for name in _ENTIRE_FUNCS}
 
 # Recognized names that are *not* entire, so the error can explain why.
 _NON_ENTIRE_FUNCS = {
@@ -230,7 +225,7 @@ def make_quotient(num: Expr, den: Expr) -> Expr:
         raise PotentialOverflowError(
             "constant denominator overflows double precision")
     if den.value == _ZERO:
-        raise ZeroDivisionError("division by zero constant")
+        raise ZeroDivisionError("division by zero")
     if isinstance(num, Const):
         return Const(num.value / den.value)
     if den.value == _ONE:
@@ -246,7 +241,10 @@ def make_power(base: Expr, exponent: int) -> Expr:
     if isinstance(base, Const):
         if exponent < 0 and base.value == _ZERO:
             raise ZeroDivisionError("zero raised to a negative power")
-        return Const(base.value ** exponent)
+        try:
+            return Const(base.value ** exponent)
+        except OverflowError:
+            raise OverflowError("constant power overflows double precision") from None
     if exponent < 0:
         raise UnsupportedFunctionError(
             "negative power of a z-dependent expression has a pole and is not entire")
@@ -267,8 +265,8 @@ def make_call(func: str, arg: Expr) -> Expr:
     if isinstance(arg, Const):
         try:
             return Const(_ENTIRE_FUNCS[func](arg.value))
-        except OverflowError:
-            pass  # leave unfolded; overflow surfaces at evaluation time
+        except (OverflowError, ValueError):  # ValueError: cmath of an infinity
+            pass  # leave unfolded; parse_potential or evaluation reports it
     return Call(func, arg)
 
 
@@ -276,48 +274,42 @@ def make_call(func: str, arg: Expr) -> Expr:
 # Tokenizer and recursive-descent parser
 # --------------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+# One match per token: a decimal literal, a name, an operator, or any other
+# character that is not whitespace, which is an error.  Whitespace matches no
+# alternative, so finditer skips it.
+_TOKEN = re.compile(r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|\S")
+
+# What a node constructor raises, as the parser reports it.
+_LOCATED_ERRORS = {ZeroDivisionError: PotentialSyntaxError,
+                   OverflowError: PotentialOverflowError}
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(("number", float(text[i:j]), i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        elif ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-        else:
-            raise PotentialSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+    for m in _TOKEN.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind is None:
+            raise PotentialSyntaxError(f"unexpected character {value!r}", pos)
+        tokens.append((kind, float(value) if kind == "number" else value, pos))
+    tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _located(pos: int, make: Callable[..., Expr], *args) -> Expr:
+    """``make(*args)`` for a node constructor, its error raised again as a
+    PotentialError at position ``pos`` of the text."""
+    try:
+        return make(*args)
+    except (ZeroDivisionError, OverflowError, PotentialError) as exc:
+        raise _LOCATED_ERRORS.get(type(exc), type(exc))(str(exc), pos) from None
+
+
+def _finite(value: float, pos: int) -> float:
+    """A number literal's value; PotentialOverflowError where it is not finite."""
+    if not math.isfinite(value):
+        raise PotentialOverflowError("number overflows double precision", pos)
+    return value
 
 
 class _Parser:
@@ -364,45 +356,21 @@ class _Parser:
     def term(self) -> Expr:
         node = self.factor()
         while (op := self._match_op("*/")) is not None:
-            _, _, pos = self._peek()
-            rhs = self.factor()
-            if op == "*":
-                node = make_product(node, rhs)
-            else:
-                if _contains_z(rhs):
-                    raise UnsupportedFunctionError(
-                        "division by a z-dependent expression introduces poles; "
-                        "only quotients by constants are entire", pos)
-                try:
-                    node = make_quotient(node, rhs)
-                except ZeroDivisionError:
-                    raise PotentialSyntaxError("division by zero", pos) from None
+            make = make_product if op == "*" else make_quotient
+            node = _located(self._peek()[2], make, node, self.factor())
         return node
 
     def factor(self) -> Expr:
         node = self.base()
         if self._match_op("^"):
-            sign = 1
-            if self._match_op("-"):
-                sign = -1
+            sign = -1 if self._match_op("-") else 1
             kind, value, pos = self._next()
             if kind != "number":
                 raise PotentialSyntaxError("expected integer exponent after '^'", pos)
-            if not float(value).is_integer():  # type: ignore[arg-type]
+            if not _finite(value, pos).is_integer():  # type: ignore[arg-type]
                 raise UnsupportedFunctionError(
                     "fractional power is not entire (it has a branch cut)", pos)
-            exponent = sign * int(value)  # type: ignore[arg-type]
-            if exponent < 0 and not isinstance(node, Const):
-                raise UnsupportedFunctionError(
-                    "negative power of a z-dependent expression has a pole "
-                    "and is not entire", pos)
-            try:
-                node = make_power(node, exponent)
-            except ZeroDivisionError:
-                raise PotentialSyntaxError("zero raised to a negative power", pos) from None
-            except OverflowError:
-                raise PotentialOverflowError(
-                    f"constant power overflows double precision (at position {pos})") from None
+            node = _located(pos, make_power, node, sign * int(value))  # type: ignore[arg-type]
         return node
 
     def base(self) -> Expr:
@@ -417,7 +385,7 @@ class _Parser:
     def _atom(self) -> Expr:
         kind, value, pos = self._next()
         if kind == "number":
-            return Const(complex(value))  # type: ignore[arg-type]
+            return Const(complex(_finite(value, pos)))  # type: ignore[arg-type]
         if kind == "name":
             name = value  # type: ignore[assignment]
             if name == "i":

@@ -93,6 +93,16 @@ class TestSimulate:
         assert "potential error" in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("potential", ["sin(1e400)", "z^\u00b2"])
+    def test_rejected_literal_exit_1_one_line(self, potential, tmp_path, capsys):
+        code = run(["simulate", "--potential", potential,
+                    "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("holomech: potential error:")
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_step_failure_exit_2(self, tmp_path):
         code = run(["simulate", "--potential=-(z^4)", "--z0", "3",
                     "--t-end", "10", "--escape-radius", "1e300",

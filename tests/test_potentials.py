@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 from conftest import NON_CATALOG_SOURCES
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holomech import SystemSpec
@@ -39,7 +39,7 @@ from holomech.potentials import (
     split_real_imag,
     to_source,
 )
-from holomech.potentials import _ENTIRE_FUNCS, _checked
+from holomech.potentials import _ENTIRE_FUNCS, _checked, _tokenize
 
 
 def eval_checked(e, z):
@@ -147,6 +147,103 @@ class TestParse:
     def test_quotient_by_constant(self):
         e = parse_potential("z^2/2")
         assert e == Quotient(Power(Z(), 2), Const(2 + 0j))
+
+    @pytest.mark.parametrize("text, error, position", [
+        ("z^\u00b2", PotentialSyntaxError, 2),   # superscript two: a digit, not decimal
+        ("\u00b2", PotentialSyntaxError, 0),
+        ("\u00bd", PotentialSyntaxError, 0),     # vulgar half: numeric, not a digit
+        ("sin(1e400)", PotentialOverflowError, 4),
+        ("cos(1e308*10)", PotentialOverflowError, None),  # cos(inf) stays unfolded
+        ("(1e400)^0", PotentialOverflowError, 1),
+        ("z + 1e400^0", PotentialOverflowError, 4),
+        ("1e310h", PotentialOverflowError, 0),   # the first error in reading order
+        ("z^1e400", PotentialOverflowError, 2),
+        ("2^2000", PotentialOverflowError, 2),
+        ("z/exp(10000)", PotentialOverflowError, 2),
+        ("1e400*z", PotentialOverflowError, 0),
+    ])
+    def test_error_class_and_position(self, text, error, position):
+        with pytest.raises(error) as err:
+            parse_potential(text)
+        assert type(err.value) is error and err.value.position == position
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("z/0", PotentialSyntaxError, "division by zero (at position 2)"),
+        ("0^-1", PotentialSyntaxError, "zero raised to a negative power (at position 3)"),
+        ("1/z", UnsupportedFunctionError, "division by a z-dependent expression introduces "
+         "poles; only quotients by constants are entire (at position 2)"),
+        ("z^-2", UnsupportedFunctionError, "negative power of a z-dependent expression has "
+         "a pole and is not entire (at position 3)"),
+        ("2^2000", PotentialOverflowError,
+         "constant power overflows double precision (at position 2)"),
+    ])
+    def test_constructor_errors_at_operand(self, text, error, message):
+        # each rule lives in its node constructor; the parser adds the position
+        with pytest.raises(error) as err:
+            parse_potential(text)
+        assert type(err.value) is error and str(err.value) == message
+
+
+def _reference_tokenize(text):
+    """The hand-written tokenizer that preceded the regular expression; the
+    token oracle for text without numeric characters that are not decimal
+    digits (it passes those to ``float``)."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == ".":
+                j += 1
+                while j < n and text[j].isdigit():
+                    j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            tokens.append(("number", float(text[i:j]), i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+        elif ch in "+-*/^()":
+            tokens.append(("op", ch, i))
+            i += 1
+        else:
+            raise PotentialSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+def _token_outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except PotentialSyntaxError as exc:
+        return exc.position
+
+
+_grammar_pieces = st.sampled_from([*"z i+-*/^().eE_0123456789", "sin", "cosh", "1e400",
+                                   "\u00a0", "\u0663", "\uff11", "\u00e9", "$"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_grammar_pieces, max_size=16).map("".join), st.text(max_size=16)))
+def test_tokens_match_reference(text):
+    assume(not any(c.isnumeric() and not c.isdecimal() for c in text))
+    assert _token_outcome(_tokenize, text) == _token_outcome(_reference_tokenize, text)
 
 
 class TestEval:
