@@ -260,6 +260,8 @@ def _write_run(args, summary, traj, t, w_rows, xi_rows, hr, hi) -> int:
         "drift_Hi": traj.drift_hi,
         "terminated_by": traj.terminated_by,
         "n_steps": traj.n_steps,
+        "n_rhs": traj.n_rhs,
+        "n_rejected": traj.n_rejected,
         "samples": len(t),
     })
     write_text_atomic(args.out, trajectory_csv(t, w_rows, xi_rows, hr, hi))

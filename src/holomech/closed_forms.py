@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-# darboux_hamiltonian/darboux_invariant stay imported: perfbench/tracing.py patches them by name.
+# darboux_hamiltonian/darboux_invariant stay imported: perfbench/workloads.py patches them by name.
 from .hamiltonian import (
     SystemSpec,
     darboux_hamiltonian,

@@ -298,11 +298,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 def _located(pos: int, make: Callable[..., Expr], *args) -> Expr:
     """``make(*args)`` for a node constructor, its error raised again as a
-    PotentialError at position ``pos`` of the text."""
+    PotentialError at position ``pos`` of the text; a constant it folds to a
+    non-finite value raises PotentialOverflowError there too."""
     try:
-        return make(*args)
+        node = make(*args)
     except (ZeroDivisionError, OverflowError, PotentialError) as exc:
         raise _LOCATED_ERRORS.get(type(exc), type(exc))(str(exc), pos) from None
+    if isinstance(node, Const) and not cmath.isfinite(node.value):
+        raise PotentialOverflowError("constant overflows double precision", pos)
+    return node
 
 
 def _finite(value: float, pos: int) -> float:
@@ -349,8 +353,9 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while (op := self._match_op("+-")) is not None:
+            pos = self._peek()[2]
             rhs = self.term()
-            node = make_sum(node, rhs if op == "+" else make_neg(rhs))
+            node = _located(pos, make_sum, node, rhs if op == "+" else make_neg(rhs))
         return node
 
     def term(self) -> Expr:
@@ -427,9 +432,6 @@ def parse_potential(text: str) -> Expr:
         if depth > MAX_DEPTH:
             raise PotentialSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels")
         match node:
-            case Const(value) if not cmath.isfinite(value):
-                raise PotentialOverflowError(
-                    f"constant {value!r} is not finite in double precision")
             case Sum(l, r) | Product(l, r) | Quotient(l, r):
                 stack += ((l, depth + 1), (r, depth + 1))
             case Power(a, _) | Neg(a) | Call(_, a):

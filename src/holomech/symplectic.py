@@ -22,6 +22,10 @@ P+ = (J J^T - r-^2 I) / (r+^2 - r-^2), and P- = I - P+.  Gram-Schmidt over
 the projector columns in a fixed seed order then picks each plane's first
 basis vector (see ``darboux_frame``).  The compatibility check contracts
 the exact gradient rows of z, p and H with those six entries directly.
+Each call reads (a, b, alpha) once, through ``_structure``, the one home of
+the formulas for J, the degeneracy defect and r+-.  ``frame_residuals`` is
+one stacked BLAS pass that makes the same products as the plain numpy
+expressions ``S.T @ J @ S``, ``S.T @ S`` and ``M @ J @ M.T``, bit for bit.
 
 All operations are pure and matrices are freshly allocated, so parameter
 sweeps can run concurrently without shared state.
@@ -29,7 +33,6 @@ sweeps can run concurrently without shared state.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -95,8 +98,7 @@ class SymplecticParams:
     @property
     def degeneracy_defect(self) -> float:
         """|alpha|^2 - a b - 1; the structure is invertible iff this is nonzero."""
-        al = complex(self.alpha)
-        return al.real * al.real + al.imag * al.imag - self.a * self.b - 1.0
+        return _structure(self)[4]
 
     @property
     def is_degenerate(self) -> bool:
@@ -114,13 +116,6 @@ def sample_params(rng) -> SymplecticParams:
             return params
 
 
-def _as_params(params) -> SymplecticParams:
-    if isinstance(params, SymplecticParams):
-        return params
-    a, b, alpha = params
-    return SymplecticParams(float(a), float(b), complex(alpha))
-
-
 J_STANDARD = np.array([
     [0.0, 1.0, 0.0, 0.0],
     [-1.0, 0.0, 0.0, 0.0],
@@ -129,41 +124,67 @@ J_STANDARD = np.array([
 ])
 J_STANDARD.setflags(write=False)
 
-_EYE4 = np.eye(4)
-_EYE4.setflags(write=False)
+# What ``frame_residuals`` subtracts from S^T J S (before its four r+- entries),
+# M J M^T and S^T S.
+_TARGETS = np.stack((np.zeros((4, 4)), J_STANDARD, np.eye(4)))
+_TARGETS.setflags(write=False)
 
 
-def _j_rows(p: SymplecticParams) -> tuple[tuple[float, ...], ...]:
-    """The rows of the real J as float 4-tuples.
+def _structure(params) -> tuple:
+    """(a, b, Re alpha, Im alpha, defect, rows of J, r+, r-), each computed once.
 
-    Each lower entry is 0.0 - (upper entry), not its negation, so zero
-    entries carry the signs of ``upper - upper.T``.
+    The one place that reads the parameters and holds the formulas for the
+    entries of J, the degeneracy defect and the eigen-magnitudes (see
+    ``eigenvalue_magnitudes``).  The rows of the real J are float 4-tuples;
+    each lower entry is 0.0 - (upper entry), not its negation, so zero
+    entries carry the signs of ``upper - upper.T``.  Nothing here raises for
+    non-finite or huge parameters: they give inf or nan.
     """
-    al = complex(p.alpha)
-    j01, j02, j03 = 0.5 * (1.0 + al.real), 0.5 * (-p.a), 0.5 * (-al.imag)
-    j12, j13, j23 = 0.5 * (-al.imag), 0.5 * (-p.b), 0.5 * (-1.0 + al.real)
-    return ((0.0, j01, j02, j03),
+    if isinstance(params, SymplecticParams):
+        a, b, al = params.a, params.b, params.alpha
+    else:
+        a, b, al = params
+    a, b, al = float(a), float(b), complex(al)
+    ar, ai = al.real, al.imag
+    j01, j02, j03 = 0.5 * (1.0 + ar), 0.5 * (-a), 0.5 * (-ai)
+    j12, j13, j23 = 0.5 * (-ai), 0.5 * (-b), 0.5 * (-1.0 + ar)
+    rows = ((0.0, j01, j02, j03),
             (0.0 - j01, 0.0, j12, j13),
             (0.0 - j02, 0.0 - j12, 0.0, j23),
             (0.0 - j03, 0.0 - j13, 0.0 - j23, 0.0))
+    s = ar * ar + ai * ai
+    defect = s - a * b - 1.0
+    A = a * a + b * b + 2.0 * (s + 1.0)
+    total, diff = a + b, a - b
+    B = math.sqrt((total * total + 4.0) * (diff * diff + 4.0 * s))
+    r_plus = math.sqrt((A + B) / 8.0)
+    r_minus = abs(defect) / math.sqrt(2.0 * (A + B))
+    return a, b, ar, ai, defect, rows, r_plus, r_minus
 
 
-def _checked_j_rows(params) -> tuple[SymplecticParams, tuple[tuple[float, ...], ...]]:
-    """Validated parameters and the rows of their invertible J.
+def _checked_structure(params) -> tuple:
+    """``_structure`` of parameters with an invertible J.
 
     Raises ValueError for a non-finite a, b or alpha and
     DegenerateStructureError when |alpha|^2 - ab = 1 (within tolerance).
     """
-    p = _as_params(params)
-    al = complex(p.alpha)
-    if not (math.isfinite(p.a) and math.isfinite(p.b) and cmath.isfinite(al)):
-        raise ValueError(f"structure parameters must be finite: a={p.a:g} "
-                         f"b={p.b:g} alpha={al.real:g}{al.imag:+g}i")
-    if p.is_degenerate:
+    st = _structure(params)
+    a, b, ar, ai, defect = st[:5]
+    if not (math.isfinite(a) and math.isfinite(b)
+            and math.isfinite(ar) and math.isfinite(ai)):
+        raise ValueError(f"structure parameters must be finite: a={a:g} "
+                         f"b={b:g} alpha={ar:g}{ai:+g}i")
+    if abs(defect) <= DEGENERACY_TOL:
         raise DegenerateStructureError(
             f"|alpha|^2 - a*b = 1 within {DEGENERACY_TOL:g} "
-            f"(defect {p.degeneracy_defect:.3e}); structure not invertible")
-    return p, _j_rows(p)
+            f"(defect {defect:.3e}); structure not invertible")
+    return st
+
+
+def _checked_j_rows(params) -> tuple[SymplecticParams, tuple[tuple[float, ...], ...]]:
+    """Validated parameters and the rows of their invertible J."""
+    a, b, ar, ai, _, rows = _checked_structure(params)[:6]
+    return SymplecticParams(a, b, complex(ar, ai)), rows
 
 
 def build_real_J(params) -> np.ndarray:
@@ -173,7 +194,7 @@ def build_real_J(params) -> np.ndarray:
     DegenerateStructureError when |alpha|^2 - ab = 1 (within tolerance),
     where the matrix is not invertible.
     """
-    return np.array(_checked_j_rows(params)[1])
+    return np.array(_checked_structure(params)[5], dtype=float)
 
 
 def eigenvalue_magnitudes(params) -> tuple[float, float]:
@@ -192,16 +213,7 @@ def eigenvalue_magnitudes(params) -> tuple[float, float]:
     degeneracy defect does.  Squares are products, so huge parameters give
     inf or nan here instead of raising OverflowError.
     """
-    p = _as_params(params)
-    a, b = p.a, p.b
-    al = complex(p.alpha)
-    s = al.real * al.real + al.imag * al.imag
-    A = a * a + b * b + 2.0 * (s + 1.0)
-    total, diff = a + b, a - b
-    B = math.sqrt((total * total + 4.0) * (diff * diff + 4.0 * s))
-    r_plus = math.sqrt((A + B) / 8.0)
-    r_minus = abs(p.degeneracy_defect) / math.sqrt(2.0 * (A + B))
-    return r_plus, r_minus
+    return _structure(params)[6:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,15 +262,13 @@ def darboux_frame(params) -> DarbouxFrame:
     DegenerateStructureError on (or within tolerance of) the degenerate
     surface.
     """
-    p, J = _checked_j_rows(params)
+    a, b, ar, ai, _, J, r_plus, r_minus = _checked_structure(params)
     ((j00, j01, j02, j03), (j10, j11, j12, j13),
      (j20, j21, j22, j23), (j30, j31, j32, j33)) = J
-    r_plus, r_minus = eigenvalue_magnitudes(p)
     if not (math.isfinite(r_plus) and math.isfinite(r_minus)):
-        al = complex(p.alpha)
         raise ValueError(f"eigen-magnitudes r+ = {r_plus:g}, r- = {r_minus:g} "
-                         f"are not finite for a={p.a:g} b={p.b:g} "
-                         f"alpha={al.real:g}{al.imag:+g}i")
+                         f"are not finite for a={a:g} b={b:g} "
+                         f"alpha={ar:g}{ai:+g}i")
     if r_minus <= DEGENERACY_TOL:
         raise DegenerateStructureError(
             f"r_minus = {r_minus:.3e} <= {DEGENERACY_TOL:g}; no Darboux frame")
@@ -323,29 +333,30 @@ def darboux_frame(params) -> DarbouxFrame:
                         -(j20 * x0 + j21 * x1 + j22 * x2 + j23 * x3) / r,
                         -(j30 * x0 + j31 * x1 + j32 * x2 + j33 * x3) / r))
 
-    return DarbouxFrame(np.array(columns).T, r_plus, r_minus)
+    return DarbouxFrame(np.array(columns, dtype=float).T, r_plus, r_minus)
 
 
 def frame_residuals(frame: DarbouxFrame, J: np.ndarray) -> dict:
     """Max-norm residuals of the three defining frame properties: S^T J S
     is the block normal form of ``DarbouxFrame``, S^T S = I and
-    M J M^T = J_STANDARD for the linear map M = D^{-1/2} S^T."""
+    M J M^T = J_STANDARD for the linear map M = D^{-1/2} S^T.  X = [S^T; M]
+    gives S^T J S and M J M^T from two matmuls, S^T S from a third."""
     r_plus, r_minus = frame.r_plus, frame.r_minus
     S = frame.S
     ST = S.T
-    block = ST @ J @ S
-    block[0, 1] -= r_plus
-    block[1, 0] += r_plus
-    block[2, 3] -= r_minus
-    block[3, 2] += r_minus
-    lin = ST.copy()
-    lin[:2] *= 1.0 / math.sqrt(r_plus)
-    lin[2:] *= 1.0 / math.sqrt(r_minus)
-    return {
-        "block_form": float(abs(block).max()),
-        "orthogonality": float(abs(ST @ S - _EYE4).max()),
-        "canonicity": float(abs(lin @ J @ lin.T - J_STANDARD).max()),
-    }
+    inv_p, inv_m = 1.0 / math.sqrt(r_plus), 1.0 / math.sqrt(r_minus)
+    X = np.multiply(ST, np.array((1.0, 1.0, 1.0, 1.0, inv_p, inv_p, inv_m, inv_m), dtype=float)
+                    .reshape(2, 4, 1))
+    R = np.empty((3, 4, 4))
+    np.matmul(X @ J, X.transpose(0, 2, 1), out=R[:2])
+    np.matmul(ST, S, out=R[2])
+    R -= _TARGETS
+    R[0, 0, 1] -= r_plus
+    R[0, 1, 0] += r_plus
+    R[0, 2, 3] -= r_minus
+    R[0, 3, 2] += r_minus
+    block, canon, orth = np.abs(R, out=R).reshape(3, 16).max(axis=1).tolist()
+    return {"block_form": block, "orthogonality": orth, "canonicity": canon}
 
 
 # --------------------------------------------------------------------------
@@ -415,19 +426,17 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
     structure parameters; both must be within RESIDUAL_LIMITS (1e-10) for
     the report to pass.  Failures (and degeneracy) are reported, never raised.
     """
-    p = _as_params(params)
+    a, b, ar, ai, defect, J, r_plus, r_minus = _structure(params)
     w = np.asarray(w, dtype=float)
+    degenerate = abs(defect) <= DEGENERACY_TOL
     report: dict = {
-        "params": {"a": p.a, "b": p.b,
-                   "alpha_re": complex(p.alpha).real,
-                   "alpha_im": complex(p.alpha).imag},
-        "degenerate": p.is_degenerate,
+        "params": {"a": a, "b": b, "alpha_re": ar, "alpha_im": ai},
+        "degenerate": degenerate,
         "tolerance": RESIDUAL_LIMITS["position_equation"],
+        "r_plus": r_plus,
+        "r_minus": r_minus,
     }
-    r_plus, r_minus = eigenvalue_magnitudes(p)
-    report["r_plus"] = r_plus
-    report["r_minus"] = r_minus
-    if p.is_degenerate:
+    if degenerate:
         report["residuals"] = None
         report["passed"] = False
         return report
@@ -441,7 +450,7 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
     dv = spec.dv(complex(w[0], w[2]))
     p_over_m = complex(w[1], w[3]) / spec.mass
     g_h = (dv, p_over_m, 1j * dv, 1j * p_over_m)
-    jg0, jg1, jg2, jg3 = (_dot(row, g_h) for row in _j_rows(p))
+    jg0, jg1, jg2, jg3 = _dot(J[0], g_h), _dot(J[1], g_h), _dot(J[2], g_h), _dot(J[3], g_h)
     res_z = abs(jg0 + 1j * jg2 - p_over_m)
     res_p = abs(jg1 + 1j * jg3 + dv)
     report["residuals"] = {"position_equation": res_z, "momentum_equation": res_p}

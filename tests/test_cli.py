@@ -298,7 +298,7 @@ class TestRunWriter:
         "hi-flow": ["hi-flow", "--d-eps=0.01", "--eps-end=0.5"],
     }
     SHARED = {"command", "potential", "mass", "seed", "drift_Hr", "drift_Hi",
-              "terminated_by", "n_steps", "samples"}
+              "terminated_by", "n_steps", "n_rhs", "n_rejected", "samples"}
 
     def write(self, name, tmp_path):
         out = tmp_path / f"{name}.csv"
@@ -329,6 +329,26 @@ class TestRunWriter:
         assert summary["terminated_by"] == "t_end"
         assert summary["samples"] == len(read_csv(out))
         assert capsys.readouterr().out.startswith(f"wrote {out} ({summary['samples']} samples)")
+
+
+    @pytest.mark.parametrize("argv, rhs_per_step", [
+        (["simulate", "--frame=complex", "--method=rk4", "--dt=0.01", "--t-end=0.5"], 4),
+        (["simulate", "--frame=both", "--method=rk4", "--dt=0.01", "--t-end=0.5"], 4),
+        (["hi-flow", "--d-eps=0.01", "--eps-end=0.5"], 4),
+        (["simulate", "--frame=complex", "--method=rk45", "--t-end=3"], 6),
+        (["simulate", "--frame=darboux", "--method=rk45", "--t-end=3"], 6),
+    ])
+    def test_field_evaluation_counts(self, argv, rhs_per_step, tmp_path):
+        # rk4: 1 + 4 n_steps; rk45 (FSAL): 1 + 6 per attempted step
+        out = tmp_path / "run.csv"
+        assert run([*argv, "--potential=i*z^3", "--z0=0.3+0.2i", "--p0=0.5-0.1i",
+                    f"--out={out}"]) == 0
+        summary = json.loads(out.with_suffix(".json").read_text())
+        attempted = summary["n_steps"] + summary["n_rejected"]
+        assert summary["n_steps"] > 0
+        assert summary["n_rhs"] == 1 + rhs_per_step * attempted
+        if rhs_per_step == 4:
+            assert summary["n_rejected"] == 0
 
 
 class TestJsonText:

@@ -153,7 +153,12 @@ class TestParse:
         ("\u00b2", PotentialSyntaxError, 0),
         ("\u00bd", PotentialSyntaxError, 0),     # vulgar half: numeric, not a digit
         ("sin(1e400)", PotentialOverflowError, 4),
-        ("cos(1e308*10)", PotentialOverflowError, None),  # cos(inf) stays unfolded
+        ("cos(1e308*10)", PotentialOverflowError, 10),   # the product's fold, not cos(inf)
+        ("z+1e308*10", PotentialOverflowError, 8),
+        ("1e308*10-1e308*10", PotentialOverflowError, 6),  # the first fold to overflow
+        ("1e308+1e308", PotentialOverflowError, 6),
+        ("1e308/1e-308", PotentialOverflowError, 6),
+        ("(1e200+1e200*i)*(1e200+1e200*i)", PotentialOverflowError, 16),  # nan real part
         ("(1e400)^0", PotentialOverflowError, 1),
         ("z + 1e400^0", PotentialOverflowError, 4),
         ("1e310h", PotentialOverflowError, 0),   # the first error in reading order

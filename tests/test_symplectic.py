@@ -619,6 +619,174 @@ class TestStructureOracles:
         assert worst <= 1e-12, float(worst)
 
 
+def _reference_compatibility(params, spec, w):
+    """verify_compatibility as it stood when it unpacked the parameters
+    through SymplecticParams, ``eigenvalue_magnitudes`` and the J rows on
+    each use, with those helpers inlined verbatim; the whole-report oracle."""
+    if not isinstance(params, SymplecticParams):
+        a, b, alpha = params
+        params = SymplecticParams(float(a), float(b), complex(alpha))
+    p = params
+
+    def defect():
+        al = complex(p.alpha)
+        return al.real * al.real + al.imag * al.imag - p.a * p.b - 1.0
+
+    def j_rows():
+        al = complex(p.alpha)
+        j01, j02, j03 = 0.5 * (1.0 + al.real), 0.5 * (-p.a), 0.5 * (-al.imag)
+        j12, j13, j23 = 0.5 * (-al.imag), 0.5 * (-p.b), 0.5 * (-1.0 + al.real)
+        return ((0.0, j01, j02, j03),
+                (0.0 - j01, 0.0, j12, j13),
+                (0.0 - j02, 0.0 - j12, 0.0, j23),
+                (0.0 - j03, 0.0 - j13, 0.0 - j23, 0.0))
+
+    w = np.asarray(w, dtype=float)
+    degenerate = abs(defect()) <= DEGENERACY_TOL
+    report = {
+        "params": {"a": p.a, "b": p.b,
+                   "alpha_re": complex(p.alpha).real,
+                   "alpha_im": complex(p.alpha).imag},
+        "degenerate": degenerate,
+        "tolerance": 1e-10,
+    }
+    a, b = p.a, p.b
+    al = complex(p.alpha)
+    s = al.real * al.real + al.imag * al.imag
+    A = a * a + b * b + 2.0 * (s + 1.0)
+    total, diff = a + b, a - b
+    B = math.sqrt((total * total + 4.0) * (diff * diff + 4.0 * s))
+    r_plus = math.sqrt((A + B) / 8.0)
+    r_minus = abs(defect()) / math.sqrt(2.0 * (A + B))
+    report["r_plus"] = r_plus
+    report["r_minus"] = r_minus
+    if degenerate:
+        report["residuals"] = None
+        report["passed"] = False
+        return report
+    if r_minus < 1e-6:
+        report["warning"] = (f"r_minus = {r_minus:.3e} < 1e-06: near-degenerate "
+                             "structure, results may be ill-conditioned")
+    dv = spec.dv(complex(w[0], w[2]))
+    p_over_m = complex(w[1], w[3]) / spec.mass
+    g_h = (dv, p_over_m, 1j * dv, 1j * p_over_m)
+    jg0, jg1, jg2, jg3 = (_dot(row, g_h) for row in j_rows())
+    res_z = abs(jg0 + 1j * jg2 - p_over_m)
+    res_p = abs(jg1 + 1j * jg3 + dv)
+    report["residuals"] = {"position_equation": res_z, "momentum_equation": res_p}
+    report["passed"] = res_z <= 1e-10 and res_p <= 1e-10
+    return report
+
+
+def _near_degenerate_params(rng):
+    """|alpha|^2 - ab - 1 = defect for defects from 2e-12 to 1e-8: above the
+    degeneracy tolerance, with r- below the conditioning warning."""
+    out = []
+    for defect in (2e-12, 1e-11, 1e-10, 1e-9, 1e-8):
+        while True:
+            a, b, ai = rng.uniform(-1.0, 1.0, size=3)
+            radicand = 1.0 + a * b - ai * ai + defect
+            if radicand > 0.0:
+                out.append(SymplecticParams(float(a), float(b),
+                                            complex(math.sqrt(radicand), ai)))
+                break
+    return out
+
+
+class TestCompatibilityReport:
+    """The whole report, key for key and bit for bit (``repr`` of floats
+    round-trips and shows the sign of zero), against the reference above."""
+
+    @staticmethod
+    def assert_same(params, spec, w):
+        rep = verify_compatibility(params, spec, w)
+        ref = _reference_compatibility(params, spec, w)
+        assert repr(rep) == repr(ref), params
+        return rep
+
+    @pytest.mark.parametrize("mass", [0.5, 1.0])
+    def test_sampled(self, builtins_map, mass, rng):
+        for expr in builtins_map.values():
+            spec = SystemSpec(expr, mass)
+            for _ in range(100):
+                self.assert_same(sample_params(rng), spec, rng.uniform(-2.0, 2.0, size=4))
+
+    def test_near_degenerate_warning(self, builtin_specs, rng):
+        params = _near_degenerate_params(rng) + [SymplecticParams(0.0, 0.0, 1 + 1e-4j),
+                                                 SymplecticParams(0.0, 0.0, 1.00000001 + 0j)]
+        for p in params:
+            for spec in builtin_specs.values():
+                rep = self.assert_same(p, spec, rng.uniform(-2.0, 2.0, size=4))
+                assert "warning" in rep and rep["residuals"] is not None
+
+    @pytest.mark.parametrize("params", [(0.0, 0.0, 1j), (0.0, 0.0, 0.6 + 0.8j),
+                                        (0.0, 0.0, 1.0 + 2.0 ** -42), (2.0, -0.5, 0j),
+                                        SymplecticParams(1.0, 3.0, 2.0 + 0j)])
+    def test_exactly_degenerate(self, params, builtin_specs, rng):
+        for spec in builtin_specs.values():
+            rep = self.assert_same(params, spec, rng.uniform(-2.0, 2.0, size=4))
+            assert rep["degenerate"] and rep["residuals"] is None
+
+    def test_tuple_form(self, builtin_specs, rng):
+        specs = list(builtin_specs.values())
+        for k in range(60):
+            p = sample_params(rng)
+            spec = specs[k % len(specs)]
+            w = rng.uniform(-2.0, 2.0, size=4)
+            for params in ((p.a, p.b, p.alpha),
+                           [np.float64(p.a), np.float64(p.b), np.complex128(p.alpha)]):
+                self.assert_same(params, spec, w)
+                assert repr(verify_compatibility(params, spec, w)) == \
+                    repr(verify_compatibility(p, spec, w))
+
+    def test_non_finite_point(self, builtin_specs):
+        # the residuals keep the nan and inf of the reference arithmetic
+        p = SymplecticParams(0.3, -0.7, 0.2 - 0.4j)
+        for w in ([0.1, math.inf, 0.2, 0.0], [0.1, 0.0, 0.2, math.nan]):
+            self.assert_same(p, builtin_specs["iz3"], w)
+
+
+class TestStructureErrors:
+    """Error types and messages of ``darboux_frame`` and ``build_real_J``."""
+
+    FINITE = "structure parameters must be finite: "
+    DEGENERATE = "|alpha|^2 - a*b = 1 within 1e-12 (defect {}); structure not invertible"
+
+    @pytest.mark.parametrize("params, error, message", [
+        ((math.nan, 0.0, 0j), ValueError, FINITE + "a=nan b=0 alpha=0+0i"),
+        ((0.0, math.inf, 0j), ValueError, FINITE + "a=0 b=inf alpha=0+0i"),
+        ((-math.inf, 1.0, 0.5j), ValueError, FINITE + "a=-inf b=1 alpha=0+0.5i"),
+        ((0.0, 0.0, complex(math.nan, 0.0)), ValueError, FINITE + "a=0 b=0 alpha=nan+0i"),
+        ((0.3, -0.2, complex(0.1, math.inf)), ValueError,
+         FINITE + "a=0.3 b=-0.2 alpha=0.1+infi"),
+        ((0.0, 0.0, 1 + 0j), DegenerateStructureError, DEGENERATE.format("0.000e+00")),
+        ((0.0, 0.0, 0.6 + 0.8j), DegenerateStructureError, DEGENERATE.format("0.000e+00")),
+        ((0.0, 0.0, complex(1.0 + 2.0 ** -42, 0.0)), DegenerateStructureError,
+         DEGENERATE.format("4.547e-13")),
+    ])
+    @pytest.mark.parametrize("form", [tuple, lambda p: SymplecticParams(*p)])
+    @pytest.mark.parametrize("func", [darboux_frame, build_real_J])
+    def test_invalid_parameters(self, func, form, params, error, message):
+        with pytest.raises(error) as err:
+            func(form(params))
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("params, error, message", [
+        ((1e200, 0.0, 0j), ValueError,
+         "eigen-magnitudes r+ = inf, r- = 0 are not finite for a=1e+200 b=0 alpha=0+0i"),
+        ((0.0, 0.0, complex(1e200, 0.0)), ValueError,
+         "eigen-magnitudes r+ = inf, r- = nan are not finite for a=0 b=0 alpha=1e+200+0i"),
+        ((10.0, 0.1, complex(1.0, 1.0 + 2.0 ** -38)), DegenerateStructureError,
+         "r_minus = 3.533e-13 <= 1e-12; no Darboux frame"),
+    ])
+    def test_frame_only(self, params, error, message):
+        # J exists here; only its eigen-magnitudes rule out a frame
+        assert np.isfinite(build_real_J(params)).all()
+        with pytest.raises(error) as err:
+            darboux_frame(params)
+        assert type(err.value) is error and str(err.value) == message
+
+
 def _mp_residuals(mpmath, p, frame):
     """Residuals of the float frame against the exact J and r+-, at the
     working precision of ``mpmath``."""
