@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -248,6 +249,11 @@ def _both_frames(spec, z0, p0, xi0, cfg):
     return integrate_complex(spec, z0, p0, cfg), traj_d
 
 
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no NaN or infinity: a non-finite value is written as null."""
+    return x if math.isfinite(x) else None
+
+
 def _write_run(args, summary, traj, t, w_rows, xi_rows, hr, hi) -> int:
     """Add the shared run fields to ``summary``, write the CSV and then the
     summary, print the run's line; exit 0 if it ran to the end or escaped."""
@@ -256,8 +262,8 @@ def _write_run(args, summary, traj, t, w_rows, xi_rows, hr, hi) -> int:
         "potential": args.potential,
         "mass": args.mass,
         "seed": args.seed,
-        "drift_Hr": traj.drift_hr,
-        "drift_Hi": traj.drift_hi,
+        "drift_Hr": _finite_or_none(traj.drift_hr),
+        "drift_Hi": _finite_or_none(traj.drift_hi),
         "terminated_by": traj.terminated_by,
         "n_steps": traj.n_steps,
         "n_rhs": traj.n_rhs,

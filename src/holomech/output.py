@@ -6,7 +6,6 @@ import contextlib
 import functools
 import json
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +21,12 @@ def trajectory_csv(t, w_rows, xi_rows, hr, hi) -> str:
     it (17 significant digits, enough to round-trip a double), byte for byte.
 
     The table is rendered in blocks of ``_BLOCK_ROWS`` rows, so temporaries do
-    not grow with the sample count.  Cells with 1e-4 <= |x| < 1e17 are the ones
-    ``%.17g`` prints in fixed notation; their text is built in numpy (see
-    ``_fixed_rows``) without one float-to-text call per cell.  Every other cell
-    (±0, subnormal, tiny, huge, NaN, ±inf) becomes a ``%.17g`` field of the
-    block's text, filled by one ``%`` call per block.
+    not grow with the sample count and each stays small enough for the
+    allocator to reuse (see ``_BLOCK_ROWS``).  Cells with 1e-4 <= |x| < 1e17
+    are the ones ``%.17g`` prints in fixed notation; their text is built in
+    numpy (see ``_fixed_rows``) without one float-to-text call per cell.
+    Every other cell (±0, subnormal, tiny, huge, NaN, ±inf) becomes a
+    ``%.17g`` field of the block's text, filled by one ``%`` call per block.
     """
     t, w, xi, hr, hi = (np.asarray(c, dtype=float) for c in (t, w_rows, xi_rows, hr, hi))
     # one growing buffer, not a list of block strings to join: with the list,
@@ -39,10 +39,14 @@ def trajectory_csv(t, w_rows, xi_rows, hr, hi) -> str:
     return text.decode("ascii")
 
 
-# Rows per rendered block: at 512 the traced peak for a 2001-row table
-# (1.3 MB) stays under that of one %-format pass over it (1.5 MB), while the
-# fixed numpy cost per block stays small.
-_BLOCK_ROWS = 512
+# Rows per rendered block.  Every per-block temporary stays under glibc's
+# default 128 KiB mmap threshold, so the allocator reuses heap memory from
+# block to block instead of mapping fresh pages: at 256 rows (2816 cells) the
+# staging rows and the cell buffer take 24 bytes per cell (66 KiB each), the
+# digit-group indices 32 (88 KiB), a float or int64 array 8 (22 KiB).  At 512
+# rows three of them were over it, and a 1000-2000-row table took about 640
+# minor page faults instead of about 100.
+_BLOCK_ROWS = 256
 # Bytes per cell: the longest fixed-notation cell, "-0.000" and 17 digits
 # (23 bytes), then its separator.  Unused bytes stay NUL and are deleted.
 _WIDTH = 24
@@ -94,39 +98,55 @@ def _decimal(a):
     """Exponent X and 17-digit integer D of positive a in [1e-4, 1e17) as
     ``%.16e`` rounds it: a ~ D * 10**(X - 16), 10**16 <= D < 10**17."""
     x = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(x, -4, 16, out=x)
-    p, e = _scaled(a, 16 - x)
-    # log10 may put a value next to a power of ten one decade off; the
-    # comparisons are on the exact product p + e
-    step = ((p > 1e17) | ((p == 1e17) & (e >= 0))).view(np.int8) - (
-        (p < 1e16) | ((p == 1e16) & (e < 0)))
-    moved = np.flatnonzero(step)
+    np.maximum(x, -4, out=x)
+    np.minimum(x, 16, out=x)
+    d = _rounded(a, x)
+    # log10 may put a value next to a power of ten one decade off.  D falls
+    # outside [10**16, 10**17) exactly when the exact product does, since
+    # rounding never carries a product across either bound: that would need
+    # a double less than 5e-17 (relative) below a power 10**k, k = -4 .. 17,
+    # and 1 .. 1e17 are exact while the doubles nearest 1e-4 .. 1e-1 lie
+    # above those powers.  A product a decade low need not be an integer;
+    # truncated, its D still lies below 10**16, and it is recomputed.
+    moved = np.flatnonzero((d >= 10**17) | (d < 10**16))
     if moved.size:
-        x[moved] += step[moved]
-        p[moved], e[moved] = _scaled(a[moved], 16 - x[moved])
-    # p is an even integer (>= 2**53), so rounding e half to even rounds
-    # p + e half to even.  D never carries to 10**17: that would need a
-    # double within 5e-18 (relative) below 10**(X + 1), closer than half the
-    # spacing of doubles, and the doubles nearest 1e-3, 1e-2 and 1e-1 lie
-    # above those powers while 1 .. 1e17 are exact.
-    return x, p.astype(np.int64) + np.rint(e).astype(np.int64)
+        x[moved] += np.where(d[moved] >= 10**17, 1, -1)
+        d[moved] = _rounded(a[moved], x[moved])
+    return x, d
+
+
+def _rounded(a, x):
+    """a * 10**(16 - x) rounded half to even, as int64.
+
+    p + e is the exact product; p is an even integer (>= 2**53) when the
+    product lies in [10**16, 10**17), so rounding e half to even rounds
+    p + e half to even.
+    """
+    p, e = _scaled(a, 16 - x)
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 
 def _digit_text(d):
     """First digit of each D, and its other 16 digits as (n, 16) ASCII with
     the trailing zeros as NUL."""
-    top, low = np.divmod(d, 10 ** 8)
-    q = np.empty((5, d.size), np.intp)
-    lead, q[2] = np.divmod(top, 10000)
-    q[3], q[4] = np.divmod(low, 10000)
-    q[0], q[1] = np.divmod(lead, 10000)
+    # D = q0 10**16 + q1 10**12 + q2 10**8 + q3 10**4 + q4, each q < 10**4;
+    # floor division by a constant is much faster than np.divmod
+    top = d // 10**8
+    low = d - top * 10**8
+    lead = top // 10000
+    q = np.empty((d.size, 4), np.intp)
+    q[:, 1] = top - lead * 10000
+    q[:, 2] = low // 10000
+    q[:, 3] = low - q[:, 2] * 10000
+    first = lead // 10000
+    q[:, 0] = lead - first * 10000
     # a group followed only by zero groups takes its stripped text
-    q[4] += 10000
-    q[3] += (q[4] == 10000) * 10000
+    q[:, 3] += 10000
+    q[:, 2] += (q[:, 3] == 10000) * 10000
     tail = low == 0
-    q[2] += tail * 10000
-    q[1] += (tail & (q[2] == 10000)) * 10000
-    return q[0], _quad_text().take(q[1:].T).view(np.uint8)
+    q[:, 1] += tail * 10000
+    q[:, 0] += (tail & (q[:, 1] == 10000)) * 10000
+    return first, _quad_text().take(q).view(np.uint8)
 
 
 def _fixed_rows(cells, fast, rows):
@@ -204,15 +224,16 @@ def _json_default(obj):
 
 def write_text_atomic(path, text: str) -> None:
     """Write via a unique temp file, fsync and rename, so readers never see
-    partial output and concurrent writers never share a temp file."""
+    partial output and concurrent writers never share a temp file.
+
+    The temp file gets a random name beside ``path`` and is created with
+    mode 0o666, so the process umask applies as it would to a plain open.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            # mkstemp makes the file 0600; give it the mode a plain open would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())

@@ -182,6 +182,20 @@ class TestSimulate:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "out.csv", "out.csv.tmp", "out.json"]
 
+    @pytest.mark.parametrize("argv, code, drifts", [
+        # p0 = 1e200 overflows H_r at the only sample: the run escapes
+        (["simulate", "--potential=z^2", "--p0=1e200"], 0, ("drift_Hr",)),
+        # v = exp(800) overflows: the flow fails at its first step
+        (["hi-flow", "--potential=exp(z)", "--z0=800"], 2, ("drift_Hr", "drift_Hi")),
+    ])
+    def test_non_finite_drift_is_null(self, argv, code, drifts, tmp_path, capsys):
+        out = tmp_path / "nf.csv"
+        assert run([*argv, f"--out={out}"]) == code
+        text = out.with_suffix(".json").read_text()
+        summary = json.loads(text, parse_constant=lambda c: pytest.fail(c))
+        for key in ("drift_Hr", "drift_Hi"):
+            assert (summary[key] is None) == (key in drifts)
+
 
 class TestTrajectoryCsv:
     @staticmethod
@@ -349,6 +363,31 @@ class TestRunWriter:
         assert summary["n_rhs"] == 1 + rhs_per_step * attempted
         if rhs_per_step == 4:
             assert summary["n_rejected"] == 0
+
+
+class TestWriteTextAtomic:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_follows_umask_without_setting_it(self, umask, tmp_path, monkeypatch):
+        # another thread must never see the umask cleared, even briefly
+        path = tmp_path / "m.csv"
+        old = os.umask(umask)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(os, "umask", lambda *a: pytest.fail("os.umask called"))
+                output.write_text_atomic(path, "t\n0\n")
+        finally:
+            os.umask(old)
+        assert path.read_text() == "t\n0\n"
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(fd):
+            raise OSError("disk full")
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            output.write_text_atomic(tmp_path / "x.csv", "text")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonText:

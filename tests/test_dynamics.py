@@ -634,6 +634,155 @@ class TestDenseOutput:
         assert report.n_points == n_points
 
 
+# The interpolant and the union-grid report as they stood before the
+# report compared shared grids sample by sample and before the interpolant
+# gathered with take; the library must give their bits.
+
+def _union_hermite(ts, ys, ds, tq):
+    if len(ts) == 1:
+        return np.repeat(ys[:1], len(tq), axis=0)
+    if ts[-1] < ts[0]:
+        ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
+    i = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    flat = h == 0.0
+    s = (tq - ts[i]) / np.where(flat, 1.0, h)
+    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+    h10 = s * (1.0 - s) ** 2
+    h01 = s * s * (3.0 - 2.0 * s)
+    h11 = s * s * (s - 1.0)
+    rows = (h00[:, None] * ys[i] + (h * h10)[:, None] * ds[i]
+            + h01[:, None] * ys[i + 1] + (h * h11)[:, None] * ds[i + 1])
+    rows[flat] = ys[i[flat]]
+    return rows
+
+
+def _union_report(traj_complex, traj_darboux, tol=1e-6):
+    ta, tb = traj_complex.t, traj_darboux.t
+    span = max(abs(ta[-1]), abs(tb[-1]), 1.0)
+    if abs(ta[0] - tb[0]) > 1e-9 * span or abs(ta[-1] - tb[-1]) > 1e-9 * span:
+        raise GridMismatchError(
+            f"time ranges differ: [{ta[0]}, {ta[-1]}] vs [{tb[0]}, {tb[-1]}]")
+    lo = max(ta[0], tb[0])
+    hi = min(ta[-1], tb[-1])
+    grid = np.union1d(ta, tb)
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    if grid.size == 0:
+        return dyn.EquivalenceReport(max_deviation=0.0, tolerance=tol, passed=True,
+                                     n_points=0, t_worst=float(lo))
+    w = _union_hermite(ta, traj_complex.states, traj_complex.derivs, grid)
+    xi = _union_hermite(tb, traj_darboux.states, traj_darboux.derivs, grid)
+    dev = np.max(np.abs(w_to_darboux(w) - xi), axis=1)
+    dev[np.isnan(dev)] = 0.0
+    k = int(np.argmax(dev))
+    worst = float(dev[k])
+    return dyn.EquivalenceReport(max_deviation=worst, tolerance=tol,
+                                 passed=worst <= tol, n_points=int(grid.size),
+                                 t_worst=float(grid[k]))
+
+
+class TestPostKernelOracles:
+    """``equivalence_report`` and ``_hermite`` against the union-grid oracle."""
+
+    # real-axis starts give signed zeros in the states of both frames
+    STARTS = [(0.3 + 0.2j, 0.5 - 0.1j), (complex(0.7, -0.0), complex(-0.4, -0.0)),
+              (complex(-0.0, 0.5), 0.3 + 0j), (-0.5 - 0.25j, 0.1 + 0.9j)]
+
+    @staticmethod
+    def assert_same_report(tc, td):
+        new, old = equivalence_report(tc, td), _union_report(tc, td)
+        assert new.max_deviation.hex() == old.max_deviation.hex()
+        assert new.t_worst.hex() == old.t_worst.hex()
+        assert (new.n_points, new.passed, new.tolerance) == (
+            old.n_points, old.passed, old.tolerance)
+
+    @staticmethod
+    def pair(src, method, z0, p0, t_end=1.0, **kw):
+        spec = spec_for(src)
+        cfg = IntegratorConfig(method=method, dt=0.01, t_end=t_end, **kw)
+        return integrate_complex(spec, z0, p0, cfg), integrate_darboux(spec, xi_from(z0, p0), cfg)
+
+    @staticmethod
+    def count_hermite(monkeypatch):
+        calls = []
+        real = dyn._hermite
+        monkeypatch.setattr(dyn, "_hermite", lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("method", ["rk4", "split"])
+    @pytest.mark.parametrize("src", list(BUILTIN_SOURCES.values()))
+    def test_shared_grid_report_matches_union_grid(self, src, method, monkeypatch):
+        calls = self.count_hermite(monkeypatch)
+        for z0, p0 in self.STARTS:
+            tc, td = self.pair(src, method, z0, p0)
+            assert tc.t.tobytes() == td.t.tobytes()
+            self.assert_same_report(tc, td)
+        assert calls == []  # compared sample by sample
+
+    def test_signed_zeros_reach_both_frames(self):
+        tc, td = self.pair("z^2", "rk4", *self.STARTS[1])
+        for states in (tc.states, td.states):
+            assert (np.signbit(states) & (states == 0.0)).any()
+
+    @pytest.mark.parametrize("method", ["rk4", "split"])
+    def test_step_failure_run(self, method):
+        tc, td = self.pair("-(z^4)", method, 3 + 0j, 0j, t_end=10.0, escape_radius=1e300)
+        assert tc.terminated_by == td.terminated_by == "step_failure"
+        self.assert_same_report(tc, td)
+
+    @pytest.mark.parametrize("method", ["rk4", "split", "rk45"])
+    def test_single_sample_run(self, method):
+        tc, td = self.pair("i*sin(z)", method, 0.2 + 0.1j, 1 + 0j, t_end=0.0)
+        assert len(tc.t) == 1
+        self.assert_same_report(tc, td)
+
+    def test_repeated_time_keeps_union_grid(self, monkeypatch):
+        calls = self.count_hermite(monkeypatch)
+        tc, _ = self.pair("i*z^3", "rk4", 0.3 + 0.2j, 0.5 - 0.1j, t_end=0.1)
+        keep = np.r_[0:5, 4, 5:len(tc.t)]  # sample 4 twice: a zero-length interval
+        tc = dyn.Trajectory(frame="complex", t=tc.t[keep], states=tc.states[keep],
+                            derivs=tc.derivs[keep], hr=tc.hr[keep], hi=tc.hi[keep],
+                            terminated_by="t_end", n_steps=tc.n_steps)
+        td = dyn.Trajectory(frame="darboux", t=tc.t.copy(),
+                            states=w_to_darboux(tc.states) * (1.0 + 1e-9),
+                            derivs=w_to_darboux(tc.derivs), hr=tc.hr, hi=tc.hi,
+                            terminated_by="t_end", n_steps=tc.n_steps)
+        self.assert_same_report(tc, td)
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize("src", list(BUILTIN_SOURCES.values()))
+    def test_rk45_pairs(self, src, monkeypatch):
+        # the two frames' step controllers usually choose different grids
+        # (on i*z they agree bit for bit, and the samples are compared)
+        calls = self.count_hermite(monkeypatch)
+        tc, td = self.pair(src, "rk45", *self.STARTS[0], t_end=3.0)
+        self.assert_same_report(tc, td)
+        assert calls == ([] if src == "i*z" else [1, 1])
+
+    def test_hermite_bytes(self):
+        rng = np.random.default_rng(7)
+        ts = np.cumsum(rng.uniform(0.01, 0.2, 40))
+        # zero-length intervals: inside, where no query lands, and at both
+        # ends, which take the queries beyond them
+        ts[[1, 5, 6, 20, 39]] = ts[[0, 4, 5, 19, 38]]
+        ys, ds = rng.standard_normal((40, 4)), rng.standard_normal((40, 4))
+        ys[3, 1] = ds[7, 2] = -0.0
+        ys[12, 3] = math.nan
+        off = rng.uniform(ts[0], ts[-1], 60)
+        out = np.array([ts[0] - 0.3, ts[-1] + 0.7, -1e3, 1e3, math.nan])
+        for tq in (ts, off, out, np.concatenate([off, ts, out]), np.array([])):
+            for grid, rows, fields in ((ts, ys, ds), (ts[::-1], ys[::-1], ds[::-1]),
+                                       (-ts, ys, -ds), (ts[:1], ys[:1], ds[:1]),
+                                       (ts[:2], ys[:2], ds[:2])):
+                for q in (tq, -tq):
+                    new = dyn._hermite(grid, rows, fields, q)
+                    assert new.tobytes() == _union_hermite(grid, rows, fields, q).tobytes()
+        # an ascending grid with no zero-length interval: no flat-interval pass
+        flat = np.cumsum(rng.uniform(0.01, 0.2, 40))
+        assert dyn._hermite(flat, ys, ds, off).tobytes() == (
+            _union_hermite(flat, ys, ds, off).tobytes())
+
+
 # The tableau-driven step rules, error norm and finiteness wrapper as they
 # stood before the rules were written out stage by stage; driven by the
 # old loop below, they must give the fused kernels' runs bit for bit.
