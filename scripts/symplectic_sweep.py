@@ -16,16 +16,10 @@ import sys
 
 import numpy as np
 
-from holomech import (
-    SystemSpec,
-    build_real_J,
-    darboux_frame,
-    frame_residuals,
-    verify_compatibility,
-)
+from holomech import SystemSpec
 from holomech.cli import positive_int
 from holomech.output import json_text, write_text_atomic
-from holomech.symplectic import RESIDUAL_LIMITS, sample_params
+from holomech.symplectic import RESIDUAL_LIMITS, structure_trials
 
 
 def main(argv=None) -> int:
@@ -37,17 +31,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 
-    rng = np.random.default_rng(args.seed)
     spec = SystemSpec.from_source(args.potential, args.mass)
     data = {k: [] for k in RESIDUAL_LIMITS}
     r_minus_values = []
 
-    for _ in range(args.trials):
-        params = sample_params(rng)
-        frame = darboux_frame(params)
-        res = frame_residuals(frame, build_real_J(params))
-        compat = verify_compatibility(params, spec, rng.uniform(-2, 2, size=4))
-        res.update(compat["residuals"])
+    for _, frame, res in structure_trials(spec, np.random.default_rng(args.seed), args.trials):
         r_minus_values.append(frame.r_minus)
         for k, values in data.items():
             values.append(res[k])

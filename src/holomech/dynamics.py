@@ -34,10 +34,12 @@ Methods:
 Escape through ``escape_radius`` is a normal termination (cubic and quartic
 potentials reach infinity in finite time from generic data); a non-finite
 state or a controller step-size underflow is reported as
-``terminated_by="step_failure"``.  A ``Trajectory`` also counts its field
-evaluations (``n_rhs``) and rejected steps (``n_rejected``).  Samples become
-(N, 4) float rows in the w or xi layout once, when the ``Trajectory`` is
-built, together with the energy split (H_r, H_i) per sample, one
+``terminated_by="step_failure"``.  A kernel returns flat lists of the
+sample times, z, p and field (kz, kp), and the run statistics its
+``Trajectory`` carries: terminated_by, n_steps, the field evaluations
+``n_rhs`` and the rejected steps ``n_rejected``.  Samples become (N, 4)
+float rows in the w or xi layout once, when the ``Trajectory`` is built,
+together with the energy split (H_r, H_i) per sample, one
 ``hamiltonian_split`` call on the whole stack, and its maximum drift.  H_i
 is an independent integral of motion; ``invariant_flow`` integrates its
 flow.
@@ -47,9 +49,8 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,8 +85,8 @@ _SQRT2 = math.sqrt(2.0)
 METHODS = ("rk4", "rk45", "split")
 
 # Longest fixed-step grid (rk4, split and the H_i flow) in steps.  Every
-# sample is kept, at about 300 bytes each in the kernel's lists, so this
-# bounds a run's memory to about 0.3 GB.
+# sample is kept, at 192 bytes each in the kernel's lists (tracemalloc, a
+# 10^5-step rk4 run, CPython 3.11), so this bounds them to about 0.2 GB.
 MAX_GRID_STEPS = 10**6
 
 # Adaptive controller underflow threshold: below this step size the
@@ -284,10 +285,12 @@ def _unpack(Z: complex, P: complex) -> np.ndarray:
     return np.array([Z.real, P.real, P.imag, Z.imag])
 
 
-def _rows(pairs, columns) -> np.ndarray:
-    """List of (z, p) pairs -> (N, 4) float rows in the given layout."""
-    flat = np.fromiter(itertools.chain.from_iterable(pairs), complex, 2 * len(pairs))
-    return flat.view(float).reshape(len(pairs), 4)[:, columns]
+def _rows(zs, ps, columns) -> np.ndarray:
+    """Lists of z and of p -> (N, 4) float rows in the given layout."""
+    pairs = np.empty((len(zs), 2), complex)
+    pairs[:, 0] = zs
+    pairs[:, 1] = ps
+    return pairs.view(float)[:, columns]
 
 
 def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
@@ -300,11 +303,11 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    run = _kernel("split", "darboux")(spec._dv, spec.mass, *_pack(xi), dt, dt,
-                                      0.0, 0.0, math.inf)
-    if run[3] != "t_end":
+    _, zs, ps, _, _, stats = _kernel("split", "darboux")(spec._dv, spec.mass, *_pack(xi),
+                                                         dt, dt, 0.0, 0.0, math.inf)
+    if stats[0] != "t_end":
         raise PotentialOverflowError(f"split step of {dt!r} left double precision")
-    return _unpack(*run[1][-1])
+    return _unpack(zs[-1], ps[-1])
 
 
 # --------------------------------------------------------------------------
@@ -313,48 +316,54 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
 
 # kernel(dv, m, z, p, t_end, h, atol, rtol, radius) integrates a pair over
 # [0, t_end] with v' as ``dv``, the fixed step or first adaptive step h, and
-# the escape radius on |z| and |p| of the complex frame, and returns
-# (t, pairs, field pairs, terminated_by, n_steps, n_rhs, n_rejected).  The
-# template is filled with one frame's field, written in at every stage, and
-# one method's grid, step and acceptance test.  Every Runge-Kutta stage sum
-# is accumulated from 0j in row order over the nonzero tableau coefficients,
-# so its bits, signed zeros included, are those of the plain sum over the
-# full row.  Stage times are omitted: every field here is autonomous.
+# the escape radius on |z| and |p| of the complex frame.  Each stop sets
+# ``stop`` and breaks to the one return: the sample lists (t, z, p, kz, kp)
+# and (terminated_by, n_steps, n_rhs, n_rejected), where ``lost`` charges a
+# failed fixed step in full.  The template is filled with one frame's field,
+# written in at every stage, and one method's grid, step and acceptance
+# test.  Every Runge-Kutta stage sum is accumulated from 0j in row order
+# over the nonzero tableau coefficients, so its bits, signed zeros included,
+# are those of the plain sum over the full row.  Stage times are omitted:
+# every field here is autonomous.
 
 _KERNEL = """\
 def kernel(dv, m, z, p, t_end, h, atol, rtol, radius):
     isfinite, sqrt = _isfinite, _sqrt
     mc, m2 = complex(m), complex(2.0 * m)
-    ts, pairs, derivs = [0.0], [(z, p)], []
-    t, n, n_rej = 0.0, 0, 0
+    ts, zs, ps = [0.0], [z], [p]
+    t, n, n_rej, lost = 0.0, 0, 0, 0
     try:
 {first}
     except _STEP_ERRORS:
-        # cannot even start; report failure with the initial sample only
-        return ts, pairs, [(0j, 0j)], "step_failure", 0, 1, 0
-    derivs.append((kz, kp))
+        # cannot even start: the initial sample only, with a zero field
+        kzs, kps, stop = [0j], [0j], "step_failure"
+    else:
+        kzs, kps, stop = [kz], [kp], "t_end"
 {setup}
-    while True:
-        try:
-            escaped = {escape}
-        except OverflowError:
-            # |z| or |p| past the float range lies beyond every finite radius
-            escaped = radius < math.inf
-        if escaped:
-            return ts, pairs, derivs, "escape", n, 1 + {S} * (n + n_rej), n_rej
+        while True:
+            try:
+                escaped = {escape}
+            except OverflowError:
+                # |z| or |p| past the float range lies beyond every finite radius
+                escaped = radius < math.inf
+            if escaped:
+                stop = "escape"
+                break
 {advance}
-        try:
+            try:
 {step}
-            ok = isfinite(z1) and isfinite(p1)
-        except _STEP_ERRORS:
-            ok = False
+                ok = isfinite(z1) and isfinite(p1)
+            except _STEP_ERRORS:
+                ok = False
 {accept}
-        t, z, p, kz, kp = t_next, z1, p1, kz1, kp1
-        n += 1
-        ts.append(t)
-        pairs.append((z, p))
-        derivs.append((kz, kp))
-    return ts, pairs, derivs, "t_end", n, 1 + {S} * (n + n_rej), n_rej
+            t, z, p, kz, kp = t_next, z1, p1, kz1, kp1
+            n += 1
+            ts.append(t)
+            zs.append(z)
+            ps.append(p)
+            kzs.append(kz)
+            kps.append(kp)
+    return ts, zs, ps, kzs, kps, (stop, n, 1 + {S} * (n + n_rej + lost), n_rej)
 """
 
 _S2 = repr(_SQRT2)
@@ -399,8 +408,8 @@ def _rk_step(frame: str, rows) -> tuple[str, list, list]:
     kz, kp = ["kz"], ["kp"]
     lines = []
     for j, row in enumerate(rows, 2):
-        lines += [f"zs = z + hc * ({_dot(row, kz)})", f"ps = p + hc * ({_dot(row, kp)})",
-                  _field(frame, "zs", "ps", f"kz{j}", f"kp{j}")]
+        lines += [f"z_st = z + hc * ({_dot(row, kz)})", f"p_st = p + hc * ({_dot(row, kp)})",
+                  _field(frame, "z_st", "p_st", f"kz{j}", f"kp{j}")]
         kz.append(f"kz{j}")
         kp.append(f"kp{j}")
     return "\n".join(lines), kz, kp
@@ -448,7 +457,8 @@ h = t_next - t
 hc = h + 0j"""
 _FIXED_ACCEPT = """\
 if not ok:
-    return ts, pairs, derivs, "step_failure", n, 1 + {S} * (n + 1), 0"""
+    stop, lost = "step_failure", 1
+    break"""
 
 # Elementary step control on the RMS of the error pair scaled by the
 # tolerances, its squares summed in the order of the frame's row components.
@@ -480,7 +490,8 @@ if remaining <= tiny:
 if remaining < h:
     h = remaining
 if h < {_MIN_STEP!r}:
-    return ts, pairs, derivs, "step_failure", n, 1 + 6 * (n + n_rej), n_rej
+    stop = "step_failure"
+    break
 t_next = t + h
 hc = h + 0j""", _dp45_step, _NORM),
     "rk4": (4, _FIXED_SETUP, _FIXED_ADVANCE, _rk4_step, _FIXED_ACCEPT),
@@ -513,12 +524,12 @@ def _kernel(method: str, frame: str):
     unit = "" if frame == "complex" else f" / {_S2}"
     source = _KERNEL.format(
         first=_indent(_field(frame, "z", "p", "kz", "kp"), 2),
-        setup=_indent(setup, 1),
+        setup=_indent(setup, 2),
         escape=f"abs(z){unit} > radius or abs(p){unit} > radius",
-        advance=_indent(advance, 2),
-        step=_indent(step(frame), 3),
-        accept=_indent(accept.format(S=S, total="xr * xr + yr * yr + " + (
-            "xi * xi + yi * yi" if frame == "complex" else "yi * yi + xi * xi")), 2),
+        advance=_indent(advance, 3),
+        step=_indent(step(frame), 4),
+        accept=_indent(accept.format(total="xr * xr + yr * yr + " + (
+            "xi * xi + yi * yi" if frame == "complex" else "yi * yi + xi * xi")), 3),
         S=S)
     namespace = {"_isfinite": cmath.isfinite, "_sqrt": math.sqrt, "math": math,
                  "_STEP_ERRORS": _STEP_ERRORS, "PotentialOverflowError": PotentialOverflowError}
@@ -538,14 +549,11 @@ def _run(spec: SystemSpec, method: str, frame: str, z, p, cfg: IntegratorConfig)
 
 
 def _trajectory(frame: str, spec: SystemSpec, run) -> Trajectory:
-    ts, pairs, derivs, terminated, n_steps, n_rhs, n_rejected = run
+    ts, zs, ps, kzs, kps, stats = run
     columns = _COLUMNS[frame]
-    states = _rows(pairs, columns)
+    states = _rows(zs, ps, columns)
     hr, hi = hamiltonian_split(spec, states if frame == "complex" else darboux_to_w(states))
-    return Trajectory(frame=frame, t=np.array(ts), states=states,
-                      derivs=_rows(derivs, columns), hr=hr, hi=hi,
-                      terminated_by=terminated, n_steps=n_steps,
-                      n_rhs=n_rhs, n_rejected=n_rejected)
+    return Trajectory(frame, np.array(ts), states, _rows(kzs, kps, columns), hr, hi, *stats)
 
 
 def _initial_xi(xi0) -> tuple[complex, complex]:
@@ -564,10 +572,8 @@ def complex_view(traj: Trajectory) -> Trajectory:
     """
     if traj.frame != "darboux":
         raise ValueError("expected a Darboux-frame trajectory")
-    return Trajectory(frame="complex", t=traj.t, states=darboux_to_w(traj.states),
-                      derivs=darboux_to_w(traj.derivs), hr=traj.hr, hi=traj.hi,
-                      terminated_by=traj.terminated_by, n_steps=traj.n_steps,
-                      n_rhs=traj.n_rhs, n_rejected=traj.n_rejected)
+    return replace(traj, frame="complex", states=darboux_to_w(traj.states),
+                   derivs=darboux_to_w(traj.derivs))
 
 
 def integrate_complex(spec: SystemSpec, z0: complex, p0: complex,

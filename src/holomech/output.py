@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 from pathlib import Path
 
@@ -209,17 +210,25 @@ def _csv_block(table) -> bytearray:
 
 
 def json_text(obj) -> str:
-    """Canonical JSON rendering (sorted keys, stable float repr)."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    """Canonical JSON rendering (sorted keys, stable float repr), strict."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _json_default(obj):
-    """A complex as [re, im], a numpy scalar or array as its tolist()."""
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+def _plain(obj):
+    """The one rule for JSON values: a numpy value through tolist(),
+    containers element by element, a complex as [re, im], a float that is
+    not finite as null (JSON has none); a value it misses fails the dump."""
     if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, complex):
+        return [_plain(obj.real), _plain(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -61,6 +61,7 @@ __all__ = [
     "bracket",
     "standard_bracket",
     "verify_compatibility",
+    "structure_trials",
     "format_matrix",
 ]
 
@@ -179,12 +180,6 @@ def _checked_structure(params) -> tuple:
             f"|alpha|^2 - a*b = 1 within {DEGENERACY_TOL:g} "
             f"(defect {defect:.3e}); structure not invertible")
     return st
-
-
-def _checked_j_rows(params) -> tuple[SymplecticParams, tuple[tuple[float, ...], ...]]:
-    """Validated parameters and the rows of their invertible J."""
-    a, b, ar, ai, _, rows = _checked_structure(params)[:6]
-    return SymplecticParams(a, b, complex(ar, ai)), rows
 
 
 def build_real_J(params) -> np.ndarray:
@@ -456,6 +451,20 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
     report["residuals"] = {"position_equation": res_z, "momentum_equation": res_p}
     report["passed"] = within_limits(report["residuals"])
     return report
+
+
+def structure_trials(spec: SystemSpec, rng, trials: int):
+    """Per trial, draw (a, b, alpha) by ``sample_params``, then w uniform in
+    [-2, 2]^4; yield (params report, frame, residuals), the residuals of
+    ``frame_residuals`` and of ``verify_compatibility`` in one dict."""
+    for _ in range(trials):
+        params = sample_params(rng)
+        w = rng.uniform(-2.0, 2.0, size=4)
+        frame = darboux_frame(params)
+        res = frame_residuals(frame, build_real_J(params))
+        compat = verify_compatibility(params, spec, w)
+        res.update(compat["residuals"])
+        yield compat["params"], frame, res
 
 
 def within_limits(residuals: dict) -> bool:

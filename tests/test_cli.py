@@ -187,6 +187,9 @@ class TestSimulate:
         (["simulate", "--potential=z^2", "--p0=1e200"], 0, ("drift_Hr",)),
         # v = exp(800) overflows: the flow fails at its first step
         (["hi-flow", "--potential=exp(z)", "--z0=800"], 2, ("drift_Hr", "drift_Hi")),
+        # an infinite escape radius is echoed in the summary as null
+        (["simulate", "--potential=z^2", "--z0=1", "--method=rk4", "--t-end=0.01",
+          "--escape-radius=inf"], 0, ()),
     ])
     def test_non_finite_drift_is_null(self, argv, code, drifts, tmp_path, capsys):
         out = tmp_path / "nf.csv"
@@ -406,6 +409,14 @@ class TestJsonText:
             '    ]\n  ],\n  "i64": -3,\n  "none": null,\n  "tup": [\n    1,\n    2.5,\n'
             '    [\n      4,\n      "x"\n    ]\n  ],\n  "u8": 200\n}\n')
 
+    def test_non_finite_floats_are_null(self):
+        obj = {"nan": math.nan, "inf": np.float64(math.inf), "arr": np.array([1.0, -math.inf]),
+               "c": complex(math.nan, 1.0), "carr": np.array([complex(2.0, math.inf)]),
+               "nested": [(np.float32("nan"), {"x": -math.inf})]}
+        parsed = json.loads(output.json_text(obj), parse_constant=lambda c: pytest.fail(c))
+        assert parsed == {"nan": None, "inf": None, "arr": [1.0, None], "c": [None, 1.0],
+                          "carr": [[2.0, None]], "nested": [[None, {"x": None}]]}
+
     def test_unknown_object_raises(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             output.json_text({"x": object()})
@@ -461,6 +472,19 @@ class TestVerifySymplectic:
         run(["verify-symplectic", "--random", "10", "--seed", "7", "--out", str(a)])
         run(["verify-symplectic", "--random", "10", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_finite_residual_is_worst(self, tmp_path, capsys):
+        # p / m overflows at this mass: both Hamilton-equation residuals are
+        # NaN, which the worst residuals report (as null) and do not hide
+        out = tmp_path / "vs.json"
+        assert run(["verify-symplectic", "--random", "2", "--potential", "z^2",
+                    "--mass", "1e-320", "--out", str(out)]) == 2
+        assert "0/2 PASS" in capsys.readouterr().out
+        report = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
+        for key in ("position_equation", "momentum_equation"):
+            assert report["worst_residuals"][key] is None
+            assert [f["residuals"][key] for f in report["failures"]] == [None, None]
+        assert 0.0 < report["worst_residuals"]["canonicity"] <= 1e-10
 
     def test_random_must_be_positive(self, capsys):
         assert run(["verify-symplectic", "--random=-1"]) == 1

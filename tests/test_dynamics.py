@@ -1137,8 +1137,12 @@ def _oracle_run(spec, method, frame, z, p, cfg, h, tableau=False, attempts=None)
 
 
 def _run_bits(run):
-    """(t, pairs, field pairs, terminated_by, n_steps) with every float as hex."""
-    ts, pairs, derivs, terminated, n_steps = run[:5]
+    """(t, pairs, field pairs, terminated_by, n_steps) of a kernel record or a
+    ``_drive`` result, with every float as hex."""
+    if len(run) == 6:  # kernel: t, z, p, kz, kp, (terminated_by, n_steps, n_rhs, n_rejected)
+        ts, zs, ps, kzs, kps, stats = run
+        run = ts, list(zip(zs, ps)), list(zip(kzs, kps)), *stats[:2]
+    ts, pairs, derivs, terminated, n_steps = run
     return [t.hex() for t in ts], _bits(tuple(pairs)), _bits(tuple(derivs)), terminated, n_steps
 
 
@@ -1147,7 +1151,7 @@ STAGES = {"rk45": 6, "rk4": 4, "split": 1}
 
 def _check_counters(run, method, attempts):
     """n_rhs charges every attempted step in full; rk45 retries the rest."""
-    n_steps, n_rhs, n_rejected = run[4:]
+    _, n_steps, n_rhs, n_rejected = run[5]
     assert n_rhs == 1 + STAGES[method] * len(attempts)
     assert n_rejected == (len(attempts) - n_steps if method == "rk45" else 0)
 
@@ -1190,17 +1194,32 @@ class TestUnrolledRules:
             assert _run_bits(run) == _run_bits(_oracle_run(
                 spec, method, frame, z, p, cfg, 1e300, tableau=True, attempts=attempts))
             _check_counters(run, method, attempts)
+            terminated, n_steps, _, n_rejected = run[5]
             if method == "rk45":
-                assert run[3] == "escape" and run[6] > 0
+                assert terminated == "escape" and n_rejected > 0
             else:
-                assert run[3] == "step_failure" and run[4] == 0
+                assert terminated == "step_failure" and n_steps == 0
+
+    def test_step_underflow_in_both(self):
+        # the inverted quartic blows up in finite time; with a radius it
+        # never reaches, the controller shrinks h below its floor
+        spec = spec_for("-(z^4)")
+        cfg = IntegratorConfig(method="rk45", t_end=10.0, escape_radius=1e300)
+        for frame, unit in (("complex", 1.0), ("darboux", S2)):
+            z = unit * 3.0 + 0j
+            run, attempts = _kernel_run(spec, "rk45", frame, z, 0j, cfg, 1e-3), []
+            assert _run_bits(run) == _run_bits(_oracle_run(
+                spec, "rk45", frame, z, 0j, cfg, 1e-3, tableau=True, attempts=attempts))
+            _check_counters(run, "rk45", attempts)
+            terminated, n_steps, _, _ = run[5]
+            assert terminated == "step_failure" and n_steps > 0
 
     def test_non_finite_field_raises(self):
         spec = spec_for("z^2", 1e-310)
         cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=1.0)
         for method, frame in KERNELS:
             run = _kernel_run(spec, method, frame, 1.0 + 0j, 1e10 + 0j, cfg, 0.1)
-            assert run[3:] == ("step_failure", 0, 1, 0) and run[2] == [(0j, 0j)]
+            assert run[5] == ("step_failure", 0, 1, 0) and run[3:5] == ([0j], [0j])
             assert _run_bits(run) == _run_bits(
                 _oracle_run(spec, method, frame, 1.0 + 0j, 1e10 + 0j, cfg, 0.1))
 
@@ -1282,7 +1301,7 @@ def test_rows_match_array_of_pairs():
     pairs = list(zip(values, reversed(values)))
     for columns in dyn._COLUMNS.values():
         for n in (1, 2, len(pairs)):
-            got = dyn._rows(pairs[:n], columns)
+            got = dyn._rows([z for z, _ in pairs[:n]], [p for _, p in pairs[:n]], columns)
             ref = np.array(pairs[:n], dtype=complex).view(float)[:, columns]
             assert got.shape == ref.shape == (n, 4)
             assert got.tobytes() == ref.tobytes()

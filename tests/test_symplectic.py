@@ -28,9 +28,10 @@ from holomech import (
 from holomech.symplectic import (
     DEGENERACY_TOL,
     _SEED_ORDER,
-    _checked_j_rows,
+    _checked_structure,
     format_matrix,
     sample_params,
+    structure_trials,
 )
 
 J0 = 0.5 * np.array([
@@ -488,7 +489,8 @@ def _dot(u, v):
 def _loop_frame(params):
     """darboux_frame as it stood with the Gram-Schmidt loop over 4-tuples and
     a dot helper; returns (S, r+, r-) and the seed index accepted per plane."""
-    p, J = _checked_j_rows(params)
+    a, b, ar, ai, _, J = _checked_structure(params)[:6]
+    p = SymplecticParams(a, b, complex(ar, ai))
     (_, j01, j02, j03), (_, _, j12, j13), (_, _, _, j23), _ = J
     r_plus, r_minus = eigenvalue_magnitudes(p)
     assert math.isfinite(r_plus) and r_minus > DEGENERACY_TOL
@@ -744,6 +746,22 @@ class TestCompatibilityReport:
         p = SymplecticParams(0.3, -0.7, 0.2 - 0.4j)
         for w in ([0.1, math.inf, 0.2, 0.0], [0.1, 0.0, 0.2, math.nan]):
             self.assert_same(p, builtin_specs["iz3"], w)
+
+    def test_trials_keep_the_draw_order(self, builtin_specs):
+        # per trial: sample_params, then w; frame, residuals and compatibility
+        # of those draws, bit for bit
+        spec = builtin_specs["iz3"]
+        rng = np.random.default_rng(7)
+        for params, frame, res in structure_trials(spec, np.random.default_rng(7), 50):
+            p = sample_params(rng)
+            w = rng.uniform(-2.0, 2.0, size=4)
+            ref_frame = darboux_frame(p)
+            ref = {**frame_residuals(ref_frame, build_real_J(p)),
+                   **verify_compatibility(p, spec, w)["residuals"]}
+            assert params == {"a": p.a, "b": p.b, "alpha_re": p.alpha.real,
+                              "alpha_im": p.alpha.imag}
+            assert frame.S.tobytes() == ref_frame.S.tobytes()
+            assert repr(res) == repr(ref)
 
 
 class TestStructureErrors:
