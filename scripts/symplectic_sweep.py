@@ -5,7 +5,8 @@ Samples structure parameters (a, b, alpha) away from the degenerate surface,
 builds each frame, and histograms the block-form / orthogonality /
 canonicity residuals together with the bracket-compatibility residuals of a
 chosen potential.  Prints percentile statistics; optionally dumps the raw
-sweep as JSON.
+sweep as JSON.  Exits 2, after one line on stderr, when any trial has a
+residual outside RESIDUAL_LIMITS (a NaN residual is outside).
 
 Usage:
     python scripts/symplectic_sweep.py --trials 500 --seed 42 --out sweep.json
@@ -19,7 +20,7 @@ import numpy as np
 from holomech import SystemSpec
 from holomech.cli import positive_int
 from holomech.output import json_text, write_text_atomic
-from holomech.symplectic import RESIDUAL_LIMITS, structure_trials
+from holomech.symplectic import RESIDUAL_LIMITS, structure_trials, within_limits
 
 
 def main(argv=None) -> int:
@@ -34,9 +35,11 @@ def main(argv=None) -> int:
     spec = SystemSpec.from_source(args.potential, args.mass)
     data = {k: [] for k in RESIDUAL_LIMITS}
     r_minus_values = []
+    n_fail = 0
 
     for _, frame, res in structure_trials(spec, np.random.default_rng(args.seed), args.trials):
         r_minus_values.append(frame.r_minus)
+        n_fail += not within_limits(res)
         for k, values in data.items():
             values.append(res[k])
 
@@ -57,6 +60,10 @@ def main(argv=None) -> int:
             "potential": args.potential, "mass": args.mass,
             "stats": stats}))
         print(f"wrote {args.out}")
+    if n_fail:
+        print(f"{n_fail}/{args.trials} trials have a residual outside RESIDUAL_LIMITS",
+              file=sys.stderr)
+        return 2
     return 0
 
 

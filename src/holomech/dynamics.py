@@ -34,7 +34,9 @@ Methods:
 Escape through ``escape_radius`` is a normal termination (cubic and quartic
 potentials reach infinity in finite time from generic data); a non-finite
 state or a controller step-size underflow is reported as
-``terminated_by="step_failure"``.  A kernel returns flat lists of the
+``terminated_by="step_failure"``, and an rk45 run that accepts
+``MAX_GRID_STEPS`` steps short of t_end stops with
+``terminated_by="step_limit"``.  A kernel returns flat lists of the
 sample times, z, p and field (kz, kp), and the run statistics its
 ``Trajectory`` carries: terminated_by, n_steps, the field evaluations
 ``n_rhs`` and the rejected steps ``n_rejected``.  Samples become (N, 4)
@@ -84,9 +86,11 @@ _SQRT2 = math.sqrt(2.0)
 
 METHODS = ("rk4", "rk45", "split")
 
-# Longest fixed-step grid (rk4, split and the H_i flow) in steps.  Every
+# Longest fixed-step grid (rk4, split and the H_i flow) in steps, and the
+# most steps an rk45 run accepts before it stops with "step_limit".  Every
 # sample is kept, at 192 bytes each in the kernel's lists (tracemalloc, a
 # 10^5-step rk4 run, CPython 3.11), so this bounds them to about 0.2 GB.
+# ``_kernel`` reads it when it generates a kernel.
 MAX_GRID_STEPS = 10**6
 
 # Adaptive controller underflow threshold: below this step size the
@@ -487,6 +491,9 @@ _METHODS = {  # stages per step, set-up, time advance, step, acceptance
 remaining = t_end - t
 if remaining <= tiny:
     break  # landed within rounding of t_end; not a failure
+if n >= {{max_steps}}:
+    stop = "step_limit"
+    break
 if remaining < h:
     h = remaining
 if h < {_MIN_STEP!r}:
@@ -526,7 +533,7 @@ def _kernel(method: str, frame: str):
         first=_indent(_field(frame, "z", "p", "kz", "kp"), 2),
         setup=_indent(setup, 2),
         escape=f"abs(z){unit} > radius or abs(p){unit} > radius",
-        advance=_indent(advance, 3),
+        advance=_indent(advance.format(max_steps=MAX_GRID_STEPS), 3),
         step=_indent(step(frame), 4),
         accept=_indent(accept.format(total="xr * xr + yr * yr + " + (
             "xi * xi + yi * yi" if frame == "complex" else "yi * yi + xi * xi")), 3),
@@ -663,12 +670,13 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
 
     The complex-frame samples are mapped through xi = sqrt(2) (x, p, q, y)
     and both trajectories are interpolated (cubic Hermite, order >= 3) onto
-    the union of their sample grids.  Raises GridMismatchError when the
-    covered time ranges differ (e.g. one trajectory escaped early).
+    the merged grid: every distinct sample time of either trajectory,
+    ascending, within the range both cover.  Raises GridMismatchError when
+    the covered time ranges differ (e.g. one trajectory escaped early).
 
     When both carry the same strictly ascending ``t``, bit for bit (every
     rk4 or split pair that ends at the same sample), the samples are
-    compared row by row.  The report is the one the union grid gives: at a
+    compared row by row.  The report is the one the merged grid gives: at a
     node the interpolant's basis is (1, 0, 0, -0), so with the finite
     samples and fields the kernels record it returns the sample up to the
     sign of a zero, which the absolute deviation drops.
@@ -685,8 +693,13 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
     else:
         lo = max(ta[0], tb[0])
         hi = min(ta[-1], tb[-1])
-        grid = np.union1d(ta, tb)
-        grid = grid[(grid >= lo) & (grid <= hi)]
+        # the sorted distinct times of both grids, which np.union1d also
+        # gives, but without its first call's import of numpy.ma
+        grid = np.concatenate((ta, tb))
+        grid.sort()
+        keep = (grid >= lo) & (grid <= hi)
+        keep[1:] &= grid[1:] != grid[:-1]
+        grid = grid[keep]
         if grid.size == 0:
             return EquivalenceReport(max_deviation=0.0, tolerance=tol, passed=True,
                                      n_points=0, t_worst=float(lo))

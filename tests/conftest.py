@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from holomech import BUILTIN_SOURCES, SystemSpec, get_builtin
+from holomech import dynamics
 
 DEFAULT_SEED = 42
 
@@ -24,3 +25,15 @@ def builtin_specs(builtins_map):
 @pytest.fixture
 def rng():
     return np.random.default_rng(DEFAULT_SEED)
+
+
+@pytest.fixture
+def lower_step_cap(monkeypatch):
+    """Set ``dynamics.MAX_GRID_STEPS`` for one test.  The kernels read it when
+    they are generated, so the cache is cleared after each change and again
+    before the cap is restored."""
+    def lower(cap):
+        monkeypatch.setattr(dynamics, "MAX_GRID_STEPS", cap)
+        dynamics._kernel.cache_clear()
+    yield lower
+    dynamics._kernel.cache_clear()

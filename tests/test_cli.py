@@ -109,6 +109,41 @@ class TestSimulate:
                     "--out", str(tmp_path / "b.csv")])
         assert code == 2
 
+    def test_rk45_step_limit_exit_2(self, tmp_path, lower_step_cap):
+        # an rk45 run stops at the cap on accepted steps, and still writes
+        # its samples and summary
+        lower_step_cap(50)
+        out = tmp_path / "cap.csv"
+        code = run(["simulate", "--method", "rk45", "--potential", "z^2", "--z0", "1",
+                    "--t-end", "1000", "--out", str(out)])
+        assert code == 2
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["terminated_by"] == "step_limit"
+        assert summary["n_steps"] == 50
+        assert summary["samples"] == len(read_csv(out)) == 51
+
+    def test_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        # the cross-frame grid of an rk45 --frame both run sorts its times
+        # without the numpy set routines, whose first call imports numpy.ma;
+        # compared with the state after import, so that a numpy which loads
+        # numpy.ma eagerly passes
+        code = """if True:
+            import sys
+            import holomech.cli
+            before = "numpy.ma" in sys.modules
+            code = holomech.cli.main(["simulate", "--potential", "i*sin(z)",
+                                      "--z0", "0.2+0.1i", "--p0", "1", "--frame", "both",
+                                      "--t-end", "1", "--out", sys.argv[1]])
+            print(code, before, "numpy.ma" in sys.modules)
+            """
+        env = {**os.environ, "PYTHONPATH": str(Path(holomech.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "both.csv")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, before, after = proc.stdout.split()[-3:]
+        assert exit_code == "0"
+        assert after == before
+
     def test_escape_exit_0(self, tmp_path):
         out = tmp_path / "e.csv"
         code = run(["simulate", "--potential=-(z^4)", "--z0", "3",

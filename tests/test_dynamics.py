@@ -255,6 +255,30 @@ class TestEscapeAndFailure:
         assert traj.terminated_by == "escape"
         assert len(traj.t) == 1
 
+    @pytest.mark.parametrize("frame", ["complex", "darboux"])
+    def test_rk45_step_limit(self, frame, lower_step_cap):
+        spec, cfg = spec_for("i*sin(z)"), IntegratorConfig(method="rk45", t_end=2.0)
+
+        def run():
+            if frame == "complex":
+                return integrate_complex(spec, 0.2 + 0.1j, 1 + 0j, cfg)
+            return integrate_darboux(spec, xi_from(0.2 + 0.1j, 1 + 0j), cfg)
+
+        full = run()
+        n = full.n_steps
+        # a run that reaches t_end on its last allowed step ends there
+        lower_step_cap(n)
+        capped = run()
+        assert capped.terminated_by == "t_end"
+        assert capped.t.tobytes() == full.t.tobytes()
+        # one step fewer: the first n samples, stopped at the cap
+        lower_step_cap(n - 1)
+        capped = run()
+        assert (capped.terminated_by, capped.n_steps) == ("step_limit", n - 1)
+        assert capped.t.tobytes() == full.t[:n].tobytes()
+        assert capped.states.tobytes() == full.states[:n].tobytes()
+        assert capped.n_rhs == 1 + 6 * (n - 1 + capped.n_rejected)
+
 
 class TestSplitStep:
     def test_constant_potential_pure_drift(self):
@@ -758,6 +782,62 @@ class TestPostKernelOracles:
         tc, td = self.pair(src, "rk45", *self.STARTS[0], t_end=3.0)
         self.assert_same_report(tc, td)
         assert calls == ([] if src == "i*z" else [1, 1])
+
+    @staticmethod
+    def on_grids(ta, tb, seed=0):
+        """A (complex, darboux) pair on the times ta and tb, with random
+        states and fields: the report's bits depend on nothing else."""
+        rng = np.random.default_rng(seed)
+
+        def make(frame, t):
+            t = np.array(t, dtype=float)
+            zeros = np.zeros(len(t))
+            return dyn.Trajectory(frame=frame, t=t, states=rng.standard_normal((len(t), 4)),
+                                  derivs=rng.standard_normal((len(t), 4)), hr=zeros, hi=zeros,
+                                  terminated_by="t_end", n_steps=len(t) - 1)
+
+        return make("complex", ta), make("darboux", tb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           min_size=1, max_size=10),
+           own_a=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=10),
+           own_b=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=10),
+           t_end=st.sampled_from([1.0, 1e-3, 7.5]), seed=st.integers(0, 2**32 - 1))
+    def test_grids_sharing_interior_points(self, shared, own_a, own_b, t_end, seed):
+        ta = sorted({0.0, t_end, *(t_end * x for x in shared + own_a)})
+        tb = sorted({0.0, t_end, *(t_end * x for x in shared + own_b)})
+        self.assert_same_report(*self.on_grids(ta, tb, seed))
+
+    @pytest.mark.parametrize("inner_first", [False, True])
+    def test_grid_strictly_inside_the_other(self, inner_first):
+        outer = np.linspace(0.0, 1.0, 41)
+        inner = np.r_[3e-10, np.linspace(0.01, 0.99, 24), 1.0 - 2e-10]
+        tc, td = self.on_grids(*((inner, outer) if inner_first else (outer, inner)))
+        self.assert_same_report(tc, td)
+        # no time is shared; the merged grid keeps the ones both runs cover
+        assert equivalence_report(tc, td).n_points == 39 + 26
+
+    @pytest.mark.parametrize("shift", [4e-10, -4e-10, 9.9e-10])
+    def test_ends_within_the_span(self, shift):
+        ta = np.linspace(0.0, 2.0, 31)
+        tb = np.r_[-shift, np.linspace(0.05, 1.95, 17), 2.0 + shift]
+        self.assert_same_report(*self.on_grids(ta, tb))
+        # past 2e-9 (1e-9 times the span 2) both reports refuse the pair
+        tc, td = self.on_grids(ta, np.r_[tb[:-1], 2.0 + 2.1e-9])
+        for report in (equivalence_report, _union_report):
+            with pytest.raises(GridMismatchError):
+                report(tc, td)
+
+    @pytest.mark.parametrize("which", ["complex", "darboux", "both"])
+    def test_repeated_time_in_either_grid(self, which):
+        ta = np.linspace(0.0, 1.0, 21)
+        tb = np.r_[0.0, np.linspace(0.03, 0.97, 12), 1.0]
+        if which in ("complex", "both"):
+            ta = np.insert(ta, 7, ta[7])
+        if which in ("darboux", "both"):
+            tb = np.insert(tb, [0, 4, 13], tb[[0, 4, 13]])  # the first, an inner and the last
+        self.assert_same_report(*self.on_grids(ta, tb))
 
     def test_hermite_bytes(self):
         rng = np.random.default_rng(7)

@@ -38,3 +38,15 @@ def test_symplectic_sweep_rejects_trials_below_one(trials, capsys):
         script_main("symplectic_sweep")(["--trials", trials])
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_symplectic_sweep_fails_on_nan_residuals(tmp_path, capsys):
+    # p / m overflows at this mass: the equation residuals are NaN, which
+    # no limit admits, as in verify-symplectic
+    out = tmp_path / "sweep.json"
+    argv = ["--trials", "3", "--mass", "1e-320", "--out", str(out)]
+    assert script_main("symplectic_sweep")(argv) == 2
+    captured = capsys.readouterr()
+    assert "position_equation" in captured.out
+    assert captured.err == "3/3 trials have a residual outside RESIDUAL_LIMITS\n"
+    assert json.loads(out.read_text())["stats"]["momentum_equation"]["max"] is None
