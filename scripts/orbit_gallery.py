@@ -28,7 +28,7 @@ from holomech import (
     integrate_darboux,
     w_to_darboux,
 )
-from holomech.output import json_text, trajectory_csv, write_text_atomic
+from holomech.output import json_text, write_text_atomic, write_trajectory_csv
 
 
 def main(argv=None) -> int:
@@ -55,10 +55,8 @@ def main(argv=None) -> int:
             dev = equivalence_report(traj_c, traj_d).max_deviation
         except GridMismatchError:
             dev = float("nan")  # one frame escaped earlier than the other
-        write_text_atomic(out_dir / f"{name}.csv",
-                          trajectory_csv(traj_c.t, traj_c.states,
-                                         w_to_darboux(traj_c.states),
-                                         traj_c.hr, traj_c.hi))
+        write_trajectory_csv(out_dir / f"{name}.csv", traj_c.t, traj_c.states,
+                             w_to_darboux(traj_c.states), traj_c.hr, traj_c.hi)
         summary[name] = {
             "terminated_by": traj_c.terminated_by,
             "drift_Hr": traj_c.drift_hr,

@@ -45,7 +45,8 @@ from .dynamics import (
     solve_invariant_zero,
 )
 from .hamiltonian import SystemSpec, darboux_invariant, darboux_to_w, w_to_darboux
-from .output import json_text, trajectory_csv, write_text_atomic
+# trajectory_csv stays imported: perfbench/workloads.py patches it by name.
+from .output import json_text, trajectory_csv, write_text_atomic, write_trajectory_csv
 from .potentials import PotentialError
 from .symplectic import (
     CONDITIONING_WARN_R_MINUS,
@@ -264,7 +265,7 @@ def _write_run(args, summary, traj, t, w_rows, xi_rows, hr, hi) -> int:
         "n_rejected": traj.n_rejected,
         "samples": len(t),
     })
-    write_text_atomic(args.out, trajectory_csv(t, w_rows, xi_rows, hr, hi))
+    write_trajectory_csv(args.out, t, w_rows, xi_rows, hr, hi)
     write_text_atomic(_summary_path(args.out), json_text(summary))
     ending = "" if args.command == "hi-flow" else f", terminated by {traj.terminated_by}"
     print(f"wrote {args.out} ({len(t)} samples){ending}; "
@@ -303,7 +304,7 @@ def cmd_simulate(args) -> int:
     # master grid: complex-frame samples clipped to the common range
     keep = traj.t <= min(traj.t[-1], traj_d.t[-1])
     t = traj.t[keep]
-    xi_rows = traj_d.state_at(t)
+    xi_rows = traj_d.samples_at(t)
     try:
         eq = equivalence_report(traj, traj_d)
         summary["max_frame_deviation"] = eq.max_deviation

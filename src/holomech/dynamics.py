@@ -210,6 +210,23 @@ class Trajectory:
         rows = _hermite(self.t, self.states, self.derivs, tq.reshape(-1))
         return rows[0] if tq.ndim == 0 else rows
 
+    def samples_at(self, t) -> np.ndarray:
+        """``state_at`` of a 1-D array of times, bit for bit.
+
+        When ``t`` is strictly ascending and equals this run's first
+        ``len(t)`` sample times bit for bit (a fixed-step pair, or a run
+        stopped early beside a longer one), and every sample and field is
+        finite, as the kernels record them, the rows are read from the
+        samples; otherwise they are interpolated.
+        """
+        t = np.asarray(t, dtype=float)
+        n = t.size
+        if (t.ndim == 1 and n and t.tobytes() == self.t[:n].tobytes()
+                and (t[1:] > t[:-1]).all() and np.isfinite(self.states).all()
+                and np.isfinite(self.derivs).all()):
+            return _node_rows(self.states, self.derivs, n)
+        return self.state_at(t)
+
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
@@ -219,6 +236,31 @@ def _max_drift(values: np.ndarray) -> float:
     if finite.size == 0:
         return math.nan
     return float(np.max(np.abs(finite - values[0]))) if np.isfinite(values[0]) else math.nan
+
+
+def _node_rows(ys: np.ndarray, ds: np.ndarray, n: int) -> np.ndarray:
+    """``_hermite`` at the first n of N strictly ascending sample times, for
+    finite samples and fields, without interpolating.
+
+    At a node k < N - 1 the interpolant adds y_k + (+0) d_k + (+0) y_{k+1}
+    + (-0) d_{k+1} (s = 0), and at the last node, on the last interval,
+    (+0) y_{N-2} + (+0) d_{N-2} + y_{N-1} + (+0) d_{N-1} (s = 1).  So a
+    nonzero sample comes out as it is, and a zero one as -0 only when all
+    four terms are -0.
+    """
+    rows = ys[:n].copy()
+    zero = rows == 0.0
+    if len(ys) == 1 or not zero.any():
+        return rows
+    sy, sd = np.signbit(ys), np.signbit(ds)
+    neg = np.empty_like(zero)
+    m = min(n, len(ys) - 1)
+    neg[:m] = sy[:m] & sd[:m] & sy[1:m + 1] & ~sd[1:m + 1]
+    if m < n:
+        neg[m] = sy[-2] & sd[-2] & sy[-1] & sd[-1]
+    rows[zero] = 0.0
+    rows[zero & neg] = -0.0
+    return rows
 
 
 def _hermite(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray, tq: np.ndarray) -> np.ndarray:

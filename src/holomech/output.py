@@ -15,29 +15,51 @@ TRAJECTORY_HEADER = "t,x,y,p,q,x1,p1,x2,p2,Hr,Hi"
 
 
 def trajectory_csv(t, w_rows, xi_rows, hr, hi) -> str:
-    """Render samples to CSV with the fixed column schema.
+    """Render samples to CSV with the fixed column schema, as one ``str``.
 
     ``w_rows`` are (x, p, y, q) rows and ``xi_rows`` are (x1, p1, x2, p2)
     rows on the same grid ``t``.  Every cell is written as ``%.17g`` writes
     it (17 significant digits, enough to round-trip a double), byte for byte.
-
-    The table is rendered in blocks of ``_BLOCK_ROWS`` rows, so temporaries do
-    not grow with the sample count and each stays small enough for the
-    allocator to reuse (see ``_BLOCK_ROWS``).  Cells with 1e-4 <= |x| < 1e17
-    are the ones ``%.17g`` prints in fixed notation; their text is built in
-    numpy (see ``_fixed_rows``) without one float-to-text call per cell.
-    Every other cell (±0, subnormal, tiny, huge, NaN, ±inf) becomes a
-    ``%.17g`` field of the block's text, filled by one ``%`` call per block.
+    The text is the bytes ``write_trajectory_csv`` writes to a file, which
+    holds only one block at a time; this one holds the whole table.
     """
-    t, w, xi, hr, hi = (np.asarray(c, dtype=float) for c in (t, w_rows, xi_rows, hr, hi))
     # one growing buffer, not a list of block strings to join: with the list,
     # a process rendering table after table kept about 2 MB more heap
-    text = bytearray(TRAJECTORY_HEADER.encode() + b"\n")
+    text = bytearray()
+    for block in _csv_blocks(t, w_rows, xi_rows, hr, hi):
+        text += block
+    return text.decode("ascii")
+
+
+def write_trajectory_csv(path, t, w_rows, xi_rows, hr, hi) -> None:
+    """Write the ``trajectory_csv`` table of the samples to ``path``
+    atomically, as ``write_text_atomic`` writes (temp file, fsync, rename).
+
+    Each block's bytes go straight into the temp file, so the memory the
+    write takes stays at about one block's, whatever the row count.
+    """
+    with _atomic_file(path, "wb") as fh:
+        for block in _csv_blocks(t, w_rows, xi_rows, hr, hi):
+            fh.write(block)
+
+
+def _csv_blocks(t, w_rows, xi_rows, hr, hi):
+    """The header line, then the CSV lines of each ``_BLOCK_ROWS`` rows.
+
+    Blocks keep temporaries from growing with the sample count, each small
+    enough for the allocator to reuse (see ``_BLOCK_ROWS``).  Cells with
+    1e-4 <= |x| < 1e17 are the ones ``%.17g`` prints in fixed notation; their
+    text is built in numpy (see ``_fixed_rows``) without one float-to-text
+    call per cell.  Every other cell (±0, subnormal, tiny, huge, NaN, ±inf)
+    becomes a ``%.17g`` field of the block's text, filled by one ``%`` call
+    per block.
+    """
+    t, w, xi, hr, hi = (np.asarray(c, dtype=float) for c in (t, w_rows, xi_rows, hr, hi))
+    yield TRAJECTORY_HEADER.encode() + b"\n"
     for k in range(0, len(t), _BLOCK_ROWS):
         s = slice(k, k + _BLOCK_ROWS)
-        text += _csv_block(np.column_stack(
+        yield _csv_block(np.column_stack(
             (t[s], w[s][:, [0, 2, 1, 3]], xi[s], hr[s], hi[s])))
-    return text.decode("ascii")
 
 
 # Rows per rendered block.  Every per-block temporary stays under glibc's
@@ -232,8 +254,18 @@ def _plain(obj):
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a unique temp file, fsync and rename, so readers never see
-    partial output and concurrent writers never share a temp file.
+    """Write ``text`` via a unique temp file, fsync and rename, so readers
+    never see partial output and concurrent writers never share a temp file
+    (see ``_atomic_file``)."""
+    with _atomic_file(path, "w") as fh:
+        fh.write(text)
+
+
+@contextlib.contextmanager
+def _atomic_file(path, mode: str):
+    """A new file opened with ``mode`` that replaces ``path`` once the block
+    exits and the data are fsynced; on any exception the file is removed and
+    ``path`` is left as it was.
 
     The temp file gets a random name beside ``path`` and is created with
     mode 0o666, so the process umask applies as it would to a plain open.
@@ -242,8 +274,8 @@ def write_text_atomic(path, text: str) -> None:
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

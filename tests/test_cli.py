@@ -340,6 +340,63 @@ class TestTrajectoryCsv:
         assert peak <= 2 * len(text) + 4_000_000, (peak, len(text))
 
 
+class TestWriteTrajectoryCsv:
+    """The CSV streamed into its atomic temp file, block by block."""
+
+    @staticmethod
+    def columns(n, seed=0):
+        rng = np.random.default_rng(seed)
+        t, w, xi = np.linspace(0.0, 100.0, n), rng.standard_normal((n, 4)), rng.standard_normal((n, 4))
+        return t, w, xi, rng.standard_normal(n), rng.standard_normal(n) * 1e-12
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_memory_stays_flat(self, n, tmp_path):
+        # about one block's buffers, whatever the row count; building the
+        # text first held about three copies of it (about 45 MB at 10**5 rows)
+        cols = self.columns(n)
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            output.write_trajectory_csv(path, *cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().count(b"\n") == n + 1
+        assert peak < 4_000_000, peak
+
+    @pytest.mark.parametrize("n", [0, 1, output._BLOCK_ROWS - 1, output._BLOCK_ROWS,
+                                   output._BLOCK_ROWS + 1, 2 * output._BLOCK_ROWS + 1])
+    def test_file_is_the_text(self, n, tmp_path):
+        t, w, xi, hr, hi = self.columns(n, seed=n)
+        specials = [0.0, -0.0, 5e-324, -2.2250738585072014e-309, math.nan, math.inf,
+                    -math.inf, 1e16, 1e-5]
+        k = min(len(specials), w.size)
+        w.ravel()[:k] = specials[:k]
+        xi.ravel()[:k] = specials[::-1][:k]
+        path = tmp_path / "t.csv"
+        output.write_trajectory_csv(path, t, w, xi, hr, hi)
+        assert path.read_bytes() == trajectory_csv(t, w, xi, hr, hi).encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+    def test_failed_block_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old\n")
+        real, blocks = output._csv_block, []
+
+        def second_fails(table):
+            blocks.append(1)
+            if len(blocks) == 2:
+                raise MemoryError("block 2")
+            return real(table)
+
+        monkeypatch.setattr(output, "_csv_block", second_fails)
+        with pytest.raises(MemoryError, match="block 2"):
+            output.write_trajectory_csv(path, *self.columns(2 * output._BLOCK_ROWS + 1))
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
 class TestRunWriter:
     """``simulate`` and ``hi-flow`` write through one run writer."""
 
@@ -364,12 +421,13 @@ class TestRunWriter:
         import holomech.cli as cli
 
         calls = []
-        for fn_name in ("trajectory_csv", "write_text_atomic"):
+        for fn_name in ("trajectory_csv", "write_trajectory_csv", "write_text_atomic"):
             fn = getattr(cli, fn_name)
             monkeypatch.setattr(cli, fn_name, lambda *a, _fn=fn, _name=fn_name:
                                 calls.append(_name) or _fn(*a))
         self.write(name, tmp_path)
-        assert calls == ["trajectory_csv", "write_text_atomic", "write_text_atomic"]
+        # the CSV streamed to its file, then the summary
+        assert calls == ["write_trajectory_csv", "write_text_atomic"]
 
     @pytest.mark.parametrize("name", list(RUNS))
     def test_shared_run_fields(self, name, tmp_path, capsys):

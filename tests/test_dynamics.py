@@ -863,6 +863,75 @@ class TestPostKernelOracles:
             _union_hermite(flat, ys, ds, off).tobytes())
 
 
+class TestSamplesAt:
+    """``Trajectory.samples_at`` gives ``state_at``'s bytes, reading the
+    samples on the run's own grid."""
+
+    # zeros of both signs in the samples and fields, next to nonzero ones
+    CELLS = st.sampled_from([0.0, -0.0, 1.5, -2.25]) | st.floats(
+        -1e300, 1e300, allow_subnormal=True)
+
+    @staticmethod
+    def run_on(t, ys, ds):
+        zeros = np.zeros(len(t))
+        return dyn.Trajectory(frame="darboux", t=np.asarray(t, dtype=float),
+                              states=np.asarray(ys, dtype=float),
+                              derivs=np.asarray(ds, dtype=float), hr=zeros, hi=zeros,
+                              terminated_by="t_end", n_steps=len(t) - 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 8))
+    def test_node_rows_match_state_at(self, data, size):
+        t = sorted(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size,
+                                      unique=True)))
+        cells = st.lists(self.CELLS, min_size=4 * size, max_size=4 * size)
+        ys = np.reshape(data.draw(cells), (size, 4))
+        ds = np.reshape(data.draw(cells), (size, 4))
+        n = data.draw(st.integers(1, size))
+        traj = self.run_on(t, ys, ds)
+        assert traj.samples_at(traj.t[:n]).tobytes() == traj.state_at(traj.t[:n]).tobytes()
+
+    @staticmethod
+    def count_state_at(monkeypatch):
+        calls = []
+        real = dyn.Trajectory.state_at
+        monkeypatch.setattr(dyn.Trajectory, "state_at",
+                            lambda self, t: calls.append(1) or real(self, t))
+        return calls
+
+    def test_other_times_interpolate(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        t = np.cumsum(rng.uniform(0.1, 0.5, 9))
+        traj = self.run_on(t, rng.standard_normal((9, 4)), rng.standard_normal((9, 4)))
+        calls = self.count_state_at(monkeypatch)
+        for tq in (0.5 * (t[1:] + t[:-1]), t[1:], t[::-1], np.r_[t[:3], t[2:5]],
+                   np.r_[t, t[-1] + 1.0]):
+            assert traj.samples_at(tq).tobytes() == traj.state_at(tq).tobytes()
+        assert len(calls) == 2 * 5
+
+    def test_non_finite_samples_interpolate(self):
+        t = np.arange(4.0)
+        ys = np.zeros((4, 4))
+        ds = np.ones((4, 4))
+        ds[2, 1] = math.inf  # 0 * inf: nodes 1 and 2 give NaN, not their samples
+        traj = self.run_on(t, ys, ds)
+        with np.errstate(invalid="ignore"):
+            rows = traj.samples_at(t)
+            assert rows.tobytes() == traj.state_at(t).tobytes()
+        assert np.isnan(rows[1:3, 1]).all()
+
+    @pytest.mark.parametrize("method, calls", [("rk4", 0), ("split", 0), ("rk45", 1)])
+    def test_cli_both_frames(self, method, calls, tmp_path, monkeypatch):
+        # fixed-step frames share one grid; the rk45 controllers pick two
+        from holomech.cli import main
+
+        counted = self.count_state_at(monkeypatch)
+        assert main(["simulate", "--potential=i*sin(z)", "--z0=0.2+0.1i", "--p0=1",
+                     "--frame=both", f"--method={method}", "--dt=0.01", "--t-end=1",
+                     f"--out={tmp_path / 'run.csv'}"]) == 0
+        assert len(counted) == calls
+
+
 # The tableau-driven step rules, error norm and finiteness wrapper as they
 # stood before the rules were written out stage by stage; driven by the
 # old loop below, they must give the fused kernels' runs bit for bit.
