@@ -304,7 +304,7 @@ def cmd_simulate(args) -> int:
     # master grid: complex-frame samples clipped to the common range
     keep = traj.t <= min(traj.t[-1], traj_d.t[-1])
     t = traj.t[keep]
-    xi_rows = traj_d.samples_at(t)
+    xi_rows = traj_d.state_at(t)
     try:
         eq = equivalence_report(traj, traj_d)
         summary["max_frame_deviation"] = eq.max_deviation

@@ -202,30 +202,22 @@ class Trajectory:
 
         A scalar time gives one row of shape (4,), a 1-D array of N times an
         (N, 4) stack.  Times outside the samples extrapolate the end
-        intervals.
+        intervals.  When the times are this run's first n sample times, bit
+        for bit, ``t`` ascends strictly and every sample and field is
+        finite, as the kernels record them (a fixed-step pair, or a run
+        stopped early beside a longer one), the rows are read off the
+        samples with the interpolant's bits (``_node_rows``).
         """
         tq = np.asarray(t_query, dtype=float)
         if tq.ndim > 1:
             raise ValueError("state_at takes a scalar or a 1-D array of times")
-        rows = _hermite(self.t, self.states, self.derivs, tq.reshape(-1))
+        n = tq.size
+        if (n and tq.tobytes() == self.t[:n].tobytes() and (self.t[1:] > self.t[:-1]).all()
+                and np.isfinite(self.states).all() and np.isfinite(self.derivs).all()):
+            rows = _node_rows(self.states, self.derivs, n)
+        else:
+            rows = _hermite(self.t, self.states, self.derivs, tq.reshape(-1))
         return rows[0] if tq.ndim == 0 else rows
-
-    def samples_at(self, t) -> np.ndarray:
-        """``state_at`` of a 1-D array of times, bit for bit.
-
-        When ``t`` is strictly ascending and equals this run's first
-        ``len(t)`` sample times bit for bit (a fixed-step pair, or a run
-        stopped early beside a longer one), and every sample and field is
-        finite, as the kernels record them, the rows are read from the
-        samples; otherwise they are interpolated.
-        """
-        t = np.asarray(t, dtype=float)
-        n = t.size
-        if (t.ndim == 1 and n and t.tobytes() == self.t[:n].tobytes()
-                and (t[1:] > t[:-1]).all() and np.isfinite(self.states).all()
-                and np.isfinite(self.derivs).all()):
-            return _node_rows(self.states, self.derivs, n)
-        return self.state_at(t)
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
@@ -438,10 +430,11 @@ _DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_E = (35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695, 125 / 192 - 393 / 640,
          -2187 / 6784 - -92097 / 339200, 11 / 84 - 187 / 2100, 0.0 - 1 / 40)
 _RK4_A = ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
+_RK4_B = (1.0, 2.0, 2.0, 1.0)  # times h / 6
 
 
-def _field(frame: str, z: str, p: str, dz: str, dp: str) -> str:
-    return (_FIELDS[frame] + _CHECK).format(z=z, p=p, dz=dz, dp=dp)
+def _field(frame: str, z: str, p: str, dz: str, dp: str, check: bool = True) -> str:
+    return (_FIELDS[frame] + (_CHECK if check else "")).format(z=z, p=p, dz=dz, dp=dp)
 
 
 def _dot(row, ks) -> str:
@@ -449,20 +442,26 @@ def _dot(row, ks) -> str:
     return " + ".join(["0j"] + [f"{complex(c)!r} * {k}" for c, k in zip(row, ks) if c])
 
 
-def _rk_step(frame: str, rows) -> tuple[str, list, list]:
-    """Stages of an explicit Runge-Kutta rule; k1 is the field carried in."""
+def _rk_step(frame: str, rows, weights) -> tuple[str, list, list]:
+    """Stages of an explicit Runge-Kutta rule; k1 is the field carried in.
+
+    Only a stage whose weight in the step is 0 checks its field.  Any other
+    enters z1 or p1 times a nonzero real constant and h, and a non-finite
+    part stays non-finite through that product and every sum, so the step
+    fails on ``ok`` exactly where the stage's check would have raised.
+    """
     kz, kp = ["kz"], ["kp"]
     lines = []
-    for j, row in enumerate(rows, 2):
+    for j, (row, weight) in enumerate(zip(rows, weights[1:]), 2):
         lines += [f"z_st = z + hc * ({_dot(row, kz)})", f"p_st = p + hc * ({_dot(row, kp)})",
-                  _field(frame, "z_st", "p_st", f"kz{j}", f"kp{j}")]
+                  _field(frame, "z_st", "p_st", f"kz{j}", f"kp{j}", check=not weight)]
         kz.append(f"kz{j}")
         kp.append(f"kp{j}")
     return "\n".join(lines), kz, kp
 
 
 def _dp45_step(frame: str) -> str:
-    stages, kz, kp = _rk_step(frame, _DP_A)
+    stages, kz, kp = _rk_step(frame, _DP_A, _DP_B)
     return "\n".join([
         stages,
         f"z1 = z + hc * ({_dot(_DP_B, kz)})", f"p1 = p + hc * ({_dot(_DP_B, kp)})",
@@ -471,7 +470,7 @@ def _dp45_step(frame: str) -> str:
 
 
 def _rk4_step(frame: str) -> str:
-    stages, _, _ = _rk_step(frame, _RK4_A)
+    stages, _, _ = _rk_step(frame, _RK4_A, _RK4_B)
     return "\n".join([
         stages, "h6 = h / 6.0 + 0j",
         "z1 = z + h6 * (kz + (2+0j) * kz2 + (2+0j) * kz3 + kz4)",
@@ -717,11 +716,9 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
     the covered time ranges differ (e.g. one trajectory escaped early).
 
     When both carry the same strictly ascending ``t``, bit for bit (every
-    rk4 or split pair that ends at the same sample), the samples are
-    compared row by row.  The report is the one the merged grid gives: at a
-    node the interpolant's basis is (1, 0, 0, -0), so with the finite
-    samples and fields the kernels record it returns the sample up to the
-    sign of a zero, which the absolute deviation drops.
+    rk4 or split pair that ends at the same sample), that ``t`` is the
+    merged grid as it stands, and ``state_at`` reads the runs' rows on it
+    off their samples.
     """
     if traj_complex.frame != "complex" or traj_darboux.frame != "darboux":
         raise ValueError("expected (complex, darboux) trajectory pair")
@@ -731,7 +728,7 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
         raise GridMismatchError(
             f"time ranges differ: [{ta[0]}, {ta[-1]}] vs [{tb[0]}, {tb[-1]}]")
     if ta.tobytes() == tb.tobytes() and (ta[1:] > ta[:-1]).all():
-        grid, w, xi = ta, traj_complex.states, traj_darboux.states
+        grid = ta
     else:
         lo = max(ta[0], tb[0])
         hi = min(ta[-1], tb[-1])
@@ -745,9 +742,8 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
         if grid.size == 0:
             return EquivalenceReport(max_deviation=0.0, tolerance=tol, passed=True,
                                      n_points=0, t_worst=float(lo))
-        w = _hermite(ta, traj_complex.states, traj_complex.derivs, grid)
-        xi = _hermite(tb, traj_darboux.states, traj_darboux.derivs, grid)
-    dev = np.max(np.abs(w_to_darboux(w) - xi), axis=1)
+    dev = np.max(np.abs(w_to_darboux(traj_complex.state_at(grid))
+                        - traj_darboux.state_at(grid)), axis=1)
     # a NaN row never exceeds the running maximum, and the first grid point
     # attaining the maximum is the one reported
     dev[np.isnan(dev)] = 0.0

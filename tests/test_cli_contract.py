@@ -1,19 +1,26 @@
-"""The run writer's contract under drawn ``simulate`` and ``hi-flow`` runs.
+"""The CLI contract under drawn command lines.
 
-Every drawn run must end in exit code 0 or 2 without a traceback, with a
-strict-JSON summary and a CSV whose header is ``TRAJECTORY_HEADER`` and
-whose data rows number the summary's ``samples``.
+Every drawn ``simulate`` and ``hi-flow`` run must end in exit code 0 or 2
+without a traceback, with a strict-JSON summary and a CSV whose header is
+``TRAJECTORY_HEADER`` and whose data rows number the summary's ``samples``.
+Every drawn ``verify-table1``, ``verify-symplectic``, ``darboux`` and
+``constrain`` command, its values taken from edge pools, must end in exit
+code 0, 1, 2 or 3 without a traceback or a warning, with at most one
+stderr line besides argparse's usage, and with strict JSON wherever it
+writes JSON.
 """
 
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
+from conftest import NON_CATALOG_SOURCES
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from holomech import BUILTIN_SOURCES
+from holomech import BUILTIN_SOURCES, closed_forms
 from holomech.cli import main
 from holomech.output import TRAJECTORY_HEADER
 
@@ -82,3 +89,83 @@ def test_simulate(argv, tmp_path):
 @given(argv=hi_flow_runs())
 def test_hi_flow(argv, tmp_path):
     check_run(argv, tmp_path)
+
+
+# Edge pools, as command-line text: signed zeros, a subnormal, values near
+# the float range, infinities, NaN and text that is no number at all.
+REALS = st.sampled_from(["0", "-0.0", "1e-320", "-1e-320", "1e300", "-1e300", "inf", "-inf",
+                         "nan", "1.5", "-0.75", "2", "x"]) | st.floats().map(repr)
+COMPLEXES = REALS | st.sampled_from(
+    ["1e300+1e300i", "-1e300-1e300i", "1.7e308+1.7e308i", "1e-320-1e-320i", "inf+infi",
+     "nan+nani", "-inf-0.0i", "0.5-0.25i", "-0.0+0.0i", "3+4", "i"])
+# integer options: a signed zero and text that int() refuses
+INTEGER_EDGES = st.sampled_from(["-0", "1e300", "nan", "1.5", "x"])
+SEEDS = st.integers(-3, 2**70).map(str) | INTEGER_EDGES
+POTENTIALS = st.sampled_from(
+    [*sorted(BUILTIN_SOURCES.values()), *NON_CATALOG_SOURCES,
+     "", "z^", "1/z", "z^-1", "foo(z)", "sin(", "z**2", "1e400*z", "exp(exp(exp(z)))",
+     "z^99999", "sin(z*z*z*z*z)", "(" * 101 + "z" + ")" * 101])
+# verify-table1 evaluates every catalog form at --points points; the test
+# lowers the program's cap on them, and larger draws are refused at once
+TABLE_POINTS_CAP = 2000
+
+
+def option(name, values):
+    """``--name=value`` (a value may start with -), or the option left out."""
+    return st.none() | values.map(lambda v: f"--{name}={v}")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["verify-table1", "verify-symplectic", "darboux",
+                                    "constrain"]))
+    if command == "verify-table1":
+        points = (st.integers(-3, 2 * TABLE_POINTS_CAP) | st.integers(-3, 2**70)).map(str)
+        opts = [option("seed", SEEDS), option("points", points | INTEGER_EDGES)]
+    elif command == "verify-symplectic":
+        # no cap bounds --random: its draws stop at 1000 trials
+        trials = st.integers(-3, 1000).map(str) | INTEGER_EDGES
+        opts = [option("random", trials), option("seed", SEEDS),
+                option("potential", POTENTIALS), option("mass", REALS)]
+    elif command == "darboux":
+        opts = [option("a", REALS), option("b", REALS), option("alpha", COMPLEXES)]
+    else:
+        opts = [st.builds("--potential={}".format, POTENTIALS), option("mass", REALS),
+                *(st.builds(f"--{name}={{}}".format, REALS) for name in ("x1", "p1", "p2"))]
+    return [command, *(a for a in (draw(o) for o in opts) if a is not None),
+            *draw(st.sampled_from([[], ["--out=report.out"]]))]
+
+
+def message_lines(stderr):
+    """stderr without argparse's usage line and its indented continuations."""
+    lines = stderr.splitlines()
+    if lines and lines[0].startswith("usage:"):
+        lines = lines[1:]
+        while lines and lines[0].startswith(" "):
+            lines = lines[1:]
+    return lines
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_other_commands(argv, tmp_path, monkeypatch):
+    monkeypatch.setattr(closed_forms, "MAX_TABLE_POINTS", TABLE_POINTS_CAP)
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "report.out"
+    report.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    assert len(message_lines(err)) <= 1, err
+    if argv[0] == "darboux" or code == 1:
+        return
+    text = report.read_text() if report.exists() else stdout.getvalue()
+    # verify-symplectic prints its pass count after a report on stdout
+    json.JSONDecoder(parse_constant=fail_on_constant).raw_decode(text)

@@ -760,6 +760,25 @@ class TestPostKernelOracles:
         assert len(tc.t) == 1
         self.assert_same_report(tc, td)
 
+    def test_shared_grid_with_non_finite_field(self):
+        # the raw samples deviate most at node 3, where the Darboux field at
+        # node 4 makes the interpolant NaN: the report skips that row there
+        t = np.arange(6.0)
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((6, 4))
+        xi = w_to_darboux(w) + 1e-3 * rng.standard_normal((6, 4))
+        xi[3, 2] += 1.0
+        d_xi = rng.standard_normal((6, 4))
+        d_xi[4, 1] = math.inf
+        zeros = np.zeros(6)
+        tc = dyn.Trajectory(frame="complex", t=t, states=w, derivs=rng.standard_normal((6, 4)),
+                            hr=zeros, hi=zeros, terminated_by="t_end", n_steps=5)
+        td = dyn.Trajectory(frame="darboux", t=t.copy(), states=xi, derivs=d_xi,
+                            hr=zeros, hi=zeros, terminated_by="t_end", n_steps=5)
+        with np.errstate(invalid="ignore"):
+            self.assert_same_report(tc, td)
+            assert equivalence_report(tc, td).t_worst != 3.0
+
     def test_repeated_time_keeps_union_grid(self, monkeypatch):
         calls = self.count_hermite(monkeypatch)
         tc, _ = self.pair("i*z^3", "rk4", 0.3 + 0.2j, 0.5 - 0.1j, t_end=0.1)
@@ -864,7 +883,7 @@ class TestPostKernelOracles:
 
 
 class TestSamplesAt:
-    """``Trajectory.samples_at`` gives ``state_at``'s bytes, reading the
+    """``Trajectory.state_at`` gives ``_hermite``'s bytes, reading the
     samples on the run's own grid."""
 
     # zeros of both signs in the samples and fields, next to nonzero ones
@@ -879,6 +898,10 @@ class TestSamplesAt:
                               derivs=np.asarray(ds, dtype=float), hr=zeros, hi=zeros,
                               terminated_by="t_end", n_steps=len(t) - 1)
 
+    @staticmethod
+    def hermite(traj, tq):
+        return dyn._hermite(traj.t, traj.states, traj.derivs, np.asarray(tq, dtype=float))
+
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), size=st.integers(1, 8))
     def test_node_rows_match_state_at(self, data, size):
@@ -889,25 +912,29 @@ class TestSamplesAt:
         ds = np.reshape(data.draw(cells), (size, 4))
         n = data.draw(st.integers(1, size))
         traj = self.run_on(t, ys, ds)
-        assert traj.samples_at(traj.t[:n]).tobytes() == traj.state_at(traj.t[:n]).tobytes()
-
-    @staticmethod
-    def count_state_at(monkeypatch):
-        calls = []
-        real = dyn.Trajectory.state_at
-        monkeypatch.setattr(dyn.Trajectory, "state_at",
-                            lambda self, t: calls.append(1) or real(self, t))
-        return calls
+        assert traj.state_at(traj.t[:n]).tobytes() == self.hermite(traj, traj.t[:n]).tobytes()
+        # a scalar time reads its row the same way
+        assert traj.state_at(traj.t[0]).tobytes() == self.hermite(traj, traj.t[:1])[0].tobytes()
 
     def test_other_times_interpolate(self, monkeypatch):
         rng = np.random.default_rng(3)
         t = np.cumsum(rng.uniform(0.1, 0.5, 9))
-        traj = self.run_on(t, rng.standard_normal((9, 4)), rng.standard_normal((9, 4)))
-        calls = self.count_state_at(monkeypatch)
-        for tq in (0.5 * (t[1:] + t[:-1]), t[1:], t[::-1], np.r_[t[:3], t[2:5]],
-                   np.r_[t, t[-1] + 1.0]):
-            assert traj.samples_at(tq).tobytes() == traj.state_at(tq).tobytes()
-        assert len(calls) == 2 * 5
+        ys, ds = rng.standard_normal((9, 4)), rng.standard_normal((9, 4))
+        traj = self.run_on(t, ys, ds)
+        cases = [(traj, tq) for tq in (0.5 * (t[1:] + t[:-1]), t[1:], t[::-1],
+                                       np.r_[t[:3], t[2:5]], np.r_[t, t[-1] + 1.0])]
+        # a backwards flow's first time; times followed by a repeated one
+        back = self.run_on(-t, ys, ds)
+        repeat = self.run_on(np.r_[t[:3], t[2:8]], ys, ds)
+        cases += [(back, back.t[:1]), (repeat, repeat.t[:3])]
+        # -0 on a run from +0: not its time, and the interpolant's zero differs
+        ys0, ds0 = ys.copy(), ds.copy()
+        ys0[:2, 0], ds0[:2, 0] = (-0.0, -1.0), (1.0, 1.0)
+        cases.append((self.run_on(np.r_[0.0, t[:8]], ys0, ds0), np.array([-0.0])))
+        want = [self.hermite(run, tq).tobytes() for run, tq in cases]
+        calls = TestPostKernelOracles.count_hermite(monkeypatch)
+        assert [run.state_at(tq).tobytes() for run, tq in cases] == want
+        assert len(calls) == len(cases)
 
     def test_non_finite_samples_interpolate(self):
         t = np.arange(4.0)
@@ -916,16 +943,17 @@ class TestSamplesAt:
         ds[2, 1] = math.inf  # 0 * inf: nodes 1 and 2 give NaN, not their samples
         traj = self.run_on(t, ys, ds)
         with np.errstate(invalid="ignore"):
-            rows = traj.samples_at(t)
-            assert rows.tobytes() == traj.state_at(t).tobytes()
+            rows = traj.state_at(t)
+            assert rows.tobytes() == self.hermite(traj, t).tobytes()
         assert np.isnan(rows[1:3, 1]).all()
 
-    @pytest.mark.parametrize("method, calls", [("rk4", 0), ("split", 0), ("rk45", 1)])
+    @pytest.mark.parametrize("method, calls", [("rk4", 0), ("split", 0), ("rk45", 3)])
     def test_cli_both_frames(self, method, calls, tmp_path, monkeypatch):
-        # fixed-step frames share one grid; the rk45 controllers pick two
+        # fixed-step frames share one grid; the rk45 controllers pick two,
+        # so the CSV's Darboux rows and both sides of the report interpolate
         from holomech.cli import main
 
-        counted = self.count_state_at(monkeypatch)
+        counted = TestPostKernelOracles.count_hermite(monkeypatch)
         assert main(["simulate", "--potential=i*sin(z)", "--z0=0.2+0.1i", "--p0=1",
                      "--frame=both", f"--method={method}", "--dt=0.01", "--t-end=1",
                      f"--out={tmp_path / 'run.csv'}"]) == 0
@@ -1415,6 +1443,77 @@ def test_kernels_match_moved_loop(src, mass, kernel, tol, start, t_end, dt):
     assert _run_bits(run) == _run_bits(_oracle_run(spec, method, frame, z, p, cfg, h,
                                                    attempts=attempts))
     _check_counters(run, method, attempts)
+
+
+class TestStageChecks:
+    """A kernel checks a stage's field only where the stage's weight in the
+    step is 0.  Elsewhere a non-finite field fails the step through z1 or
+    p1, where ``_drive``, which checks every field, fails it at the stage."""
+
+    @staticmethod
+    def dv(sign):
+        # stateless: sign * z inside |z| < 1, infinite from there on
+        return lambda z: sign * z if abs(z) < 1.0 else complex(math.inf, 0.0)
+
+    # (method, frame): v' = sign * z inside the unit disk, the start's
+    # momentum (outward along the real axis), and per stage the start
+    # 1 - delta from which that stage is the first past |z| = 1; the motion
+    # is repelled, so a later stage reaches farther.  rk45's stage 2 keeps
+    # its check.
+    CASES = {
+        ("rk45", "complex"): (-1.0, 1.0, {2: 0.02, 3: 0.05, 4: 0.11, 5: 0.175, 6: 0.19}),
+        ("rk45", "darboux"): (-1.0, 1.0, {2: 0.02, 3: 0.05, 4: 0.11, 5: 0.175, 6: 0.19}),
+        ("rk4", "complex"): (-1.0, 1.0, {2: 0.05, 3: 0.102, 4: 0.15}),
+        ("rk4", "darboux"): (-1.0, 1.0, {2: 0.05, 3: 0.102, 4: 0.15}),
+        ("rk4", "hi"): (1.0, 1j, {2: 0.025, 3: 0.0506, 4: 0.08}),
+        ("rk4", "hi_back"): (1.0, -1j, {2: 0.025, 3: 0.0506, 4: 0.08}),
+    }
+
+    @staticmethod
+    def first_failing_stage(method, frame, dv, z, p, cfg, attempts):
+        """``_drive`` with the checked fields, and the first stage whose
+        field was not finite (1 is the start's field, S + 1 the step's)."""
+        field, rule = _moved_fields(dv, 0.5)[frame], _RK_RULES[method]
+        stage, failed = [0], []
+
+        def f(z, p):
+            stage[0] += 1
+            try:
+                return field(z, p)
+            except PotentialOverflowError:
+                failed.append(stage[0])
+                raise
+
+        def counted(*args):
+            attempts.append(1)
+            stage[0] = 1  # the field carried in
+            return rule(*args)
+
+        run = _drive(counted, f, z, p, cfg, "complex" if frame == "complex" else "darboux",
+                     h0=0.1)
+        return run, failed[0]
+
+    @pytest.mark.parametrize("method, frame", list(CASES))
+    def test_dropped_checks_fail_the_same_step(self, method, frame):
+        sign, momentum, starts = self.CASES[method, frame]
+        unit = 1.0 if frame == "complex" else S2
+        cfg = IntegratorConfig(method=method, dt=0.1, t_end=0.1, escape_radius=10.0)
+        dv = self.dv(sign)
+        weights = dyn._DP_B if method == "rk45" else dyn._RK4_B
+        assert set(starts) >= {j for j, b in enumerate(weights, 1) if j > 1 and b}
+        for want, delta in starts.items():
+            z, p = complex(unit * (1.0 - delta)), unit * momentum
+            attempts = []
+            oracle, stage = self.first_failing_stage(method, frame, dv, z, p, cfg, attempts)
+            assert stage == want
+            run = dyn._kernel(method, frame)(dv, 0.5, z, p, cfg.t_end, 0.1, cfg.abs_tol,
+                                             cfg.rel_tol, cfg.escape_radius)
+            assert _run_bits(run) == _run_bits(oracle)
+            _check_counters(run, method, attempts)
+            if method == "rk45":
+                assert run[5][3] > 0  # the step was retried with a smaller h
+            else:
+                assert run[5][:2] == ("step_failure", 0)
 
 
 class TestRunCounters:
