@@ -24,6 +24,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -84,7 +85,8 @@ def parse_complex(text: str) -> complex:
     except ValueError:
         pass
     try:
-        return complex(s.replace("i", "j").replace("I", "j"))
+        # the unit ends the literal or precedes its ")"; the i of inf stays
+        return complex(re.sub(r"[iI](?=\)?$)", "j", s))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid complex literal {text!r}; expected RE+IMi, e.g. 1.0+0.5i"
@@ -249,9 +251,19 @@ def _both_frames(spec, z0, p0, xi0, cfg):
     return integrate_complex(spec, z0, p0, cfg), traj_d
 
 
-def _write_run(args, summary, traj, t, w_rows, xi_rows, hr, hi) -> int:
+def _write_run(args, summary, traj, traj_d=None) -> int:
     """Add the shared run fields to ``summary``, write the CSV and then the
-    summary, print the run's line; exit 0 if it ran to the end or escaped."""
+    summary, print the run's line; exit 0 if it ran to the end or escaped.
+    The other frame's columns are ``traj``'s states mapped, or with ``traj_d``
+    (``--frame both``) its rows on ``traj``'s grid up to where both runs end."""
+    t, states = traj.t, traj.states
+    if traj_d is not None:
+        t = t[:np.searchsorted(t, min(t[-1], traj_d.t[-1]), side="right")]
+        w_rows, xi_rows = states[:len(t)], traj_d.state_at(t)
+    elif traj.frame == "complex":
+        w_rows, xi_rows = states, w_to_darboux(states)
+    else:
+        w_rows, xi_rows = darboux_to_w(states), states
     summary.update({
         "command": args.command,
         "potential": args.potential,
@@ -265,7 +277,7 @@ def _write_run(args, summary, traj, t, w_rows, xi_rows, hr, hi) -> int:
         "n_rejected": traj.n_rejected,
         "samples": len(t),
     })
-    write_trajectory_csv(args.out, t, w_rows, xi_rows, hr, hi)
+    write_trajectory_csv(args.out, t, w_rows, xi_rows, traj.hr[:len(t)], traj.hi[:len(t)])
     write_text_atomic(_summary_path(args.out), json_text(summary))
     ending = "" if args.command == "hi-flow" else f", terminated by {traj.terminated_by}"
     print(f"wrote {args.out} ({len(t)} samples){ending}; "
@@ -293,18 +305,10 @@ def cmd_simulate(args) -> int:
         "xi0": xi0,
     }
     if args.frame == "complex":
-        traj = integrate_complex(spec, z0, p0, cfg)
-        return _write_run(args, summary, traj, traj.t, traj.states,
-                          w_to_darboux(traj.states), traj.hr, traj.hi)
+        return _write_run(args, summary, integrate_complex(spec, z0, p0, cfg))
     if args.frame == "darboux":
-        traj = integrate_darboux(spec, xi0, cfg)
-        return _write_run(args, summary, traj, traj.t, darboux_to_w(traj.states),
-                          traj.states, traj.hr, traj.hi)
+        return _write_run(args, summary, integrate_darboux(spec, xi0, cfg))
     traj, traj_d = _both_frames(spec, z0, p0, xi0, cfg)
-    # master grid: complex-frame samples clipped to the common range
-    keep = traj.t <= min(traj.t[-1], traj_d.t[-1])
-    t = traj.t[keep]
-    xi_rows = traj_d.state_at(t)
     try:
         eq = equivalence_report(traj, traj_d)
         summary["max_frame_deviation"] = eq.max_deviation
@@ -313,8 +317,7 @@ def cmd_simulate(args) -> int:
         summary["max_frame_deviation"] = None
         summary["frames_equivalent"] = False
         summary["grid_mismatch"] = str(exc)
-    return _write_run(args, summary, traj, t, traj.states[keep], xi_rows,
-                      traj.hr[keep], traj.hi[keep])
+    return _write_run(args, summary, traj, traj_d)
 
 
 def cmd_verify_table1(args) -> int:
@@ -384,15 +387,13 @@ def cmd_hi_flow(args) -> int:
     _summary_path(args.out)  # a clashing --out fails before any work
     spec = SystemSpec.from_source(args.potential, args.mass)
     xi0 = _start(args)[2]
-    traj = invariant_flow(spec, xi0, FlowConfig(epsilon_end=args.eps_end,
-                                                d_epsilon=args.d_eps))
     summary = {
         "xi0": xi0,
         "epsilon_end": args.eps_end,
         "d_epsilon": args.d_eps,
     }
-    return _write_run(args, summary, traj, traj.t, darboux_to_w(traj.states),
-                      traj.states, traj.hr, traj.hi)
+    return _write_run(args, summary, invariant_flow(
+        spec, xi0, FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps)))
 
 
 def cmd_constrain(args) -> int:

@@ -715,10 +715,9 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
     ascending, within the range both cover.  Raises GridMismatchError when
     the covered time ranges differ (e.g. one trajectory escaped early).
 
-    When both carry the same strictly ascending ``t``, bit for bit (every
-    rk4 or split pair that ends at the same sample), that ``t`` is the
-    merged grid as it stands, and ``state_at`` reads the runs' rows on it
-    off their samples.
+    When both carry one strictly ascending ``t`` (every rk4 or split pair
+    that ends at the same sample), the merged grid is that ``t`` bit for
+    bit, and ``state_at`` reads the rows off the samples.
     """
     if traj_complex.frame != "complex" or traj_darboux.frame != "darboux":
         raise ValueError("expected (complex, darboux) trajectory pair")
@@ -727,21 +726,18 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
     if abs(ta[0] - tb[0]) > 1e-9 * span or abs(ta[-1] - tb[-1]) > 1e-9 * span:
         raise GridMismatchError(
             f"time ranges differ: [{ta[0]}, {ta[-1]}] vs [{tb[0]}, {tb[-1]}]")
-    if ta.tobytes() == tb.tobytes() and (ta[1:] > ta[:-1]).all():
-        grid = ta
-    else:
-        lo = max(ta[0], tb[0])
-        hi = min(ta[-1], tb[-1])
-        # the sorted distinct times of both grids, which np.union1d also
-        # gives, but without its first call's import of numpy.ma
-        grid = np.concatenate((ta, tb))
-        grid.sort()
-        keep = (grid >= lo) & (grid <= hi)
-        keep[1:] &= grid[1:] != grid[:-1]
-        grid = grid[keep]
-        if grid.size == 0:
-            return EquivalenceReport(max_deviation=0.0, tolerance=tol, passed=True,
-                                     n_points=0, t_worst=float(lo))
+    lo = max(ta[0], tb[0])
+    hi = min(ta[-1], tb[-1])
+    # the sorted distinct times of both grids, which np.union1d also gives,
+    # but without its first call's import of numpy.ma
+    grid = np.concatenate((ta, tb))
+    grid.sort()
+    keep = (grid >= lo) & (grid <= hi)
+    keep[1:] &= grid[1:] != grid[:-1]
+    grid = grid[keep]
+    if grid.size == 0:
+        return EquivalenceReport(max_deviation=0.0, tolerance=tol, passed=True,
+                                 n_points=0, t_worst=float(lo))
     dev = np.max(np.abs(w_to_darboux(traj_complex.state_at(grid))
                         - traj_darboux.state_at(grid)), axis=1)
     # a NaN row never exceeds the running maximum, and the first grid point

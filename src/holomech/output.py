@@ -65,7 +65,7 @@ def _csv_blocks(t, w_rows, xi_rows, hr, hi):
 # Rows per rendered block.  Every per-block temporary stays under glibc's
 # default 128 KiB mmap threshold, so the allocator reuses heap memory from
 # block to block instead of mapping fresh pages: at 256 rows (2816 cells) the
-# staging rows and the cell buffer take 24 bytes per cell (66 KiB each), the
+# fixed cells' rows and the cell buffer take 24 bytes per cell (66 KiB each), the
 # digit-group indices 32 (88 KiB), a float or int64 array 8 (22 KiB).  At 512
 # rows three of them were over it, and a 1000-2000-row table took about 640
 # minor page faults instead of about 100.
@@ -212,18 +212,15 @@ def _csv_block(table) -> bytearray:
     fixed = (a >= 1e-4) & (a < 1e17)
     fast = np.flatnonzero(fixed)
     slow = np.flatnonzero(~fixed)
-    # one row per fixed cell, then one row every other cell shares
-    rows = np.zeros((fast.size + 1, _WIDTH), np.uint8)
-    rows[-1, :len(_FALLBACK)] = np.frombuffer(_FALLBACK, np.uint8)
-    if fast.size:
-        fast = _fixed_rows(cells, fast, rows[:-1])
-    pick = np.empty(cells.size, np.intp)
-    pick[fast] = np.arange(fast.size)
-    pick[slow] = fast.size
     buf = bytearray(cells.size * _WIDTH)
     out = np.frombuffer(buf, np.uint8).reshape(cells.size, _WIDTH)
-    cell = np.dtype((np.void, _WIDTH))
-    rows.view(cell).ravel().take(pick, out=out.view(cell).ravel())
+    out[slow, :len(_FALLBACK)] = np.frombuffer(_FALLBACK, np.uint8)
+    if fast.size:
+        # built grouped by exponent, then scattered to their cells
+        rows = np.zeros((fast.size, _WIDTH), np.uint8)
+        fast = _fixed_rows(cells, fast, rows)
+        cell = np.dtype((np.void, _WIDTH))
+        np.put(out.view(cell).ravel(), fast, rows.view(cell).ravel())
     sep = out[:, -1].reshape(table.shape)
     sep[:] = ord(",")
     sep[:, -1] = ord("\n")

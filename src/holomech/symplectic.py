@@ -6,7 +6,9 @@ to a four-parameter family indexed by two reals (a, b) and one complex
 number alpha, subject to |alpha|^2 - a b != 1 (the structure degenerates on
 that surface).  The standard symplectic matrix is *not* in the family: the
 conventional Poisson bracket of any coordinate with an analytic H vanishes
-identically.
+identically.  Compatibility is a statement about brackets: the flow
+preserves J(0, 0, 0), whose Hamiltonian is h = 2 H_r; of the catalog
+potentials only z^2 and i*z keep other members too.
 
 Every member of the family is isomorphic to the standard structure.  This
 module constructs the isomorphism explicitly: an orthogonal matrix S with

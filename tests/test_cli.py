@@ -50,6 +50,35 @@ class TestComplexLiterals:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex("nope")
 
+    @pytest.mark.parametrize("text, value", [
+        ("inf+0.1i", complex(math.inf, 0.1)),
+        ("1+infi", complex(1.0, math.inf)),
+        ("-infinity-2i", complex(-math.inf, -2.0)),
+        # as the structure check prints it (tests/test_symplectic.py)
+        ("0.1+infi", complex(0.1, math.inf)),
+        ("-INFI", complex(0.0, -math.inf)),
+        ("(1+2i)", 1 + 2j),
+        ("(I)", 1j),
+    ])
+    def test_infinite_parts(self, text, value):
+        # only the trailing unit is Python's j: the i of inf stays an i
+        assert parse_complex(text) == value
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--potential=z^2", "--z0=inf+0.1i"],
+         "initial data z0=(inf+0.1j), p0=0j has no finite Darboux image"),
+        (["hi-flow", "--potential=z^2", "--p0=1+infi"],
+         "initial data z0=0j, p0=(1+infj) has no finite Darboux image"),
+        (["darboux", "--alpha=-infinity-2i"],
+         "structure parameters must be finite: a=0 b=0 alpha=-inf-2i"),
+    ])
+    def test_infinite_parts_reach_the_command(self, argv, message, tmp_path, capsys):
+        out = [f"--out={tmp_path / 'run.csv'}"] if argv[0] != "darboux" else []
+        assert run([*argv, *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"holomech: error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     def test_harmonic_period(self, tmp_path):
@@ -164,6 +193,26 @@ class TestSimulate:
         assert summary["frames_equivalent"] is False
         assert summary["max_frame_deviation"] is None
         assert "grid_mismatch" in summary
+
+    @pytest.mark.parametrize("argv", [
+        ["--potential=i*z^3", "--z0=0.3+0.2i", "--p0=0.5-0.1i", "--method=rk4", "--dt=0.01",
+         "--t-end=1"],
+        ["--potential=i*sin(z)", "--z0=0.2+0.1i", "--p0=1", "--t-end=1"],
+        ["--potential=-(z^4)", "--z0=3", "--t-end=10"],
+    ])
+    def test_both_frames_rows_end_where_both_runs_end(self, argv, tmp_path):
+        # the CSV holds the complex run's times up to the earlier of the two
+        # runs' last times, that one included
+        out = tmp_path / "both.csv"
+        assert run(["simulate", *argv, "--frame=both", f"--out={out}"]) == 0
+        args = holomech.cli.build_parser().parse_args(["simulate", *argv])
+        spec = holomech.SystemSpec.from_source(args.potential, args.mass)
+        cfg = holomech.IntegratorConfig(method=args.method, dt=args.dt, t_end=args.t_end)
+        tc = holomech.integrate_complex(spec, args.z0, args.p0, cfg).t
+        td = holomech.integrate_darboux(
+            spec, holomech.w_to_darboux([args.z0.real, args.p0.real, args.z0.imag,
+                                         args.p0.imag]), cfg).t
+        assert np.array_equal(read_csv(out)[:, 0], tc[tc <= min(tc[-1], td[-1])])
 
     def test_overflowing_invariants_warn_nothing(self, tmp_path):
         # the last sample of this escaping run overflows v and p^2: its H

@@ -7,7 +7,9 @@ Every drawn ``verify-table1``, ``verify-symplectic``, ``darboux`` and
 ``constrain`` command, its values taken from edge pools, must end in exit
 code 0, 1, 2 or 3 without a traceback or a warning, with at most one
 stderr line besides argparse's usage, and with strict JSON wherever it
-writes JSON.
+writes JSON.  So must a drawn ``simulate`` or ``hi-flow`` run some of whose
+options, start or potential come from those pools; one that ends in 0 or 2
+writes the summary and CSV above, and any other writes nothing.
 """
 
 import contextlib
@@ -73,6 +75,11 @@ def check_run(argv, out):
         code = main([*argv, f"--out={csv}"])
     assert code in (0, 2), (code, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    check_files(csv, summary)
+
+
+def check_files(csv, summary):
+    """A strict-JSON summary, and a CSV of its ``samples`` data rows."""
     fields = json.loads(summary.read_text(), parse_constant=fail_on_constant)
     lines = csv.read_text().splitlines()
     assert lines[0] == TRAJECTORY_HEADER
@@ -146,14 +153,9 @@ def message_lines(stderr):
     return lines
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=command_lines())
-def test_other_commands(argv, tmp_path, monkeypatch):
-    monkeypatch.setattr(closed_forms, "MAX_TABLE_POINTS", TABLE_POINTS_CAP)
-    monkeypatch.chdir(tmp_path)
-    report = tmp_path / "report.out"
-    report.unlink(missing_ok=True)
+def run_contract(argv):
+    """Run ``main(argv)``; check exit code 0-3, no traceback, no warning and
+    at most one stderr line besides argparse's usage; return (code, stdout)."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             warnings.catch_warnings(record=True) as caught:
@@ -164,8 +166,59 @@ def test_other_commands(argv, tmp_path, monkeypatch):
     assert "Traceback" not in err
     assert [str(w.message) for w in caught] == []
     assert len(message_lines(err)) <= 1, err
+    return code, stdout.getvalue()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_other_commands(argv, tmp_path, monkeypatch):
+    monkeypatch.setattr(closed_forms, "MAX_TABLE_POINTS", TABLE_POINTS_CAP)
+    monkeypatch.chdir(tmp_path)
+    report = tmp_path / "report.out"
+    report.unlink(missing_ok=True)
+    code, stdout = run_contract(argv)
     if argv[0] == "darboux" or code == 1:
         return
-    text = report.read_text() if report.exists() else stdout.getvalue()
+    text = report.read_text() if report.exists() else stdout
     # verify-symplectic prints its pass count after a report on stdout
     json.JSONDecoder(parse_constant=fail_on_constant).raw_decode(text)
+
+
+# simulate and hi-flow over the edge pools run at most this many steps: the
+# test lowers the program's cap on a grid, and a longer grid is refused at
+# once (an rk45 run stops at the cap with exit 2)
+GRID_STEPS_CAP = 2000
+
+
+@st.composite
+def edge_runs(draw):
+    """A drawn simulate or hi-flow run, up to three of whose options (the
+    start and the potential among them) then take a value from the edge pools;
+    the last value of an option is the one that counts."""
+    if draw(st.booleans()):
+        argv = draw(simulate_runs())
+        names = ["dt", "t-end", "rel-tol", "abs-tol", "escape-radius"]
+    else:
+        argv, names = draw(hi_flow_runs()), ["eps-end", "d-eps"]
+    pools = {"mass": REALS, **dict.fromkeys(names, REALS), "z0": COMPLEXES, "p0": COMPLEXES,
+             "xi0": st.lists(REALS, min_size=4, max_size=4).map(",".join),
+             "potential": POTENTIALS}
+    for name in draw(st.lists(st.sampled_from(sorted(pools)), max_size=3, unique=True)):
+        argv.append(f"--{name}={draw(pools[name])}")
+    return [*argv, "--out=run.csv"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=edge_runs())
+def test_runs_over_edge_pools(argv, tmp_path, monkeypatch, lower_step_cap):
+    lower_step_cap(GRID_STEPS_CAP)
+    monkeypatch.chdir(tmp_path)
+    for path in (tmp_path / "run.csv", tmp_path / "run.json"):
+        path.unlink(missing_ok=True)
+    code, _ = run_contract(argv)
+    if code in (0, 2):
+        check_files(tmp_path / "run.csv", tmp_path / "run.json")
+    else:  # a refused run writes nothing
+        assert sorted(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 """Integrators, invariant drift, split-step structure, and the H_i flow."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -17,7 +18,9 @@ from holomech import (
     GridMismatchError,
     IntegratorConfig,
     J_STANDARD,
+    SymplecticParams,
     SystemSpec,
+    build_real_J,
     darboux_to_w,
     equivalence_report,
     get_builtin,
@@ -357,6 +360,91 @@ def _jacobian(f, x, h=1e-3):
         e[k] = h
         J[:, k] = (8.0 * (f(x + e) - f(x - e)) - (f(x + 2 * e) - f(x - 2 * e))) / (12.0 * h)
     return J
+
+
+# The time-1 map of integrate_complex from w0 = (x, p, y, q), differentiated
+# with _jacobian at step FLOW_H.  Its noise is about DELTA: rk45's tolerance,
+# or the rounding of 1000 fixed steps (1000 eps ~ 1.1e-13).  A difference
+# weighs it by (8 + 8 + 1 + 1) / 12 / FLOW_H, so an entry of M is off by at
+# most FLOW_ERR; the truncation, FLOW_H^4 times fifth derivatives, and rk4's
+# dt^4 = 1e-12 lie below it.
+FLOW_W0 = np.array([0.3, 0.5, 0.2, -0.1])
+FLOW_H = 1e-4
+DELTA = 1e-13
+FLOW_ERR = 1.5 * DELTA / FLOW_H
+FLOW_CONFIGS = {
+    "rk45": IntegratorConfig(method="rk45", rel_tol=DELTA, abs_tol=DELTA, t_end=1.0),
+    "rk4": IntegratorConfig(method="rk4", dt=1e-3, t_end=1.0),
+    "split": IntegratorConfig(method="split", dt=1e-3, t_end=1.0),
+}
+J0 = build_real_J(SymplecticParams(0.0, 0.0, 0j))
+# dJ along a, b, Re alpha and Im alpha (J is affine in them)
+FAMILY_DIRECTIONS = [(build_real_J(SymplecticParams(*p)) - J0) / 0.5
+                     for p in ((0.5, 0.0, 0j), (0.0, 0.5, 0j), (0.0, 0.0, 0.5), (0.0, 0.0, 0.5j))]
+# multiplication by i on w = (x, p, y, q): (x, p, y, q) -> (-y, -q, x, p)
+I_W = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
+                [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+
+
+@functools.cache
+def flow_jacobian(src, method):
+    spec, cfg = spec_for(src), FLOW_CONFIGS[method]
+
+    def flow(w):
+        traj = integrate_complex(spec, complex(w[0], w[2]), complex(w[1], w[3]), cfg)
+        assert traj.terminated_by == "t_end"
+        return traj.final_state()
+
+    M = _jacobian(flow, FLOW_W0, h=FLOW_H)
+    M.flags.writeable = False
+    return M
+
+
+class TestFlowStructure:
+    """The flow preserves J(0, 0, 0), the structure whose Hamiltonian is
+    h = 2 H_r, and the complex form dz ^ dp; other members of the compatible
+    family J(a, b, alpha) reproduce the brackets with z and p, but are not
+    preserved unless the flow is complex-linear with real coefficients.
+
+    -(z^4) stays out of the bounds below: from FLOW_W0 its |M| is about 400,
+    which amplifies the map's noise as much (M J0 M^T - J0 reads 4.5e-8)."""
+
+    PRESERVING = ["i*z", "z^2", "i*z^3", "exp(i*z)", "i*sin(z)"]
+
+    @pytest.mark.parametrize("method", list(FLOW_CONFIGS))
+    @pytest.mark.parametrize("src", PRESERVING)
+    def test_preserves_j0(self, src, method):
+        M = flow_jacobian(src, method)
+        # M J0 M^T - J0 is off by 2 |J0| |M| FLOW_ERR, |J0| = 1/2
+        bound = np.linalg.norm(M, 2) * FLOW_ERR
+        assert np.max(np.abs(M @ J0 @ M.T - J0)) <= bound
+
+    @pytest.mark.parametrize("src, floor", [
+        ("i*z^3", 0.45), ("-(z^4)", 0.3), ("exp(i*z)", 0.6), ("i*sin(z)", 0.5)])
+    def test_other_members_are_not_preserved(self, src, floor):
+        # the smallest singular value of (a, b, Re alpha, Im alpha) ->
+        # M J M^T - J: no nonzero step from J0 keeps the residual at 0
+        M = flow_jacobian(src, "rk45")
+        L = np.stack([(M @ E @ M.T - E).ravel() for E in FAMILY_DIRECTIONS], axis=1)
+        assert np.linalg.svd(L, compute_uv=False)[-1] >= floor
+
+    @pytest.mark.parametrize("src", ["z^2", "i*z"])
+    def test_linear_flows_preserve_more_members(self, src):
+        # their time-1 maps are complex-linear with real coefficients, so a
+        # direction of the family is preserved as well
+        M = flow_jacobian(src, "rk45")
+        L = np.stack([(M @ E @ M.T - E).ravel() for E in FAMILY_DIRECTIONS], axis=1)
+        assert np.linalg.svd(L, compute_uv=False)[-1] <= 2 * np.linalg.norm(M, 2) * FLOW_ERR
+
+    @pytest.mark.parametrize("method", list(FLOW_CONFIGS))
+    @pytest.mark.parametrize("src", PRESERVING)
+    def test_monodromy(self, src, method):
+        M = flow_jacobian(src, method)
+        # M commutes with multiplication by i: the map is holomorphic
+        assert np.max(np.abs(M @ I_W - I_W @ M)) <= 2 * FLOW_ERR
+        # its complex 2x2 monodromy d(z, p)/d(z0, p0) keeps dz ^ dp
+        phi = M[:2, :2] + 1j * M[2:, :2]
+        assert abs(np.linalg.det(phi) - 1.0) <= 2 * np.linalg.norm(phi, 2) * FLOW_ERR
 
 
 def xi_of(z, p):
