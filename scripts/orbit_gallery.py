@@ -8,14 +8,12 @@ pointwise deviation between the two is recorded, and the energy-split drift
 is tabulated.  Escape terminations (quartic/cubic potentials) are normal.
 
 Usage:
-    python scripts/orbit_gallery.py --out-dir out --t-end 8
+    python scripts/orbit_gallery.py --out-dir out --t-end 8 --z0=0.2+0.1i --p0=1
 """
 
 import argparse
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from holomech import (
     BUILTIN_SOURCES,
@@ -28,6 +26,8 @@ from holomech import (
     integrate_darboux,
     w_to_darboux,
 )
+from holomech.cli import parse_complex
+from holomech.hamiltonian import complex_to_darboux
 from holomech.output import json_text, write_text_atomic, write_trajectory_csv
 
 
@@ -35,14 +35,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out")
     ap.add_argument("--t-end", type=float, default=8.0)
-    ap.add_argument("--z0", type=complex, default=0.2 + 0.1j)
-    ap.add_argument("--p0", type=complex, default=1.0 + 0j)
+    ap.add_argument("--z0", type=parse_complex, default=0.2 + 0.1j)
+    ap.add_argument("--p0", type=parse_complex, default=1.0 + 0j)
     args = ap.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = IntegratorConfig(method="rk45", t_end=args.t_end)
-    w0 = np.array([args.z0.real, args.p0.real, args.z0.imag, args.p0.imag])
+    xi0 = complex_to_darboux(args.z0, args.p0)
 
     summary = {}
     print(f"{'potential':10s} {'terminated':12s} {'drift Hr':>10s} "
@@ -50,7 +50,7 @@ def main(argv=None) -> int:
     for name in BUILTIN_SOURCES:
         spec = SystemSpec(get_builtin(name), 0.5)
         traj_c = integrate_complex(spec, args.z0, args.p0, cfg)
-        traj_d = integrate_darboux(spec, w_to_darboux(w0), cfg)
+        traj_d = integrate_darboux(spec, xi0, cfg)
         try:
             dev = equivalence_report(traj_c, traj_d).max_deviation
         except GridMismatchError:

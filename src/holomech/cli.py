@@ -26,6 +26,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,8 @@ from .dynamics import (
     invariant_flow,
     solve_invariant_zero,
 )
-from .hamiltonian import SystemSpec, darboux_invariant, darboux_to_w, w_to_darboux
+from .hamiltonian import (SystemSpec, complex_to_darboux, darboux_invariant, darboux_to_w,
+                          w_to_darboux)
 # trajectory_csv stays imported: perfbench/workloads.py patches it by name.
 from .output import json_text, trajectory_csv, write_text_atomic, write_trajectory_csv
 from .potentials import PotentialError
@@ -224,18 +226,16 @@ def _start(args):
         w0 = darboux_to_w(args.xi0)
         return complex(w0[0], w0[2]), complex(w0[1], w0[3]), args.xi0
     z0, p0 = args.z0, args.p0
-    with np.errstate(over="ignore"):
-        xi0 = w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag]))
+    xi0 = complex_to_darboux(z0, p0)
     if not np.isfinite(xi0).all():
-        raise ValueError(f"initial data z0={z0}, p0={p0} has no finite "
-                         "Darboux image sqrt(2)*(x, p, q, y)")
+        raise ValueError(f"initial data z0={_literal(z0)}, p0={_literal(p0)} has no "
+                         "finite Darboux image sqrt(2)*(x, p, q, y)")
     return z0, p0, xi0
 
 
-def _same_start(z0: complex, p0: complex, xi0) -> bool:
-    """Whether the Darboux start of ``integrate_complex`` is bitwise xi0."""
-    xi_c = w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag]))
-    return xi_c.tobytes() == np.asarray(xi0, dtype=float).tobytes()
+def _literal(value: complex) -> str:
+    """``value`` in the RE+IMi form that ``parse_complex`` reads back exactly."""
+    return f"{value.real}{value.imag:+}i"
 
 
 def _both_frames(spec, z0, p0, xi0, cfg):
@@ -246,7 +246,7 @@ def _both_frames(spec, z0, p0, xi0, cfg):
     both frames, and the frame deviation measures only the frame maps.
     """
     traj_d = integrate_darboux(spec, xi0, cfg)
-    if cfg.method == "split" and _same_start(z0, p0, xi0):
+    if cfg.method == "split" and complex_to_darboux(z0, p0).tobytes() == xi0.tobytes():
         return complex_view(traj_d), traj_d
     return integrate_complex(spec, z0, p0, cfg), traj_d
 
@@ -292,18 +292,7 @@ def cmd_simulate(args) -> int:
                            rel_tol=args.rel_tol, abs_tol=args.abs_tol,
                            t_end=args.t_end, escape_radius=args.escape_radius)
     z0, p0, xi0 = _start(args)
-    summary = {
-        "frame": args.frame,
-        "method": cfg.method,
-        "dt": cfg.dt,
-        "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol,
-        "t_end": cfg.t_end,
-        "escape_radius": cfg.escape_radius,
-        "z0": z0,
-        "p0": p0,
-        "xi0": xi0,
-    }
+    summary = {"frame": args.frame, **asdict(cfg), "z0": z0, "p0": p0, "xi0": xi0}
     if args.frame == "complex":
         return _write_run(args, summary, integrate_complex(spec, z0, p0, cfg))
     if args.frame == "darboux":
@@ -387,13 +376,8 @@ def cmd_hi_flow(args) -> int:
     _summary_path(args.out)  # a clashing --out fails before any work
     spec = SystemSpec.from_source(args.potential, args.mass)
     xi0 = _start(args)[2]
-    summary = {
-        "xi0": xi0,
-        "epsilon_end": args.eps_end,
-        "d_epsilon": args.d_eps,
-    }
-    return _write_run(args, summary, invariant_flow(
-        spec, xi0, FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps)))
+    flow = FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps)
+    return _write_run(args, {"xi0": xi0, **asdict(flow)}, invariant_flow(spec, xi0, flow))
 
 
 def cmd_constrain(args) -> int:

@@ -58,6 +58,7 @@ import numpy as np
 
 from .hamiltonian import (
     SystemSpec,
+    complex_to_darboux,
     darboux_to_w,
     hamiltonian_split,
     w_to_darboux,
@@ -629,15 +630,14 @@ def integrate_complex(spec: SystemSpec, z0: complex, p0: complex,
     """Integrate dz/dt = p/m, dp/dt = -v'(z) over real time.
 
     States are recorded as real rows w = (x, p, y, q).  The ``split`` method
-    runs in the Darboux frame from w_to_darboux(z0, p0) and returns its
+    runs in the Darboux frame from complex_to_darboux(z0, p0) and returns its
     ``complex_view``.
     """
     z0, p0 = complex(z0), complex(p0)
     if not (cmath.isfinite(z0) and cmath.isfinite(p0)):
         raise ValueError("initial data must be finite")
     if cfg.method == "split":
-        return complex_view(integrate_darboux(
-            spec, w_to_darboux(np.array([z0.real, p0.real, z0.imag, p0.imag])), cfg))
+        return complex_view(integrate_darboux(spec, complex_to_darboux(z0, p0), cfg))
     return _trajectory("complex", spec, _run(spec, cfg.method, "complex", z0, p0, cfg))
 
 
@@ -664,12 +664,9 @@ def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
                            t_end=span, escape_radius=math.inf)
     traj = _trajectory("darboux", spec,
                        _run(spec, "rk4", "hi_back" if backwards else "hi", Z, P, cfg))
-    if backwards:
-        # the run is in |eps|: t = 0 - |eps| keeps the first sample at +0,
-        # and the derivatives become d/d(eps)
-        traj.t = 0.0 - traj.t
-        traj.derivs = -traj.derivs
-    return traj
+    # the run is in |eps|: t = 0 - |eps| keeps the first sample at +0, and
+    # the derivatives become d/d(eps)
+    return replace(traj, t=0.0 - traj.t, derivs=-traj.derivs) if backwards else traj
 
 
 def solve_invariant_zero(spec: SystemSpec, x1: float, p1: float, p2: float) -> float:

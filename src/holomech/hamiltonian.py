@@ -10,7 +10,8 @@ Phase-space conventions used everywhere in this package:
 Real phase points are float arrays whose last axis holds the four
 coordinates; ``w_to_darboux`` and ``darboux_to_w`` map one point or a whole
 stack of trajectory samples alike, and so do ``hamiltonian_split``,
-``darboux_hamiltonian`` and ``darboux_invariant``.
+``darboux_hamiltonian`` and ``darboux_invariant``.  A complex start (z, p)
+reaches its Darboux point through ``complex_to_darboux``.
 
 The energy splits as H = H_r + i H_i with
 
@@ -46,6 +47,7 @@ __all__ = [
     "darboux_invariant",
     "w_to_darboux",
     "darboux_to_w",
+    "complex_to_darboux",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -63,6 +65,13 @@ def w_to_darboux(w) -> np.ndarray:
 def darboux_to_w(xi) -> np.ndarray:
     """(..., 4) rows (x1, p1, x2, p2) -> (x, p, y, q); exact inverse of w_to_darboux."""
     return np.asarray(xi, dtype=float).take(_SWAP_YQ, axis=-1) / _SQRT2
+
+
+def complex_to_darboux(z: complex, p: complex) -> np.ndarray:
+    """The Darboux point sqrt(2) (x, p, q, y) of the complex start (z, p); a
+    part above about 1.27e308 overflows to inf, with no warning."""
+    with np.errstate(over="ignore"):
+        return w_to_darboux(np.array([z.real, p.real, z.imag, p.imag]))
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,9 @@ class TestComplexLiterals:
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--potential=z^2", "--z0=inf+0.1i"],
-         "initial data z0=(inf+0.1j), p0=0j has no finite Darboux image"),
+         "initial data z0=inf+0.1i, p0=0.0+0.0i has no finite Darboux image"),
         (["hi-flow", "--potential=z^2", "--p0=1+infi"],
-         "initial data z0=0j, p0=(1+infj) has no finite Darboux image"),
+         "initial data z0=0.0+0.0i, p0=1.0+infi has no finite Darboux image"),
         (["darboux", "--alpha=-infinity-2i"],
          "structure parameters must be finite: a=0 b=0 alpha=-inf-2i"),
     ])
@@ -881,7 +881,8 @@ class TestSplitBothFrames:
         assert (calls == ["integrate_darboux"]) == one_run
         calls.clear()
         # the oracle: both frames integrated, as for the other methods
-        monkeypatch.setattr(cli, "_same_start", lambda *a: False)
+        monkeypatch.setattr(cli, "_both_frames", lambda spec, z0, p0, xi0, cfg: (
+            cli.integrate_complex(spec, z0, p0, cfg), cli.integrate_darboux(spec, xi0, cfg)))
         want = self.outputs(self.ARGS + start, tmp_path / "two", capsys)
         assert sorted(calls) == ["integrate_complex", "integrate_darboux"]
         assert got == want

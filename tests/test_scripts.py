@@ -24,6 +24,15 @@ def test_orbit_gallery(tmp_path):
         assert run["frame_deviation"] <= 1e-6
 
 
+def test_orbit_gallery_reads_the_cli_literal_form(tmp_path):
+    # the gallery parses --z0/--p0 as every holomech command does
+    argv = ["--out-dir", str(tmp_path), "--t-end", "0.5", "--z0=0.2+0.1i", "--p0=1"]
+    assert script_main("orbit_gallery")(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["z0"] == [0.2, 0.1]
+    assert summary["p0"] == [1.0, 0.0]
+
+
 def test_symplectic_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     assert script_main("symplectic_sweep")(["--trials", "5", "--out", str(out)]) == 0

@@ -319,6 +319,58 @@ class TestCompatibility:
         assert "r_plus" in text and "degenerate" in text
 
 
+class TestRealGenerator:
+    """h = 2 H_r generates the complex motion, with H_i in involution with
+    it, under J(0, 0, 0) only.
+
+    Bounds are rounding bounds: a 4-term dot product errs by at most
+    4 eps sum_k |a_k b_k|, so J grad(2 H_r) by 4 eps |J| |grad(2 H_r)| per
+    component and grad H_r . J grad H_i by 8 eps |grad H_r| |J| |grad H_i|.
+    A member fails when its value exceeds that bound a millionfold.
+    """
+
+    W = np.array([0.3, 0.5, 0.2, -0.1])
+    EPS = np.finfo(float).eps
+
+    def field_mismatch(self, spec, J):
+        """(max_k |J grad(2 H_r) - f|_k, its rounding bound) at W, with f the
+        vector field (p/m, -Re v', q/m, -Im v') of dz/dt = p/m, dp/dt = -v'."""
+        w, m = self.W, spec.mass
+        dv = spec.dv(complex(w[0], w[2]))
+        f = np.array([w[1] / m, -dv.real, w[3] / m, -dv.imag])
+        g = 2.0 * hamiltonian_field(spec).grad(w).real
+        return np.abs(J @ g - f).max(), (4.0 * self.EPS * (np.abs(J) @ np.abs(g))).max()
+
+    def involution(self, spec, J):
+        """(|{H_r, H_i}_J|, its rounding bound) at W."""
+        H = hamiltonian_field(spec)
+        hr = ScalarField(func=lambda w: hamiltonian_split(spec, w)[0],
+                         grad=lambda w: H.grad(w).real)
+        hi = ScalarField(func=lambda w: hamiltonian_split(spec, w)[1],
+                         grad=lambda w: H.grad(w).imag)
+        gr, gi = hr.grad(self.W), hi.grad(self.W)
+        bound = 8.0 * self.EPS * (np.abs(gr) @ np.abs(J) @ np.abs(gi))
+        return abs(bracket(hr, hi, J, self.W)), bound
+
+    def test_zero_params_generate_the_motion(self, builtin_specs):
+        J = build_real_J(SymplecticParams(0.0, 0.0, 0j))
+        for name, spec in builtin_specs.items():
+            value, bound = self.field_mismatch(spec, J)
+            assert value <= bound, name
+            value, bound = self.involution(spec, J)
+            assert value <= bound, name
+
+    def test_other_members_do_not(self, builtin_specs):
+        rng = np.random.default_rng(7)
+        for params in [sample_params(rng) for _ in range(6)]:
+            J = build_real_J(params)
+            for name, spec in builtin_specs.items():
+                value, bound = self.field_mismatch(spec, J)
+                assert value > 1e6 * bound, (name, params)
+                value, bound = self.involution(spec, J)
+                assert value > 1e6 * bound, (name, params)
+
+
 class TestDarbouxFrame:
     def test_zero_params_signed_permutation(self):
         frame = darboux_frame((0.0, 0.0, 0j))
