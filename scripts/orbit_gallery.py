@@ -2,74 +2,61 @@
 """Integrate every catalog potential from a common initial condition and
 write plot-ready CSVs plus a drift summary.
 
-The run cross-checks both descriptions of the motion: each potential is
-integrated in the complex frame and in the Darboux frame, the maximum
-pointwise deviation between the two is recorded, and the energy-split drift
-is tabulated.  Escape terminations (quartic/cubic potentials) are normal.
+Each potential runs through ``holomech simulate --frame both``: the motion
+is integrated in the complex frame and in the Darboux frame, each CSV holds
+both runs' rows with the run's JSON summary beside it, and summary.json
+tabulates the energy-split drift and the maximum deviation between the
+frames.  Escape terminations (quartic/cubic potentials) are normal.  A start
+the CLI rejects ends the script with the CLI's exit code and message.
 
 Usage:
     python scripts/orbit_gallery.py --out-dir out --t-end 8 --z0=0.2+0.1i --p0=1
 """
 
 import argparse
+import json
+import math
 import sys
 from pathlib import Path
 
-from holomech import (
-    BUILTIN_SOURCES,
-    GridMismatchError,
-    IntegratorConfig,
-    SystemSpec,
-    equivalence_report,
-    get_builtin,
-    integrate_complex,
-    integrate_darboux,
-    w_to_darboux,
-)
-from holomech.cli import parse_complex
-from holomech.hamiltonian import complex_to_darboux
-from holomech.output import json_text, write_text_atomic, write_trajectory_csv
+from holomech import BUILTIN_SOURCES, cli
+from holomech.output import json_text, write_text_atomic
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", default="out")
     ap.add_argument("--t-end", type=float, default=8.0)
-    ap.add_argument("--z0", type=parse_complex, default=0.2 + 0.1j)
-    ap.add_argument("--p0", type=parse_complex, default=1.0 + 0j)
+    ap.add_argument("--z0", type=cli.parse_complex, default=0.2 + 0.1j)
+    ap.add_argument("--p0", type=cli.parse_complex, default=1.0 + 0j)
     args = ap.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = IntegratorConfig(method="rk45", t_end=args.t_end)
-    xi0 = complex_to_darboux(args.z0, args.p0)
+    runs = {}
+    for name, src in BUILTIN_SOURCES.items():
+        out = out_dir / f"{name}.csv"
+        code = cli.main(["simulate", "--frame=both", f"--potential={src}",
+                         f"--t-end={args.t_end!r}", f"--z0={cli._literal(args.z0)}",
+                         f"--p0={cli._literal(args.p0)}", f"--out={out}"])
+        if code in (cli.EXIT_USAGE, cli.EXIT_DEGENERATE):
+            return code
+        run = json.loads(cli._summary_path(out).read_text())
+        run["frame_deviation"] = run["max_frame_deviation"]
+        runs[name] = {key: run[key] for key in (
+            "terminated_by", "drift_Hr", "drift_Hi", "frame_deviation", "samples")}
 
-    summary = {}
     print(f"{'potential':10s} {'terminated':12s} {'drift Hr':>10s} "
           f"{'drift Hi':>10s} {'frame dev':>10s}")
-    for name in BUILTIN_SOURCES:
-        spec = SystemSpec(get_builtin(name), 0.5)
-        traj_c = integrate_complex(spec, args.z0, args.p0, cfg)
-        traj_d = integrate_darboux(spec, xi0, cfg)
-        try:
-            dev = equivalence_report(traj_c, traj_d).max_deviation
-        except GridMismatchError:
-            dev = float("nan")  # one frame escaped earlier than the other
-        write_trajectory_csv(out_dir / f"{name}.csv", traj_c.t, traj_c.states,
-                             w_to_darboux(traj_c.states), traj_c.hr, traj_c.hi)
-        summary[name] = {
-            "terminated_by": traj_c.terminated_by,
-            "drift_Hr": traj_c.drift_hr,
-            "drift_Hi": traj_c.drift_hi,
-            "frame_deviation": dev,
-            "samples": int(len(traj_c.t)),
-        }
-        print(f"{name:10s} {traj_c.terminated_by:12s} {traj_c.drift_hr:10.2e} "
-              f"{traj_c.drift_hi:10.2e} {dev:10.2e}")
+    for name, run in runs.items():
+        # the summaries write a value that is not finite as null
+        hr, hi, dev = (math.nan if run[k] is None else run[k]
+                       for k in ("drift_Hr", "drift_Hi", "frame_deviation"))
+        print(f"{name:10s} {run['terminated_by']:12s} {hr:10.2e} {hi:10.2e} {dev:10.2e}")
 
     write_text_atomic(out_dir / "summary.json", json_text({
-        "z0": args.z0, "p0": args.p0, "t_end": args.t_end, "runs": summary}))
-    print(f"CSV files and summary.json written to {out_dir}/")
+        "z0": args.z0, "p0": args.p0, "t_end": args.t_end, "runs": runs}))
+    print(f"CSV files, their JSON summaries and summary.json written to {out_dir}/")
     return 0
 
 

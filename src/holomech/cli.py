@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
 
     ``--seed`` defaults to None here; ``main`` resolves it from the
-    environment when the command runs.
+    environment when the command runs.  Run settings default to the field
+    defaults of ``IntegratorConfig``, ``FlowConfig`` and ``SystemSpec``.
     """
     parser = _Parser(prog="holomech", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_system_args(p):
         p.add_argument("--potential", required=True,
                        help="potential expression, e.g. 'i*z^3'")
-        p.add_argument("--mass", type=float, default=0.5)
+        p.add_argument("--mass", type=float, default=SystemSpec.mass)
 
     def add_start_args(p):
         p.add_argument("--z0", type=parse_complex, default=0j)
@@ -167,12 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_start_args(sim)
     sim.add_argument("--frame", choices=["complex", "darboux", "both"],
                      default="complex")
-    sim.add_argument("--method", choices=METHODS, default="rk45")
-    sim.add_argument("--dt", type=float, default=1e-3)
-    sim.add_argument("--rel-tol", type=float, default=1e-10)
-    sim.add_argument("--abs-tol", type=float, default=1e-10)
-    sim.add_argument("--t-end", type=float, default=10.0)
-    sim.add_argument("--escape-radius", type=float, default=1e3)
+    sim.add_argument("--method", choices=METHODS, default=IntegratorConfig.method)
+    sim.add_argument("--dt", type=float, default=IntegratorConfig.dt)
+    sim.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol)
+    sim.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol)
+    sim.add_argument("--t-end", type=float, default=IntegratorConfig.t_end)
+    sim.add_argument("--escape-radius", type=float, default=IntegratorConfig.escape_radius)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--out", default="traj.csv")
 
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--random", type=positive_int, default=100, metavar="N")
     vs.add_argument("--seed", type=int, default=None)
     vs.add_argument("--potential", default="i*z^3")
-    vs.add_argument("--mass", type=float, default=0.5)
+    vs.add_argument("--mass", type=float, default=SystemSpec.mass)
     vs.add_argument("--out", default=None)
 
     db = sub.add_parser("darboux", help="Darboux frame of one structure")
@@ -199,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     hf = sub.add_parser("hi-flow", help="integrate the H_i symmetry flow")
     add_system_args(hf)
     add_start_args(hf)
-    hf.add_argument("--eps-end", type=float, default=1.0)
-    hf.add_argument("--d-eps", type=float, default=1e-3)
+    hf.add_argument("--eps-end", type=float, default=FlowConfig.epsilon_end)
+    hf.add_argument("--d-eps", type=float, default=FlowConfig.d_epsilon)
     hf.add_argument("--seed", type=int, default=None)
     hf.add_argument("--out", default="traj.csv")
 

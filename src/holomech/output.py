@@ -266,17 +266,24 @@ def _atomic_file(path, mode: str):
 
     The temp file gets a random name beside ``path`` and is created with
     mode 0o666, so the process umask applies as it would to a plain open.
+    An ``OSError`` that names the temp file (a missing directory, ``path`` a
+    directory) names ``path`` instead, so it reads the same on every run.
     """
     path = Path(path)
     tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with os.fdopen(fd, mode) as fh:
+                yield fh
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc

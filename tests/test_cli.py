@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holomech
-from holomech import output
-from holomech.cli import main, parse_complex
+from holomech import FlowConfig, IntegratorConfig, SystemSpec, get_builtin, output
+from holomech.cli import build_parser, main, parse_complex
 from holomech.output import TRAJECTORY_HEADER, trajectory_csv
 
 
@@ -819,6 +820,47 @@ class TestUsage:
 
     def test_unknown_command_exit_1(self, capsys):
         assert run(["frobnicate"]) == 1
+
+
+class TestUnwritableOut:
+    # the atomic write's temp name is random: the message names --out instead
+    @pytest.mark.parametrize("argv, name", [
+        (["simulate", "--potential=z", "--t-end=0.01"], "missing/run.csv"),
+        (["verify-table1", "--points=1"], "missing/t.json"),
+        (["simulate", "--potential=z", "--t-end=0.01"], "dir"),
+    ])
+    def test_exit_1_names_the_path(self, argv, name, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / name
+        errors = []
+        for _ in range(2):
+            assert run([*argv, "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert len(errors[0].splitlines()) == 1 and repr(str(out)) in errors[0], errors[0]
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert (tmp_path / "dir").is_dir()
+
+
+class TestParserDefaults:
+    # each run default is stated once, on its config dataclass
+    def test_simulate_defaults_are_integrator_config(self):
+        args = build_parser().parse_args(["simulate", "--potential=z"])
+        assert {f.name: getattr(args, f.name) for f in fields(IntegratorConfig)} == asdict(
+            IntegratorConfig())
+
+    def test_hi_flow_defaults_are_flow_config(self):
+        args = build_parser().parse_args(["hi-flow", "--potential=z"])
+        assert FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps) == FlowConfig()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--potential=z"],
+        ["hi-flow", "--potential=z"],
+        ["verify-symplectic"],
+        ["constrain", "--potential=z", "--x1=0", "--p1=0", "--p2=0"],
+    ])
+    def test_mass_is_system_spec_mass(self, argv):
+        assert build_parser().parse_args(argv).mass == SystemSpec(get_builtin("iz")).mass
 
 
 class TestSeedEnvironment:

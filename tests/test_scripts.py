@@ -33,6 +33,30 @@ def test_orbit_gallery_reads_the_cli_literal_form(tmp_path):
     assert summary["p0"] == [1.0, 0.0]
 
 
+def test_orbit_gallery_writes_a_summary_beside_each_csv(tmp_path):
+    # each potential is one `simulate --frame both` run: its JSON summary
+    # sits beside its CSV and counts the CSV's data rows
+    assert script_main("orbit_gallery")(["--out-dir", str(tmp_path), "--t-end", "0.5"]) == 0
+    runs = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    for name, run in runs.items():
+        rows = len((tmp_path / f"{name}.csv").read_text().splitlines()) - 1
+        summary = json.loads((tmp_path / f"{name}.json").read_text())
+        assert summary["frame"] == "both"
+        assert summary["samples"] == run["samples"] == rows
+        assert summary["max_frame_deviation"] == run["frame_deviation"]
+
+
+@pytest.mark.parametrize("z0", ["nan", "1.5e308"])
+def test_orbit_gallery_rejects_a_start_in_one_line(z0, tmp_path, capsys):
+    # the CLI's start check: exit 1 and its one-line message, no traceback
+    argv = ["--out-dir", str(tmp_path), "--t-end", "0.5", f"--z0={z0}"]
+    assert script_main("orbit_gallery")(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Darboux image" in err, err
+    assert "Traceback" not in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_symplectic_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     assert script_main("symplectic_sweep")(["--trials", "5", "--out", str(out)]) == 0
