@@ -18,17 +18,19 @@ import sys
 import numpy as np
 
 from holomech import SystemSpec
-from holomech.cli import positive_int
+from holomech.cli import DEFAULT_SEED, build_parser, positive_int
 from holomech.output import json_text, write_text_atomic
 from holomech.symplectic import RESIDUAL_LIMITS, structure_trials, within_limits
 
 
 def main(argv=None) -> int:
+    # the defaults of `holomech verify-symplectic`; the seed ignores $HOLOMECH_SEED
+    cli = build_parser().parse_args(["verify-symplectic"])
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=positive_int, default=500)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--potential", default="i*z^3")
-    ap.add_argument("--mass", type=float, default=0.5)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ap.add_argument("--potential", default=cli.potential)
+    ap.add_argument("--mass", type=float, default=cli.mass)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
 

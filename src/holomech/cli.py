@@ -49,7 +49,8 @@ from .dynamics import (
 from .hamiltonian import (SystemSpec, complex_to_darboux, darboux_invariant, darboux_to_w,
                           w_to_darboux)
 # trajectory_csv stays imported: perfbench/workloads.py patches it by name.
-from .output import json_text, trajectory_csv, write_text_atomic, write_trajectory_csv
+from .output import (check_target, json_text, trajectory_csv, write_text_atomic,
+                     write_trajectory_csv)
 from .potentials import PotentialError
 from .symplectic import (
     CONDITIONING_WARN_R_MINUS,
@@ -70,13 +71,14 @@ EXIT_NUMERICAL = 2
 EXIT_DEGENERATE = 3
 
 SEED_ENV_VAR = "HOLOMECH_SEED"
+DEFAULT_SEED = 42
 
 
 def default_seed() -> int:
     try:
-        return int(os.environ.get(SEED_ENV_VAR, "42"))
+        return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
     except ValueError:
-        return 42
+        return DEFAULT_SEED
 
 
 def parse_complex(text: str) -> complex:
@@ -128,6 +130,17 @@ def _emit(text: str, out: str | None) -> None:
         write_text_atomic(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(args) -> None:
+    """Refuse, before any work, an ``--out`` the command could not write;
+    ``simulate`` and ``hi-flow`` write their JSON summary after it."""
+    if args.command in ("simulate", "hi-flow"):
+        paths = [args.out, _summary_path(args.out)]
+    else:
+        paths = [args.out] if args.out else []  # no --out: the report goes to stdout
+    for path in paths:
+        check_target(path)
 
 
 def _summary_path(csv_path: str) -> Path:
@@ -287,7 +300,6 @@ def _write_run(args, summary, traj, traj_d=None) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _summary_path(args.out)  # a clashing --out fails before any work
     spec = SystemSpec.from_source(args.potential, args.mass)
     cfg = IntegratorConfig(method=args.method, dt=args.dt,
                            rel_tol=args.rel_tol, abs_tol=args.abs_tol,
@@ -366,7 +378,8 @@ def cmd_darboux(args) -> int:
         f"residual canonicity       = {res['canonicity']:.3e}",
     ]
     if frame.r_minus < CONDITIONING_WARN_R_MINUS:
-        lines.append("warning: r_minus < 1e-6, near-degenerate structure")
+        lines.append(f"warning: r_minus < {CONDITIONING_WARN_R_MINUS:g}, "
+                     "near-degenerate structure")
     ok = within_limits(res)
     lines.append("PASS" if ok else "FAIL")
     _emit("\n".join(lines) + "\n", args.out)
@@ -374,7 +387,6 @@ def cmd_darboux(args) -> int:
 
 
 def cmd_hi_flow(args) -> int:
-    _summary_path(args.out)  # a clashing --out fails before any work
     spec = SystemSpec.from_source(args.potential, args.mass)
     xi0 = _start(args)[2]
     flow = FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps)
@@ -434,6 +446,7 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) is None:  # read when the command runs
         args.seed = default_seed()
     try:
+        _check_out(args)
         return _COMMANDS[args.command](args)
     except PotentialError as exc:
         print(f"holomech: potential error: {exc}", file=sys.stderr)

@@ -110,8 +110,7 @@ def _reference_spec(name: str) -> SystemSpec:
     return SystemSpec(get_builtin(name), REFERENCE_MASS)
 
 
-def verify_reference_table(seed: int = 42, points: int = 100,
-                           tol: float = 1e-12) -> dict:
+def verify_reference_table(seed: int, points: int, tol: float = 1e-12) -> dict:
     """Compare every table entry against the generic construction.
 
     Evaluates each closed form and the generic path at ``points`` seeded

@@ -100,7 +100,8 @@ class SystemSpec:
         object.__setattr__(self, "_v_array", compile_potential(self.potential, ARRAY_FUNCS))
 
     @classmethod
-    def from_source(cls, text: str, mass: float = 0.5) -> "SystemSpec":
+    def from_source(cls, text: str, mass: float = mass) -> "SystemSpec":
+        # ``mass`` defaults to the field's default, read in the class body
         return cls(parse_potential(text), mass)
 
     @property

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import json
 import math
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +258,27 @@ def write_text_atomic(path, text: str) -> None:
     (see ``_atomic_file``)."""
     with _atomic_file(path, "w") as fh:
         fh.write(text)
+
+
+def check_target(path) -> None:
+    """Raise, writing nothing, the ``OSError`` that ``_atomic_file`` would
+    raise for ``path`` after the work: its parent is missing or is not a
+    directory, or ``path`` is a directory.  A symlink to a directory passes,
+    because ``os.replace`` replaces the link.  Other faults (permissions, a
+    full disk) still surface from the write itself.
+    """
+    path = Path(path)
+    try:
+        code = None if stat.S_ISDIR(os.stat(path.parent).st_mode) else errno.ENOTDIR
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        code = exc.errno
+    if code is None:
+        with contextlib.suppress(OSError):
+            if stat.S_ISDIR(os.lstat(path).st_mode):
+                # rename(2) answers EBUSY for a target named "..", "." or "/"
+                code = errno.EBUSY if path.name in ("", "..") else errno.EISDIR
+    if code is not None:
+        raise OSError(code, os.strerror(code), str(path))
 
 
 @contextlib.contextmanager

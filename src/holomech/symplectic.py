@@ -475,9 +475,5 @@ def within_limits(residuals: dict) -> bool:
 
 
 def format_matrix(M: np.ndarray) -> str:
-    """Row-major rendering with 17 significant digits per entry."""
-    rows = []
-    for row in np.asarray(M):
-        rows.append("  ".join(f"{v:.17g}" if not isinstance(v, complex)
-                              else f"{v.real:.17g}{v.imag:+.17g}i" for v in row))
-    return "\n".join(rows)
+    """Row-major rendering of a real matrix, 17 significant digits per entry."""
+    return "\n".join("  ".join(f"{v:.17g}" for v in row) for row in np.asarray(M))

@@ -928,3 +928,100 @@ class TestSplitBothFrames:
         want = self.outputs(self.ARGS + start, tmp_path / "two", capsys)
         assert sorted(calls) == ["integrate_complex", "integrate_darboux"]
         assert got == want
+
+
+class TestOutCheckedFirst:
+    """``main`` refuses an ``--out`` the command could not write before the
+    command runs, with the message the atomic write would give, and writes
+    nothing."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import holomech.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the command ran")
+        for name in ("integrate_complex", "integrate_darboux", "invariant_flow",
+                     "verify_reference_table"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.fixture
+    def tree(self, tmp_path, monkeypatch):
+        # d/x.json is a directory, f a file, link a symlink to d
+        (tmp_path / "d" / "x.json").mkdir(parents=True)
+        (tmp_path / "f").write_text("")
+        (tmp_path / "link").symlink_to("d")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--potential=z", "--t-end=0.01"],
+        ["simulate", "--potential=z", "--frame=darboux", "--t-end=0.01"],
+        ["hi-flow", "--potential=z", "--eps-end=0.01"],
+        ["verify-table1", "--points=1"],
+    ])
+    @pytest.mark.parametrize("out, message", [
+        ("missing/run.csv", "[Errno 2] No such file or directory: 'missing/run.csv'"),
+        ("f/run.csv", "[Errno 20] Not a directory: 'f/run.csv'"),
+        ("d", "[Errno 21] Is a directory: 'd'"),
+    ], ids=["missing-parent", "file-parent", "directory"])
+    def test_refused_without_work(self, argv, out, message, tree, no_work, capsys):
+        before = sorted(tree.rglob("*"))
+        assert run([*argv, f"--out={out}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"holomech: error: {message}\n" and captured.out == ""
+        assert sorted(tree.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["simulate", "hi-flow"])
+    def test_summary_directory_leaves_no_csv(self, command, tree, no_work, capsys):
+        # the JSON summary d/x.json cannot be written: no d/x.csv without it
+        assert run([command, "--potential=z", "--out=d/x.csv"]) == 1
+        assert capsys.readouterr().err == "holomech: error: [Errno 21] Is a directory: 'd/x.json'\n"
+        assert sorted(p.name for p in (tree / "d").iterdir()) == ["x.json"]
+
+    def test_symlink_to_a_directory_is_replaced(self, tree, capsys):
+        # os.replace replaces the link, not the directory it points to
+        assert run(["verify-table1", "--points=1", "--out=link"]) == 0
+        assert not (tree / "link").is_symlink()
+        assert json.loads((tree / "link").read_text())["points"] == 1
+        assert (tree / "d" / "x.json").is_dir()
+
+    @pytest.mark.parametrize("out", ["missing/x", "f/x", "f/sub/x", "d", "d/x.json", ".", "..",
+                                     "link", "dangling", "new", "f"])
+    def test_check_matches_the_atomic_write(self, out, tree):
+        # the oracle: what the write itself raises, or that it succeeds
+        (tree / "dangling").symlink_to("nowhere")
+        try:
+            output.write_text_atomic(out, "")
+        except OSError as exc:
+            with pytest.raises(OSError) as refused:
+                output.check_target(out)
+            assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
+        else:
+            output.check_target(out)
+        assert list(tree.rglob("*.tmp")) == []
+
+
+class TestDarbouxConditioning:
+    def test_near_degenerate_warning(self, capsys):
+        # r_minus = 5e-8 is under CONDITIONING_WARN_R_MINUS; the orthogonality
+        # residual (8e-11) is over its limit, so the verdict is FAIL
+        assert run(["darboux", "--alpha=1.0000001"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "r_minus = 5.0000000027195168e-08"
+        assert lines[-2:] == ["warning: r_minus < 1e-06, near-degenerate structure", "FAIL"]
+
+    def test_no_warning_away_from_the_surface(self, capsys):
+        assert run(["darboux"]) == 0
+        assert "warning" not in capsys.readouterr().out
+
+
+class TestDefaultsStatedOnce:
+    def test_default_seed_without_the_environment(self, monkeypatch):
+        from holomech.cli import DEFAULT_SEED, SEED_ENV_VAR, default_seed
+
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        assert default_seed() == DEFAULT_SEED
+
+    def test_from_source_mass_is_system_spec_mass(self):
+        assert SystemSpec.from_source("z").mass == SystemSpec(get_builtin("iz")).mass

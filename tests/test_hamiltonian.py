@@ -416,3 +416,13 @@ def test_submodule_not_shadowed():
     import holomech.hamiltonian as hm
 
     assert hm.SystemSpec is SystemSpec
+
+
+def test_table_seed_and_points_have_no_defaults():
+    # verify-table1 states both defaults; every caller passes both
+    import inspect
+
+    params = inspect.signature(verify_reference_table).parameters
+    assert params["seed"].default is params["points"].default is inspect.Parameter.empty
+    with pytest.raises(TypeError):
+        verify_reference_table()

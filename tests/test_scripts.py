@@ -83,3 +83,17 @@ def test_symplectic_sweep_fails_on_nan_residuals(tmp_path, capsys):
     assert "position_equation" in captured.out
     assert captured.err == "3/3 trials have a residual outside RESIDUAL_LIMITS\n"
     assert json.loads(out.read_text())["stats"]["momentum_equation"]["max"] is None
+
+
+def test_symplectic_sweep_defaults_are_verify_symplectic(tmp_path, monkeypatch):
+    # potential and mass as `holomech verify-symplectic` parses them; the seed
+    # is the CLI's default, whatever $HOLOMECH_SEED says
+    from holomech.cli import DEFAULT_SEED, SEED_ENV_VAR, build_parser
+
+    monkeypatch.setenv(SEED_ENV_VAR, str(DEFAULT_SEED + 1))
+    out = tmp_path / "sweep.json"
+    assert script_main("symplectic_sweep")(["--trials", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    cli = build_parser().parse_args(["verify-symplectic"])
+    assert (report["potential"], report["mass"], report["seed"]) == (
+        cli.potential, cli.mass, DEFAULT_SEED)
