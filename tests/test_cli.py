@@ -20,6 +20,7 @@ import holomech
 from holomech import FlowConfig, IntegratorConfig, SystemSpec, get_builtin, output
 from holomech.cli import build_parser, main, parse_complex
 from holomech.output import TRAJECTORY_HEADER, trajectory_csv
+from holomech.symplectic import RESIDUAL_LIMITS, structure_trials
 
 
 def run(argv):
@@ -633,6 +634,51 @@ class TestVerifySymplectic:
         assert run(["verify-symplectic", "--random=-1"]) == 1
         captured = capsys.readouterr()
         assert "positive integer" in captured.err and "PASS" not in captured.out
+
+    @pytest.mark.parametrize("seed, potential, trials", [
+        (1, "i*z^3", 1), (7, "exp(i*z)", 3), (42, "-(z^4)", 40), (3, "z^2", 17)])
+    def test_statistics_of_the_trials(self, seed, potential, trials, tmp_path):
+        # the report's statistics are those of each residual over the trials,
+        # column by column, and the range of the frames' r_minus
+        out = tmp_path / "vs.json"
+        assert run(["verify-symplectic", f"--random={trials}", f"--seed={seed}",
+                    f"--potential={potential}", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        drawn = list(structure_trials(SystemSpec.from_source(potential),
+                                      np.random.default_rng(seed), trials))
+        for key in RESIDUAL_LIMITS:
+            column = np.array([res[key] for _, _, res in drawn])
+            p50, p95 = np.percentile(column, [50, 95]).tolist()
+            assert report["p50_residuals"][key] == p50
+            assert report["p95_residuals"][key] == p95
+            assert report["worst_residuals"][key] == column.max()
+        r_minus = [frame.r_minus for _, frame, _ in drawn]
+        assert report["r_minus_range"] == [min(r_minus), max(r_minus)]
+
+    def test_non_finite_residual_percentiles_are_null(self, tmp_path):
+        # the NaN equation residuals of test_non_finite_residual_is_worst
+        # reach both percentiles, as null, without a warning
+        out = tmp_path / "vs.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify-symplectic", "--random", "3", "--potential", "z^2",
+                        "--mass", "1e-320", "--out", str(out)]) == 2
+        report = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))
+        for stat in ("p50_residuals", "p95_residuals"):
+            for key in ("position_equation", "momentum_equation"):
+                assert report[stat][key] is None
+            assert 0.0 < report[stat]["canonicity"] <= 1e-10
+
+    def test_refused_out_runs_no_trial(self, tmp_path, monkeypatch, capsys):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("holomech.cli.structure_trials", no_trials)
+        out = tmp_path / "missing" / "vs.json"
+        assert run(["verify-symplectic", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "No such file or directory" in captured.err
 
 
 class TestDarboux:

@@ -57,43 +57,29 @@ def test_orbit_gallery_rejects_a_start_in_one_line(z0, tmp_path, capsys):
     assert list(tmp_path.glob("*.csv")) == []
 
 
-def test_symplectic_sweep(tmp_path):
-    out = tmp_path / "sweep.json"
-    assert script_main("symplectic_sweep")(["--trials", "5", "--out", str(out)]) == 0
-    stats = json.loads(out.read_text())["stats"]
-    assert stats["canonicity"]["max"] <= 1e-10
-    assert stats["momentum_equation"]["max"] <= 1e-10
-
-
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_symplectic_sweep_rejects_trials_below_one(trials, capsys):
-    with pytest.raises(SystemExit) as exc:
-        script_main("symplectic_sweep")(["--trials", trials])
-    assert exc.value.code == 2
-    assert "expected a positive integer" in capsys.readouterr().err
-
-
-def test_symplectic_sweep_fails_on_nan_residuals(tmp_path, capsys):
-    # p / m overflows at this mass: the equation residuals are NaN, which
-    # no limit admits, as in verify-symplectic
-    out = tmp_path / "sweep.json"
-    argv = ["--trials", "3", "--mass", "1e-320", "--out", str(out)]
-    assert script_main("symplectic_sweep")(argv) == 2
+@pytest.mark.parametrize("blocker", ["f", "summary.json", "z2.csv", "iz3.json"])
+def test_orbit_gallery_refuses_an_out_dir_before_any_run(blocker, tmp_path, capsys):
+    # --out-dir is a file, or an output in it is a directory: one line and
+    # exit 1, with no run started
+    if blocker == "f":
+        out_dir = tmp_path / "f"
+        out_dir.write_text("")
+    else:
+        out_dir = tmp_path
+        (out_dir / blocker).mkdir()
+    assert script_main("orbit_gallery")(["--out-dir", str(out_dir), "--t-end", "0.5"]) == 1
     captured = capsys.readouterr()
-    assert "position_equation" in captured.out
-    assert captured.err == "3/3 trials have a residual outside RESIDUAL_LIMITS\n"
-    assert json.loads(out.read_text())["stats"]["momentum_equation"]["max"] is None
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert [path for path in tmp_path.iterdir() if path.is_file() and path != out_dir] == []
 
 
-def test_symplectic_sweep_defaults_are_verify_symplectic(tmp_path, monkeypatch):
-    # potential and mass as `holomech verify-symplectic` parses them; the seed
-    # is the CLI's default, whatever $HOLOMECH_SEED says
-    from holomech.cli import DEFAULT_SEED, SEED_ENV_VAR, build_parser
-
-    monkeypatch.setenv(SEED_ENV_VAR, str(DEFAULT_SEED + 1))
-    out = tmp_path / "sweep.json"
-    assert script_main("symplectic_sweep")(["--trials", "2", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    cli = build_parser().parse_args(["verify-symplectic"])
-    assert (report["potential"], report["mass"], report["seed"]) == (
-        cli.potential, cli.mass, DEFAULT_SEED)
+def test_orbit_gallery_exits_2_on_a_numerical_failure(tmp_path):
+    # exp(i z) and i sin(z) overflow at this start; every run and the
+    # summary are still written
+    argv = ["--out-dir", str(tmp_path), "--t-end", "1", "--z0=0-800i", "--p0=1"]
+    assert script_main("orbit_gallery")(argv) == 2
+    runs = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    assert len(runs) == 6 and len(list(tmp_path.glob("*.csv"))) == 6
+    failed = {name for name, run in runs.items() if run["terminated_by"] == "step_failure"}
+    assert failed == {"exp_iz", "i_sin_z"}
