@@ -1,16 +1,17 @@
 """Closed-form reference table for h and H_i at mass 1/2.
 
-For each catalog potential this module stores hand-derived closed forms of
+For each catalog potential this module states hand-derived closed forms of
 the equivalent real Hamiltonian h(x1, p1, x2, p2) and of the invariant
-H_i(x1, p1, x2, p2), kept verbatim as an *independent* cross-check of the
-generic evaluation path.  The forms are written with numpy functions, so
-each one evaluates a whole column of sample points at once; they share no
-code with the generic path.  The generic path is the ground truth:
-``verify_reference_table`` compares the two at seeded random points, so a
-wrong entry in this table is reported as DISCREPANT instead of being silently
-inherited.  It makes one ``hamiltonian_split`` per catalog potential on the
-mapped samples and takes h = 2 H_r and H_i from it, the expressions
-``darboux_hamiltonian`` and ``darboux_invariant`` evaluate, bit for bit.
+H_i(x1, p1, x2, p2), each once, as the text the report prints; that text,
+with ``^`` read as ``**``, is compiled once per process into the function
+the check evaluates.  A form sees only its coordinates, ``math.sqrt`` and
+numpy's exp, sin, cos, sinh and cosh (any other name fails at import), so it
+evaluates a whole column of sample points at once and shares no code with
+the generic path, the ground truth: ``verify_reference_table`` compares the
+two at seeded random points and reports a wrong entry as DISCREPANT instead
+of silently inheriting it.  It makes one ``hamiltonian_split`` per catalog
+potential on the mapped samples and takes h = 2 H_r and H_i from it: the
+values ``darboux_hamiltonian`` and ``darboux_invariant`` give, bit for bit.
 
 Two entries are known to disagree with the generic construction:
 
@@ -23,20 +24,15 @@ Corrected forms for both are bundled and verified alongside the report.
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import sqrt
 from typing import Callable
 
 import numpy as np
 
-# darboux_hamiltonian/darboux_invariant stay imported: perfbench/workloads.py patches them by name.
-from .hamiltonian import (
-    SystemSpec,
-    darboux_hamiltonian,
-    darboux_invariant,
-    darboux_to_w,
-    hamiltonian_split,
-)
+from .hamiltonian import SystemSpec, darboux_to_w, hamiltonian_split
+# not used here: perfbench/workloads.py patches them by name
+from .hamiltonian import darboux_hamiltonian, darboux_invariant
 from .potentials import get_builtin
 
 __all__ = [
@@ -53,10 +49,23 @@ REFERENCE_MASS = 0.5
 # about 550 bytes per point at its peak, so about 0.55 GB here.
 MAX_TABLE_POINTS = 10**6
 
-_S2 = math.sqrt(2.0)
-
 # (x1, p1, x2, p2) -> value, on floats or elementwise on equal-shape arrays.
 FormFunc = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+# Every name a form may use besides its four coordinates.
+_FORM_NAMES = {"sqrt": sqrt, "exp": np.exp, "sin": np.sin, "cos": np.cos,
+               "sinh": np.sinh, "cosh": np.cosh}
+
+
+def _compile_form(text: str) -> FormFunc:
+    """``text``, with ``^`` read as ``**``, as a function of (x1, p1, x2, p2);
+    ValueError if it names anything but those and ``_FORM_NAMES``."""
+    namespace = {"__builtins__": {}, **_FORM_NAMES}
+    exec(compile(f"def form(x1, p1, x2, p2): return {text.replace('^', '**')}",
+                 f"<closed form {text!r}>", "exec"), namespace)
+    if unknown := set(namespace["form"].__code__.co_names) - _FORM_NAMES.keys():
+        raise ValueError(f"closed form {text!r} names {sorted(unknown)}")
+    return namespace["form"]
 
 
 @dataclass(frozen=True)
@@ -64,43 +73,32 @@ class ReferenceEntry:
     potential: str
     column: str  # "h" or "Hi"
     source: str
-    func: FormFunc
+    func: FormFunc = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "func", _compile_form(self.source))
 
 
 REFERENCE_TABLE: list[ReferenceEntry] = [
-    ReferenceEntry("iz", "h", "p1^2 - p2/sqrt(2) - x2^2",
-                   lambda x1, p1, x2, p2: p1**2 - p2 / _S2 - x2**2),
-    ReferenceEntry("iz", "Hi", "x2*p1 + x1/sqrt(2)",
-                   lambda x1, p1, x2, p2: x2 * p1 + x1 / _S2),
-    ReferenceEntry("z2", "h", "p1^2 - p2^2 + x1^2 - x2^2",
-                   lambda x1, p1, x2, p2: p1**2 - p2**2 + x1**2 - x2**2),
-    ReferenceEntry("z2", "Hi", "x2*p1 + x1*p2",
-                   lambda x1, p1, x2, p2: x2 * p1 + x1 * p2),
-    ReferenceEntry("iz3", "h", "p1^2 + (p2^3 - 3*x1^2*p2)/sqrt(2) - x2^2",
-                   lambda x1, p1, x2, p2: p1**2 + (p2**3 - 3.0 * x1**2 * p2) / _S2 - x2**2),
-    ReferenceEntry("iz3", "Hi", "x2*p1 + (x1^3 - 3*x1*p2^2)/(2*sqrt(2))",
-                   lambda x1, p1, x2, p2: x2 * p1 + (x1**3 - 3.0 * x1 * p2**2) / (2.0 * _S2)),
-    ReferenceEntry("neg_z4", "h", "p1^2 - (x1^4 - 6*x1^2*p2^2 + p2^4)/2 - x2^2",
-                   lambda x1, p1, x2, p2: p1**2 - (x1**4 - 6.0 * x1**2 * p2**2 + p2**4) / 2.0 - x2**2),
-    ReferenceEntry("neg_z4", "Hi", "x2*p1 - x1^3*p2 - x1*p2^3",
-                   lambda x1, p1, x2, p2: x2 * p1 - x1**3 * p2 - x1 * p2**3),
-    ReferenceEntry("exp_iz", "h", "p1^2 + 2*exp(-p2/sqrt(2))*cos(x1/sqrt(2)) - x2^2",
-                   lambda x1, p1, x2, p2: p1**2 + 2.0 * np.exp(-p2 / _S2) * np.cos(x1 / _S2) - x2**2),
-    ReferenceEntry("exp_iz", "Hi", "x2*p1 + exp(-p2/sqrt(2))*sin(x1/sqrt(2))",
-                   lambda x1, p1, x2, p2: x2 * p1 + np.exp(-p2 / _S2) * np.sin(x1 / _S2)),
-    ReferenceEntry("i_sin_z", "h", "p1^2 - 2*cos(x1/sqrt(2))*sinh(p2/sqrt(2)) - x2^2",
-                   lambda x1, p1, x2, p2: p1**2 - 2.0 * np.cos(x1 / _S2) * np.sinh(p2 / _S2) - x2**2),
-    ReferenceEntry("i_sin_z", "Hi", "x2*p1 + sin(x1/sqrt(2))*cosh(p2/sqrt(2))",
-                   lambda x1, p1, x2, p2: x2 * p1 + np.sin(x1 / _S2) * np.cosh(p2 / _S2)),
+    ReferenceEntry("iz", "h", "p1^2 - p2/sqrt(2) - x2^2"),
+    ReferenceEntry("iz", "Hi", "x2*p1 + x1/sqrt(2)"),
+    ReferenceEntry("z2", "h", "p1^2 - p2^2 + x1^2 - x2^2"),
+    ReferenceEntry("z2", "Hi", "x2*p1 + x1*p2"),
+    ReferenceEntry("iz3", "h", "p1^2 + (p2^3 - 3*x1^2*p2)/sqrt(2) - x2^2"),
+    ReferenceEntry("iz3", "Hi", "x2*p1 + (x1^3 - 3*x1*p2^2)/(2*sqrt(2))"),
+    ReferenceEntry("neg_z4", "h", "p1^2 - (x1^4 - 6*x1^2*p2^2 + p2^4)/2 - x2^2"),
+    ReferenceEntry("neg_z4", "Hi", "x2*p1 - x1^3*p2 - x1*p2^3"),
+    ReferenceEntry("exp_iz", "h", "p1^2 + 2*exp(-p2/sqrt(2))*cos(x1/sqrt(2)) - x2^2"),
+    ReferenceEntry("exp_iz", "Hi", "x2*p1 + exp(-p2/sqrt(2))*sin(x1/sqrt(2))"),
+    ReferenceEntry("i_sin_z", "h", "p1^2 - 2*cos(x1/sqrt(2))*sinh(p2/sqrt(2)) - x2^2"),
+    ReferenceEntry("i_sin_z", "Hi", "x2*p1 + sin(x1/sqrt(2))*cosh(p2/sqrt(2))"),
 ]
 
 # Independently re-derived corrections for the two known-bad entries.
 CORRECTED_FORMS: dict[tuple[str, str], tuple[str, FormFunc]] = {
-    ("iz", "h"): ("p1^2 - sqrt(2)*p2 - x2^2",
-                  lambda x1, p1, x2, p2: p1**2 - _S2 * p2 - x2**2),
-    ("neg_z4", "Hi"): ("x2*p1 - x1^3*p2 + x1*p2^3",
-                       lambda x1, p1, x2, p2: x2 * p1 - x1**3 * p2 + x1 * p2**3),
-}
+    key: (text, _compile_form(text)) for key, text in [
+        (("iz", "h"), "p1^2 - sqrt(2)*p2 - x2^2"),
+        (("neg_z4", "Hi"), "x2*p1 - x1^3*p2 + x1*p2^3")]}
 
 
 @functools.cache

@@ -1,17 +1,27 @@
-"""Symbolic certificate of the compatible family J(a, b, alpha).
+"""Symbolic certificates: the compatible family J(a, b, alpha), the
+closed-form reference table, and the exact derivative.
 
 The family is derived, not restated: sympy solves {z, H} = p/m and
 {p, H} = -v'(z) for a general real antisymmetric J on w = (x, p, y, q), with
 v an arbitrary function of z = x + i y.  ``build_real_J`` must satisfy that
-solution, and its four parameters must reach every free unknown.  Skipped
-without sympy.
+solution, and its four parameters must reach every free unknown.
+
+The reference table is checked against h = 2 Re H and H_i = Im H built by
+sympy from each catalog source text; the table's texts are what the package
+evaluates, so this certifies the evaluated forms.  ``derivative`` is checked
+against ``sympy.diff`` of the printed expression.  Skipped without sympy.
 """
 
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_potentials import _expressions
 
+from holomech import SystemSpec
+from holomech.closed_forms import CORRECTED_FORMS, REFERENCE_MASS, REFERENCE_TABLE
+from holomech.potentials import BUILTIN_SOURCES, PotentialOverflowError, derivative, to_source
 from holomech.symplectic import build_real_J, sample_params
 
 sp = pytest.importorskip("sympy")
@@ -78,3 +88,76 @@ def test_parameters_reach_every_free_unknown():
     coef, *_ = np.linalg.lstsq(X, F, rcond=None)
     assert np.abs(X @ coef - F).max() <= 1e-14
     assert np.linalg.matrix_rank(coef[:4]) == 4
+
+
+# the Darboux coordinates, real
+COORDS = sp.symbols("x1 p1 x2 p2", real=True)
+
+
+def table_text(text):
+    """A table entry's text as a sympy expression of the Darboux coordinates."""
+    form = sp.sympify(text.replace("^", "**"), locals={str(c): c for c in COORDS})
+    assert form.free_symbols <= set(COORDS), text
+    return form
+
+
+@functools.cache
+def construction(name):
+    """{"h": 2 Re H, "Hi": Im H} for H = P^2/(2m) + v(z) at the reference mass,
+    z = (x1 + i p2)/sqrt(2), P = (p1 + i x2)/sqrt(2), v the catalog text."""
+    x1, p1, x2, p2 = COORDS
+    z = (x1 + sp.I * p2) / sp.sqrt(2)
+    P = (p1 + sp.I * x2) / sp.sqrt(2)
+    v = sp.sympify(BUILTIN_SOURCES[name].replace("^", "**"), locals={"i": sp.I, "z": z})
+    re, im = sp.expand_complex(P**2 / (2 * sp.Rational(REFERENCE_MASS)) + v).as_real_imag()
+    return {"h": 2 * re, "Hi": im}
+
+
+def differs(text, name, column):
+    return sp.simplify(table_text(text) - construction(name)[column]) != 0
+
+
+def test_table_differs_from_the_construction_in_exactly_the_two_known_entries():
+    bad = {(e.potential, e.column) for e in REFERENCE_TABLE
+           if differs(e.source, e.potential, e.column)}
+    assert bad == {("iz", "h"), ("neg_z4", "Hi")}
+
+
+def test_corrected_forms_equal_the_construction():
+    assert set(CORRECTED_FORMS) == {("iz", "h"), ("neg_z4", "Hi")}
+    for (name, column), (text, _) in CORRECTED_FORMS.items():
+        assert not differs(text, name, column), text
+
+
+Z = sp.Symbol("z")
+# where two derivatives that differ by float folding are compared
+POINTS = [0.3 + 0.2j, -0.7 + 0.4j, 1 - 0.5j]
+
+
+def potential_text(e):
+    return sp.sympify(to_source(e).replace("^", "**"), locals={"i": sp.I, "z": Z})
+
+
+def finite_at_points(e):
+    """v and v' are finite at POINTS; elsewhere a numeric comparison means
+    nothing, and sympy would evaluate the overflowing constant calls that
+    folding left in place at huge precision."""
+    spec = SystemSpec(e)
+    try:
+        for point in POINTS:
+            spec.v(point), spec.dv(point)
+    except PotentialOverflowError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expressions.filter(finite_at_points))
+def test_derivative_agrees_with_sympy_diff(e):
+    want, got = sp.diff(potential_text(e), Z), potential_text(derivative(e))
+    if sp.expand(want - got) == 0:
+        return
+    # constants folded in another order leave float residues
+    for point in POINTS:
+        a, b = (sp.N(f.subs(Z, point), 30) for f in (want, got))
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (to_source(e), point)

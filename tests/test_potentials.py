@@ -572,13 +572,22 @@ _consts = st.complex_numbers(min_magnitude=0, max_magnitude=1e6,
 _leaves = st.one_of(_consts, st.just(Z()))
 
 
+def _folded_power(base, exponent):
+    """make_power, except that a folded constant power that overflows comes
+    out as a non-finite Const, for _all_consts_finite to drop."""
+    try:
+        return make_power(base, exponent)
+    except OverflowError:
+        return Const(complex(math.inf))
+
+
 def _branch(children):
     nonzero_consts = _consts.filter(lambda c: c.value != 0)
     return st.one_of(
         st.tuples(children, children).map(lambda t: make_sum(*t)),
         st.tuples(children, children).map(lambda t: make_product(*t)),
         st.tuples(children, nonzero_consts).map(lambda t: make_quotient(*t)),
-        st.tuples(children, st.integers(0, 4)).map(lambda t: make_power(*t)),
+        st.tuples(children, st.integers(0, 4)).map(lambda t: _folded_power(*t)),
         children.map(make_neg),
         st.tuples(st.sampled_from(["exp", "sin", "cos", "sinh", "cosh"]),
                   children).map(lambda t: make_call(*t)),
@@ -601,6 +610,16 @@ def _all_consts_finite(e):
 
 
 _expressions = st.recursive(_leaves, _branch, max_leaves=12).filter(_all_consts_finite)
+
+
+def test_overflowing_constant_power_is_dropped():
+    # ((c^4)^4)^4 with c near 1e6 folds to 1e100^4, which make_power refuses
+    with pytest.raises(OverflowError):
+        make_power(Const(1e100), 4)
+    folded = _folded_power(Const(1e100), 4)
+    assert isinstance(folded, Const) and not cmath.isfinite(folded.value)
+    assert not _all_consts_finite(make_sum(Z(), folded))
+    assert _folded_power(Const(1e6), 4) == make_power(Const(1e6), 4)
 
 
 @settings(max_examples=200, deadline=None)
