@@ -57,6 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .hamiltonian import (
+    _SQRT2,
     SystemSpec,
     complex_to_darboux,
     darboux_to_w,
@@ -82,8 +83,6 @@ __all__ = [
     "solve_invariant_zero",
     "equivalence_report",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 METHODS = ("rk4", "rk45", "split")
 
@@ -315,15 +314,6 @@ _COLUMNS = {
 }
 
 
-def _pack(xi) -> tuple[complex, complex]:
-    """(x1, p1, x2, p2) -> (Z, P) = (x1 + i p2, p1 + i x2)."""
-    return complex(xi[0], xi[3]), complex(xi[1], xi[2])
-
-
-def _unpack(Z: complex, P: complex) -> np.ndarray:
-    return np.array([Z.real, P.real, P.imag, Z.imag])
-
-
 def _rows(zs, ps, columns) -> np.ndarray:
     """Lists of z and of p -> (N, 4) float rows in the given layout."""
     pairs = np.empty((len(zs), 2), complex)
@@ -342,11 +332,11 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    _, zs, ps, _, _, stats = _kernel("split", "darboux")(spec._dv, spec.mass, *_pack(xi),
-                                                         dt, dt, 0.0, 0.0, math.inf)
-    if stats[0] != "t_end":
+    traj = integrate_darboux(spec, xi, IntegratorConfig(method="split", dt=dt, t_end=dt,
+                                                        escape_radius=math.inf))
+    if traj.terminated_by != "t_end":
         raise PotentialOverflowError(f"split step of {dt!r} left double precision")
-    return _unpack(zs[-1], ps[-1])
+    return traj.final_state()
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +497,8 @@ if not ok:
     break"""
 
 # Elementary step control on the RMS of the error pair scaled by the
-# tolerances, its squares summed in the order of the frame's row components.
+# tolerances, its squares (xr, xi, yr, yi: Re z, Im z, Re p, Im p) summed in
+# the order of the frame's row components, ``_COLUMNS``.
 _NORM = """\
 if not (ok and isfinite(ez) and isfinite(ep)):
     h *= 0.25
@@ -557,6 +548,22 @@ def _indent(text: str, depth: int) -> str:
     return "\n".join("    " * depth + line for line in text.split("\n"))
 
 
+def _kernel_source(method: str, frame: str) -> str:
+    """The text of the fused kernel of ``method`` in ``frame``; the H_i flows
+    hold Darboux rows."""
+    S, setup, advance, step, accept = _METHODS[method]
+    unit = "" if frame == "complex" else f" / {_S2}"
+    parts = [("xr", "xi", "yr", "yi")[c] for c in _COLUMNS.get(frame, _COLUMNS["darboux"])]
+    return _KERNEL.format(
+        first=_indent(_field(frame, "z", "p", "kz", "kp"), 2),
+        setup=_indent(setup, 2),
+        escape=f"abs(z){unit} > radius or abs(p){unit} > radius",
+        advance=_indent(advance.format(max_steps=MAX_GRID_STEPS), 3),
+        step=_indent(step(frame), 4),
+        accept=_indent(accept.format(total=" + ".join(f"{x} * {x}" for x in parts)), 3),
+        S=S)
+
+
 @functools.cache
 def _kernel(method: str, frame: str):
     """The fused kernel of ``method`` in ``frame``, generated once per process.
@@ -569,20 +576,9 @@ def _kernel(method: str, frame: str):
     float-complex operands their own arithmetic, where the two may differ in
     signed zeros.
     """
-    S, setup, advance, step, accept = _METHODS[method]
-    unit = "" if frame == "complex" else f" / {_S2}"
-    source = _KERNEL.format(
-        first=_indent(_field(frame, "z", "p", "kz", "kp"), 2),
-        setup=_indent(setup, 2),
-        escape=f"abs(z){unit} > radius or abs(p){unit} > radius",
-        advance=_indent(advance.format(max_steps=MAX_GRID_STEPS), 3),
-        step=_indent(step(frame), 4),
-        accept=_indent(accept.format(total="xr * xr + yr * yr + " + (
-            "xi * xi + yi * yi" if frame == "complex" else "yi * yi + xi * xi")), 3),
-        S=S)
     namespace = {"_isfinite": cmath.isfinite, "_sqrt": math.sqrt, "math": math,
                  "_STEP_ERRORS": _STEP_ERRORS, "PotentialOverflowError": PotentialOverflowError}
-    exec(compile(source, f"<holomech kernel {method}/{frame}>", "exec"), namespace)
+    exec(compile(_kernel_source(method, frame), f"<holomech kernel {method}/{frame}>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -609,7 +605,7 @@ def _initial_xi(xi0) -> tuple[complex, complex]:
     xi0 = np.asarray(xi0, dtype=float)
     if xi0.shape != (4,) or not np.isfinite(xi0).all():
         raise ValueError("initial Darboux point must be 4 finite reals")
-    return _pack(xi0)
+    return complex(xi0[0], xi0[3]), complex(xi0[1], xi0[2])  # (Z, P)
 
 
 def complex_view(traj: Trajectory) -> Trajectory:

@@ -6,6 +6,14 @@ The family is derived, not restated: sympy solves {z, H} = p/m and
 v an arbitrary function of z = x + i y.  ``build_real_J`` must satisfy that
 solution, and its four parameters must reach every free unknown.
 
+``build_real_J``, read as an exact matrix of (a, b, Re alpha, Im alpha), has
+det J = (1 + ab - |alpha|^2)^2 / 16 and the eigenvalues +-i r+- of
+``eigenvalue_magnitudes``.  With v = u + i s and the Cauchy-Riemann
+equations as the only assumption, h = 2 H_r generates the complex motion and
+{H_r, H_i} = 0 under J(0, 0, 0) and no other member, and the standard
+Hamilton equations of h in the zero-parameter ``darboux_frame`` are the
+complex ones.
+
 The reference table is checked against h = 2 Re H and H_i = Im H built by
 sympy from each catalog source text; the table's texts are what the package
 evaluates, so this certifies the evaluated forms.  ``derivative`` is checked
@@ -22,7 +30,13 @@ from test_potentials import _expressions
 from holomech import SystemSpec
 from holomech.closed_forms import CORRECTED_FORMS, REFERENCE_MASS, REFERENCE_TABLE
 from holomech.potentials import BUILTIN_SOURCES, PotentialOverflowError, derivative, to_source
-from holomech.symplectic import build_real_J, sample_params
+from holomech.symplectic import (
+    J_STANDARD,
+    SymplecticParams,
+    build_real_J,
+    darboux_frame,
+    sample_params,
+)
 
 sp = pytest.importorskip("sympy")
 
@@ -88,6 +102,112 @@ def test_parameters_reach_every_free_unknown():
     coef, *_ = np.linalg.lstsq(X, F, rcond=None)
     assert np.abs(X @ coef - F).max() <= 1e-14
     assert np.linalg.matrix_rank(coef[:4]) == 4
+
+
+PARAMS = sp.symbols("a b alpha_r alpha_i", real=True)
+
+
+@functools.cache
+def package_J():
+    """``build_real_J`` as an exact matrix of PARAMS: its entries are affine
+    in them with dyadic coefficients, read off at zero and at 2 times each
+    unit parameter (1 would be degenerate for alpha)."""
+    zero = build_real_J(SymplecticParams(0.0, 0.0, 0j))
+    steps = [build_real_J(SymplecticParams(*t)) - zero
+             for t in ((2.0, 0.0, 0j), (0.0, 2.0, 0j), (0.0, 0.0, 2 + 0j), (0.0, 0.0, 2j))]
+    return sp.Matrix(4, 4, lambda i, k: sp.Rational(zero[i, k]) + sum(
+        sp.Rational(step[i, k]) / 2 * c for step, c in zip(steps, PARAMS)))
+
+
+def test_package_J_is_build_real_J():
+    for params in draws():
+        values = dict(zip(PARAMS, (params.a, params.b, params.alpha.real, params.alpha.imag)))
+        exact = np.array(package_J().subs(values), dtype=float)
+        assert np.abs(exact - build_real_J(params)).max() <= 1e-15, params
+
+
+def test_determinant():
+    a, b, ar, ai = PARAMS
+    assert sp.expand(package_J().det() - (1 + a * b - ar**2 - ai**2) ** 2 / 16) == 0
+
+
+def test_eigenvalue_magnitudes_factorisation():
+    # J's characteristic polynomial is l^4 + (A/4) l^2 + det J, so its roots
+    # are +-i r+- with r+-^2 = (A +- B)/8 exactly when A^2 - B^2 = 64 det J,
+    # which is 4 (|alpha|^2 - ab - 1)^2: the rearrangement behind r-
+    a, b, ar, ai = PARAMS
+    s, lam = ar**2 + ai**2, sp.Symbol("lambda")
+    A = a**2 + b**2 + 2 * (s + 1)
+    B2 = ((a + b) ** 2 + 4) * ((a - b) ** 2 + 4 * s)
+    J = package_J()
+    assert sp.expand(J.charpoly(lam).as_expr() - (lam**4 + A / 4 * lam**2 + J.det())) == 0
+    assert sp.expand(A**2 - B2 - 4 * (s - a * b - 1) ** 2) == 0
+    assert sp.expand(A**2 - B2 - 64 * J.det()) == 0
+
+
+W = sp.symbols("x p y q", real=True)
+M = sp.Symbol("m", positive=True)
+
+
+@functools.cache
+def holomorphic():
+    """(grad 2 H_r, grad H_i, the complex field (p/m, -u_x, q/m, -s_x), the
+    Cauchy-Riemann substitution) for v = u + i s on w = (x, p, y, q); the
+    field is dz/dt = p/m, dp/dt = -v'(z) with v' = u_x + i s_x."""
+    x, p, y, q = W
+    u, s = sp.Function("u")(x, y), sp.Function("s")(x, y)
+
+    def grad(f):
+        return sp.Matrix([f.diff(c) for c in W])
+
+    field = sp.Matrix([p / M, -u.diff(x), q / M, -s.diff(x)])
+    cr = {u.diff(y): -s.diff(x), s.diff(y): u.diff(x)}
+    return grad((p**2 - q**2) / M + 2 * u), grad(p * q / M + s), field, cr
+
+
+def vanishing_params(expressions):
+    """The parameter values at which every expression vanishes for all p, q
+    and first derivatives of u and s."""
+    _, p, _, q = W
+    _, _, field, cr = holomorphic()
+    ux, sx = sp.symbols("u_x s_x")
+    named = {-field[1]: ux, -field[3]: sx}
+    equations = []
+    for e in expressions:
+        equations += sp.Poly(sp.expand(e.subs(cr).subs(named)), p, q, ux, sx).coeffs()
+    return sp.solve(equations, PARAMS, dict=True)
+
+
+def test_h_generates_the_motion_under_J0_only():
+    grad_h, _, field, cr = holomorphic()
+    residual = package_J() * grad_h - field
+    assert sp.simplify(residual.subs(dict.fromkeys(PARAMS, 0)).subs(cr)) == sp.zeros(4, 1)
+    assert vanishing_params(residual) == [dict.fromkeys(PARAMS, 0)]
+
+
+def test_invariants_in_involution_under_J0_only():
+    grad_h, grad_hi, _, cr = holomorphic()
+    bracket = (grad_h.T * package_J() * grad_hi)[0] / 2  # {H_r, H_i}_J
+    assert sp.simplify(bracket.subs(dict.fromkeys(PARAMS, 0)).subs(cr)) == 0
+    assert vanishing_params([bracket]) == [dict.fromkeys(PARAMS, 0)]
+
+
+def test_darboux_frame_standard_equations():
+    # xi = D^(-1/2) S^T w in the zero-parameter frame is w_to_darboux's
+    # sqrt(2) (x, p, q, y); with dw/dxi = S D^(1/2) the standard equations
+    # dxi/dt = J_std grad_xi h map back to the complex field
+    frame = darboux_frame(SymplecticParams(0.0, 0.0, 0j))
+    S = sp.Matrix(frame.S.tolist()).applyfunc(sp.Rational)
+    root_d = sp.diag(*[sp.sqrt(sp.Rational(r)) for r in (frame.r_plus, frame.r_plus,
+                                                          frame.r_minus, frame.r_minus)])
+    x, p, y, q = W
+    xi = root_d.inv() * S.T * sp.Matrix(W)
+    assert sp.simplify(xi - sp.sqrt(2) * sp.Matrix([x, p, q, y])) == sp.zeros(4, 1)
+    grad_h, _, field, cr = holomorphic()
+    dw_dxi = S * root_d
+    J_std = sp.Matrix(J_STANDARD.tolist()).applyfunc(sp.Rational)
+    motion = dw_dxi * (J_std * (dw_dxi.T * grad_h))
+    assert sp.simplify((motion - field).subs(cr)) == sp.zeros(4, 1)
 
 
 # the Darboux coordinates, real

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -154,6 +155,57 @@ class TestClosedFormOracles:
         assert traj.t[-1] == pytest.approx(1.0, abs=0)
 
 
+def pt_period(E):
+    """Period of the closed real-energy orbits of H = p^2 + i z^3 (m = 1/2),
+    T(E) = 2 sqrt(pi) Gamma(4/3) / Gamma(5/6) cos(pi/6) E^(-1/6) (Bender,
+    Boettcher and Meisinger, J. Math. Phys. 40, 2201 (1999))."""
+    return (2.0 * math.sqrt(math.pi) * math.gamma(4 / 3) / math.gamma(5 / 6)
+            * math.cos(math.pi / 6) * E ** (-1 / 6))
+
+
+class TestPeriodOracle:
+    """The PT-symmetric orbit from z0 = 0.999 E^(1/3) e^(-i pi/6), just inside
+    a turning point, p0 = sqrt(E - i z0^3), returns to its start after every
+    period: a run along the right orbit at the wrong speed fails here.
+
+    Bounds on the largest row deviation of ``state_at(k T)`` from the start
+    row, k = 1 and 10: five times the largest return measured over
+    E = 0.5, 1, 2 and both frames, rounded up (rk45 6.0e-9 and 1.8e-8,
+    rk4 at dt = 1e-3 1.5e-12 and 1.9e-11, split at dt = 1e-3 4.9e-6 and
+    4.9e-5; rk45's returns fall between nodes, so they measure the
+    interpolant too).
+    """
+
+    BOUNDS = {"rk45": (3e-8, 9e-8), "rk4": (7.5e-12, 9.5e-11), "split": (2.5e-5, 2.5e-4)}
+
+    @pytest.mark.parametrize("energy", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("frame", ["complex", "darboux"])
+    @pytest.mark.parametrize("method", sorted(BOUNDS))
+    def test_returns_after_one_and_ten_periods(self, method, frame, energy):
+        spec = spec_for("i*z^3")
+        z0 = 0.999 * energy ** (1 / 3) * cmath.exp(-1j * math.pi / 6)
+        p0 = cmath.sqrt(energy - 1j * z0**3)
+        T = pt_period(energy)
+        cfg = IntegratorConfig(method=method, dt=1e-3, t_end=10.0 * T)
+        traj = (integrate_complex(spec, z0, p0, cfg) if frame == "complex"
+                else integrate_darboux(spec, xi_from(z0, p0), cfg))
+        assert traj.terminated_by == "t_end"
+        returns = np.abs(traj.state_at(np.array([T, 10.0 * T])) - traj.states[0]).max(axis=1)
+        assert (returns <= self.BOUNDS[method]).all(), returns
+
+    def test_period_is_the_turning_point_quadrature(self):
+        mp = pytest.importorskip("mpmath")
+        assert abs(pt_period(1.0) - 2.42865064788758161) <= 4e-15  # a few rounding steps
+        with mp.workdps(30):
+            for energy in (0.5, 1.0, 2.0):
+                E = mp.mpf(energy)
+                ends = [mp.cbrt(E) * mp.expjpi(k) for k in (mp.mpf(-5) / 6, mp.mpf(-1) / 6)]
+                # dt = dz / (2 p) along the segment between the turning
+                # points, there and back
+                half = mp.quad(lambda z: 1 / (2 * mp.sqrt(E - 1j * z**3)), ends)
+                assert abs(2 * half - pt_period(energy)) <= 4e-15 * pt_period(energy)
+
+
 class TestConservationAndEquivalence:
     def test_canonical_iz3_run(self):
         spec = spec_for("i*z^3")
@@ -297,6 +349,12 @@ class TestSplitStep:
     def test_requires_positive_dt(self):
         with pytest.raises(ValueError):
             split_step(spec_for("z^2"), np.zeros(4), 0.0)
+
+    @pytest.mark.parametrize("xi", [[math.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_checks_the_point(self, xi):
+        # the step is a run of integrate_darboux, which checks its start
+        with pytest.raises(ValueError, match="4 finite reals"):
+            split_step(spec_for("z^2"), xi, 0.1)
 
     def test_no_secular_energy_growth(self):
         # harmonic long run: split drift stays bounded while rk4 drift grows
@@ -1641,3 +1699,41 @@ def test_rows_match_array_of_pairs():
             ref = np.array(pairs[:n], dtype=complex).view(float)[:, columns]
             assert got.shape == ref.shape == (n, 4)
             assert got.tobytes() == ref.tobytes()
+
+
+# SHA-256 of each kernel's generated text; any change to a kernel shows here.
+# Text and not code objects: those differ across Python versions.
+KERNEL_SHA256 = {
+    ("rk45", "complex"): "c387d1dde21a8ee66e28cbe8c03b9fcaa1bffc86b2e95eb8a1437bed5f22936f",
+    ("rk45", "darboux"): "77ff0826ac944ddc32143e25c4e13c9be0c903efaed615d9842c2cae8d7da6e7",
+    ("rk4", "complex"): "c2d4cb6ef1a47e4d327d589fb643a4b05b782bccaf6aa114d05fbe6f326c698f",
+    ("rk4", "darboux"): "5097ffef00bc46e73f75f565ee7543620695a3f29f5dbad483a7cc41dd01dfcb",
+    ("rk4", "hi"): "ed02324079c52f72110c7eb68422c707ba1ba467f8e7d9f6d1843352413e9cce",
+    ("rk4", "hi_back"): "056ca3ef37fa719ffbebb8beb39f807fb03ab0a400728214be77e3075ddaeb90",
+    ("split", "darboux"): "43e2a080ab6450546aadbf480ef27ae766e16108eb87c6d70e9bc2b427ef3662",
+}
+
+
+class TestKernelSource:
+    def test_pinned_text(self):
+        got = {key: hashlib.sha256(dyn._kernel_source(*key).encode()).hexdigest()
+               for key in KERNELS}
+        assert got == KERNEL_SHA256
+
+    def test_entry_points_run_the_pinned_kernels(self, monkeypatch):
+        made = []
+        source = dyn._kernel_source
+        monkeypatch.setattr(dyn, "_kernel_source", lambda *key: made.append(key) or source(*key))
+        dyn._kernel.cache_clear()
+        try:
+            spec, xi = spec_for("i*z^3"), np.array([0.4, 0.3, -0.2, 0.5])
+            for method in dyn.METHODS:
+                cfg = IntegratorConfig(method=method, dt=0.01, t_end=0.05)
+                integrate_complex(spec, 0.2 + 0.1j, 1 + 0j, cfg)
+                integrate_darboux(spec, xi, cfg)
+            for eps in (0.05, -0.05):
+                invariant_flow(spec, xi, FlowConfig(epsilon_end=eps, d_epsilon=0.01))
+            split_step(spec, xi, 0.01)
+        finally:
+            dyn._kernel.cache_clear()
+        assert sorted(made) == sorted(KERNEL_SHA256)
