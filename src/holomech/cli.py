@@ -328,33 +328,6 @@ def cmd_verify_table1(args) -> int:
     return EXIT_OK if report["consistent"] else EXIT_NUMERICAL
 
 
-def _percentiles(table: np.ndarray, percents) -> np.ndarray:
-    """``np.percentile(table, percents, axis=0)`` bit for bit, without the
-    import of numpy.ma that its first call makes (through ``np.unique``).
-
-    numpy's default linear method written out: the virtual index
-    (n - 1) q, its floor and the next index, both -1 (the largest value) at
-    or past the last index, numpy's partition of the columns at those
-    indices, the interpolation a + (b - a) g, or b - (b - a) (1 - g) where
-    g >= 0.5, and the partition's last value (a NaN) in each column that
-    holds a NaN.  ``percents`` lie in [0, 100].
-    """
-    n = len(table)
-    index = (n - 1) * np.true_divide(percents, 100)
-    lo = np.floor(index)
-    hi = lo + 1
-    top = index >= n - 1
-    lo[top] = hi[top] = -1
-    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
-    table = np.partition(table, sorted({0, -1, *lo.tolist(), *hi.tolist()}), axis=0)
-    a, b = table[lo], table[hi]
-    g = (index - lo)[:, None]
-    diff = b - a
-    result = np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
-    np.copyto(result, table[-1], where=np.isnan(table[-1]))
-    return result
-
-
 def cmd_verify_symplectic(args) -> int:
     spec = SystemSpec.from_source(args.potential, args.mass)
     values = array("d")  # per trial: the RESIDUAL_LIMITS residuals, then r_minus
@@ -370,7 +343,7 @@ def cmd_verify_symplectic(args) -> int:
     table = np.frombuffer(values).reshape(args.random, -1)
     residuals, r_minus = table[:, :-1], table[:, -1]
     # a NaN propagates through max and percentile: it is the worst value
-    p50, p95 = _percentiles(residuals, [50, 95])
+    p50, p95 = np.percentile(residuals, [50, 95], axis=0)
     n_pass = args.random - len(failures)
     report = {
         "command": "verify-symplectic",

@@ -330,8 +330,6 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
     symplectic for the standard structure.  Raises PotentialOverflowError
     when the step leaves double precision.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     traj = integrate_darboux(spec, xi, IntegratorConfig(method="split", dt=dt, t_end=dt,
                                                         escape_radius=math.inf))
     if traj.terminated_by != "t_end":

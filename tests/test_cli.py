@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import holomech
 from holomech import FlowConfig, IntegratorConfig, SystemSpec, get_builtin, output
-from holomech.cli import _percentiles, build_parser, main, parse_complex
+from holomech.cli import build_parser, main, parse_complex
 from holomech.output import TRAJECTORY_HEADER, trajectory_csv
 from holomech.symplectic import RESIDUAL_LIMITS, structure_trials
 
@@ -669,37 +668,6 @@ class TestVerifySymplectic:
             for key in ("position_equation", "momentum_equation"):
                 assert report[stat][key] is None
             assert 0.0 < report[stat]["canonicity"] <= 1e-10
-
-    @settings(max_examples=300, deadline=None)
-    @given(arrays(float, st.tuples(st.integers(1, 200), st.integers(1, 5)),
-                  elements=st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan])
-                  | st.floats(allow_nan=False)),
-           st.just([50, 95]) | st.lists(st.floats(0, 100), min_size=1, max_size=4))
-    def test_percentiles_are_numpys(self, table, percents):
-        # ties, signed zeros, infinities and NaN columns included
-        with np.errstate(all="ignore"):
-            want = np.percentile(table, percents, axis=0)
-            got = _percentiles(table, percents)
-        assert got.tobytes() == want.tobytes()
-
-    def test_numpy_ma_stays_unloaded(self, tmp_path):
-        # np.percentile's first call imports numpy.ma through np.unique;
-        # "before" allows a numpy that imports it eagerly
-        code = """if True:
-            import sys
-            import holomech.cli
-            before = "numpy.ma" in sys.modules
-            code = holomech.cli.main(["verify-symplectic", "--random", "20",
-                                      "--out", sys.argv[1]])
-            print(code, before, "numpy.ma" in sys.modules)
-            """
-        env = {**os.environ, "PYTHONPATH": str(Path(holomech.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "vs.json")],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        exit_code, before, after = proc.stdout.split()[-3:]
-        assert exit_code == "0"
-        assert after == before
 
     def test_refused_out_runs_no_trial(self, tmp_path, monkeypatch, capsys):
         def no_trials(*args):
