@@ -293,8 +293,7 @@ def _write_run(args, summary, traj, traj_d=None) -> int:
     })
     write_trajectory_csv(args.out, t, w_rows, xi_rows, traj.hr[:len(t)], traj.hi[:len(t)])
     write_text_atomic(_summary_path(args.out), json_text(summary))
-    ending = "" if args.command == "hi-flow" else f", terminated by {traj.terminated_by}"
-    print(f"wrote {args.out} ({len(t)} samples){ending}; "
+    print(f"wrote {args.out} ({len(t)} samples), terminated by {traj.terminated_by}; "
           f"drift Hr={traj.drift_hr:.3e} Hi={traj.drift_hi:.3e}")
     return EXIT_OK if traj.terminated_by in ("t_end", "escape") else EXIT_NUMERICAL
 

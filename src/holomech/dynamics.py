@@ -9,8 +9,14 @@ samples, and that turns whatever a step raises on leaving double precision
 into a step failure or a smaller step.  The kernels are generated from one
 template on first use and cached for the process; they call the compiled
 v' of the ``SystemSpec`` and take tableau weights, h and m as complex
-constants.  In CPython 3.10-3.13 that gives the same bits as float weights;
-CPython 3.14 changed mixed float-complex arithmetic (see ``_kernel``).
+constants.  Each stage sum is the plain left-to-right sum of its row's
+nonzero terms, and a row whose one nonzero coefficient is a power of two
+scales the step instead of the field, so a stage costs the fewest complex
+operations.  That order of operations fixes the sign of an exactly-zero
+part and no other bit, short of a subnormal field part, which a scaled
+step does not halve before the product.  In CPython 3.10-3.13 complex
+constants give the same bits as float weights; CPython 3.14 changed mixed
+float-complex arithmetic (see ``_kernel``).
 
 Frames: the complex pair (z, p); the Darboux frame on the packed pair
 Z = x1 + i p2, P = p1 + i x2, which is sqrt(2) (z, p), with its force
@@ -348,10 +354,12 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
 # and (terminated_by, n_steps, n_rhs, n_rejected), where ``lost`` charges a
 # failed fixed step in full.  The template is filled with one frame's field,
 # written in at every stage, and one method's grid, step and acceptance
-# test.  Every Runge-Kutta stage sum is accumulated from 0j in row order
-# over the nonzero tableau coefficients, so its bits, signed zeros included,
-# are those of the plain sum over the full row.  Stage times are omitted:
-# every field here is autonomous.
+# test.  Every Runge-Kutta stage sum is the plain left-to-right sum of the
+# row's nonzero terms, each a complex coefficient times a stage; the sign of
+# an exactly-zero part is whatever that sum gives.  Stage times are omitted:
+# every field here is autonomous.  The step's own p1 needs no finiteness
+# test: the checked field kz1 is p1 over a mass, so a non-finite p1 has
+# already failed the step.
 
 _KERNEL = """\
 def kernel(dv, m, z, p, t_end, h, atol, rtol, radius):
@@ -379,7 +387,7 @@ def kernel(dv, m, z, p, t_end, h, atol, rtol, radius):
 {advance}
             try:
 {step}
-                ok = isfinite(z1) and isfinite(p1)
+                ok = isfinite(z1)
             except _STEP_ERRORS:
                 ok = False
 {accept}
@@ -396,14 +404,15 @@ def kernel(dv, m, z, p, t_end, h, atol, rtol, radius):
 _S2 = repr(_SQRT2)
 
 # Fields (z, p) -> (dz, dp) of the frames in the module docstring, each
-# checking its own values; "hi_back" runs the H_i flow backwards.  Each
-# leaves v' at the stage in ``d`` where it has one.
+# checking its own values; "hi_back" runs the H_i flow backwards, the
+# forward field negated through the sign of its 1j.  Each leaves v' at the
+# stage in ``d`` where it has one.
 _FIELDS = {
     "complex": "{dz} = {p} / mc\n{dp} = -dv({z})",
     "darboux": f"d = dv({{z}} / ({_S2}+0j))\n{{dz}} = {{p}} / mc\n{{dp}} = (-{_S2}+0j) * d",
-    **{name: f"d = dv({{z}} / ({_S2}+0j))\n{{dz}} = ({sign}+0j) * (-1j * {{p}} / m2)\n"
-             f"{{dp}} = ({sign}+0j) * (1j * d / ({_S2}+0j))"
-       for name, sign in (("hi", "1.0"), ("hi_back", "-1.0"))},
+    **{name: f"d = dv({{z}} / ({_S2}+0j))\n{{dz}} = {minus}1j * {{p}} / m2\n"
+             f"{{dp}} = {plus}1j * d / ({_S2}+0j)"
+       for name, minus, plus in (("hi", "-", ""), ("hi_back", "", "-"))},
 }
 _CHECK = ("\nif not (isfinite({dz}) and isfinite({dp})):\n"
           "    raise PotentialOverflowError('non-finite vector field')")
@@ -427,8 +436,15 @@ def _field(frame: str, z: str, p: str, dz: str, dp: str, check: bool = True) -> 
 
 
 def _dot(row, ks) -> str:
-    """0j + c0 * k0 + c1 * k1 + ... over the nonzero c, as complex constants."""
-    return " + ".join(["0j"] + [f"{complex(c)!r} * {k}" for c, k in zip(row, ks) if c])
+    """c0 * k0 + c1 * k1 + ... over the nonzero c, as complex constants."""
+    return " + ".join(f"{complex(c)!r} * {k}" for c, k in zip(row, ks) if c)
+
+
+# Complex steps c h, set once per step, for a stage row whose one nonzero
+# coefficient c is a power of two: c h is exact, so (c h) k has every
+# nonzero bit of h (c k), in one product less, unless a part of k is
+# subnormal, where c k would round and (c h) k rounds once.
+_SCALED_STEPS = {1.0: "hc", 0.5: "hh"}
 
 
 def _rk_step(frame: str, rows, weights) -> tuple[str, list, list]:
@@ -440,9 +456,18 @@ def _rk_step(frame: str, rows, weights) -> tuple[str, list, list]:
     fails on ``ok`` exactly where the stage's check would have raised.
     """
     kz, kp = ["kz"], ["kp"]
-    lines = []
+    lines, defined = [], {"hc"}
     for j, (row, weight) in enumerate(zip(rows, weights[1:]), 2):
-        lines += [f"z_st = z + hc * ({_dot(row, kz)})", f"p_st = p + hc * ({_dot(row, kp)})",
+        (c, i), *more = [(c, i) for i, c in enumerate(row) if c]
+        step = None if more else _SCALED_STEPS.get(c)
+        if step is None:
+            z_inc, p_inc = f"hc * ({_dot(row, kz)})", f"hc * ({_dot(row, kp)})"
+        else:
+            if step not in defined:
+                defined.add(step)
+                lines.insert(0, f"{step} = {c!r} * h + 0j")
+            z_inc, p_inc = f"{step} * {kz[i]}", f"{step} * {kp[i]}"
+        lines += [f"z_st = z + {z_inc}", f"p_st = p + {p_inc}",
                   _field(frame, "z_st", "p_st", f"kz{j}", f"kp{j}", check=not weight)]
         kz.append(f"kz{j}")
         kp.append(f"kp{j}")
@@ -496,29 +521,35 @@ if not ok:
 
 # Elementary step control on the RMS of the error pair scaled by the
 # tolerances, its squares (xr, xi, yr, yi: Re z, Im z, Re p, Im p) summed in
-# the order of the frame's row components, ``_COLUMNS``.
+# the order of the frame's row components, ``_COLUMNS``.  Each scale takes
+# the larger of |part| at the accepted state (azr, azi, apr, api, set up
+# with the run and carried over from the last accepted step) and at the
+# attempt (bzr, bzi, bpr, bpi).
 _NORM = """\
 if not (ok and isfinite(ez) and isfinite(ep)):
     h *= 0.25
     n_rej += 1
     continue
-a, b = abs(z.real), abs(z1.real)
-xr = ez.real / (atol + rtol * (b if b > a else a))
-a, b = abs(z.imag), abs(z1.imag)
-xi = ez.imag / (atol + rtol * (b if b > a else a))
-a, b = abs(p.real), abs(p1.real)
-yr = ep.real / (atol + rtol * (b if b > a else a))
-a, b = abs(p.imag), abs(p1.imag)
-yi = ep.imag / (atol + rtol * (b if b > a else a))
+bzr = abs(z1.real)
+xr = ez.real / (atol + rtol * (bzr if bzr > azr else azr))
+bzi = abs(z1.imag)
+xi = ez.imag / (atol + rtol * (bzi if bzi > azi else azi))
+bpr = abs(p1.real)
+yr = ep.real / (atol + rtol * (bpr if bpr > apr else apr))
+bpi = abs(p1.imag)
+yi = ep.imag / (atol + rtol * (bpi if bpi > api else api))
 e = sqrt(({total}) / 4.0)
 fac = 0.9 * (e + 1e-300) ** -0.2
 h *= (fac if fac < 5.0 else 5.0) if fac > 0.2 else 0.2
 if e > 1.0:
     n_rej += 1
-    continue"""
+    continue
+azr, azi, apr, api = bzr, bzi, bpr, bpi"""
 
 _METHODS = {  # stages per step, set-up, time advance, step, acceptance
-    "rk45": (6, "tiny = 1e-13 * max(1.0, t_end)", f"""\
+    "rk45": (6, """\
+tiny = 1e-13 * max(1.0, t_end)
+azr, azi, apr, api = abs(z.real), abs(z.imag), abs(p.real), abs(p.imag)""", f"""\
 remaining = t_end - t
 if remaining <= tiny:
     break  # landed within rounding of t_end; not a failure

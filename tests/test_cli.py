@@ -491,6 +491,17 @@ class TestRunWriter:
         assert summary["samples"] == len(read_csv(out))
         assert capsys.readouterr().out.startswith(f"wrote {out} ({summary['samples']} samples)")
 
+    @pytest.mark.parametrize("command", [["simulate", "--method=rk4"], ["hi-flow"]])
+    def test_failed_run_line_names_its_ending(self, command, tmp_path, capsys):
+        # v' = exp(800) overflows at the start: both commands say so, not
+        # only in the summary and the exit code
+        out = tmp_path / "fail.csv"
+        assert run([*command, "--potential=exp(z)", "--z0=800", f"--out={out}"]) == 2
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["terminated_by"] == "step_failure"
+        assert capsys.readouterr().out.startswith(
+            f"wrote {out} (1 samples), terminated by step_failure; drift ")
+
 
     @pytest.mark.parametrize("argv, rhs_per_step", [
         (["simulate", "--frame=complex", "--method=rk4", "--dt=0.01", "--t-end=0.5"], 4),

@@ -1132,8 +1132,9 @@ _OLD_RK4_A = tuple(map(_sparse, ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))))
 
 
 def _combine(terms, kz, kp):
-    az = ap = 0j
-    for j, c in terms:
+    (j, c), *rest = terms
+    az, ap = c * kz[j], c * kp[j]
+    for j, c in rest:
         az += c * kz[j]
         ap += c * kp[j]
     return az, ap
@@ -1179,8 +1180,8 @@ def _old_fields(dv, m):
     return {
         "complex": lambda z, p: (p / m, -dv(z)),
         "darboux": lambda Z, P: (P / m, -S2 * dv(Z / S2)),
-        "hi": lambda Z, P: (1.0 * (-1j * P / m2), 1.0 * (1j * dv(Z / S2) / S2)),
-        "hi_back": lambda Z, P: (-1.0 * (-1j * P / m2), -1.0 * (1j * dv(Z / S2) / S2)),
+        "hi": lambda Z, P: (-1j * P / m2, 1j * dv(Z / S2) / S2),
+        "hi_back": lambda Z, P: (1j * P / m2, -1j * dv(Z / S2) / S2),
     }
 
 
@@ -1255,14 +1256,17 @@ def _darboux_field(dv, m):
     return rhs
 
 
-def _hi_field(dv, m, sign=1.0):
+def _hi_field(dv, m, backwards=False):
     """d(Z, P)/d(eps) = {(Z, P), H_i}, the Darboux field at dt = -i d(eps)/2;
-    ``sign`` = -1 runs it backwards."""
+    ``backwards`` negates it through the sign of its 1j."""
     m2 = 2.0 * m
 
     def rhs(Z, P):
         d = dv(Z / _SQRT2)
-        dZ, dP = sign * (-1j * P / m2), sign * (1j * d / _SQRT2)
+        if backwards:
+            dZ, dP = 1j * P / m2, -1j * d / _SQRT2
+        else:
+            dZ, dP = -1j * P / m2, 1j * d / _SQRT2
         if cmath.isfinite(dZ) and cmath.isfinite(dP):
             return dZ, dP
         raise PotentialOverflowError("non-finite vector field")
@@ -1278,30 +1282,30 @@ def _dp45_rule(f, z, p, k, h):
     fourth-order weights applied to the stages.
     """
     kz1, kp1 = k
-    kz2, kp2 = f(z + h * (0j + 1 / 5 * kz1),
-                 p + h * (0j + 1 / 5 * kp1))
-    kz3, kp3 = f(z + h * (0j + 3 / 40 * kz1 + 9 / 40 * kz2),
-                 p + h * (0j + 3 / 40 * kp1 + 9 / 40 * kp2))
-    kz4, kp4 = f(z + h * (0j + 44 / 45 * kz1 + -56 / 15 * kz2 + 32 / 9 * kz3),
-                 p + h * (0j + 44 / 45 * kp1 + -56 / 15 * kp2 + 32 / 9 * kp3))
-    kz5, kp5 = f(z + h * (0j + 19372 / 6561 * kz1 + -25360 / 2187 * kz2
+    kz2, kp2 = f(z + h * (1 / 5 * kz1),
+                 p + h * (1 / 5 * kp1))
+    kz3, kp3 = f(z + h * (3 / 40 * kz1 + 9 / 40 * kz2),
+                 p + h * (3 / 40 * kp1 + 9 / 40 * kp2))
+    kz4, kp4 = f(z + h * (44 / 45 * kz1 + -56 / 15 * kz2 + 32 / 9 * kz3),
+                 p + h * (44 / 45 * kp1 + -56 / 15 * kp2 + 32 / 9 * kp3))
+    kz5, kp5 = f(z + h * (19372 / 6561 * kz1 + -25360 / 2187 * kz2
                           + 64448 / 6561 * kz3 + -212 / 729 * kz4),
-                 p + h * (0j + 19372 / 6561 * kp1 + -25360 / 2187 * kp2
+                 p + h * (19372 / 6561 * kp1 + -25360 / 2187 * kp2
                           + 64448 / 6561 * kp3 + -212 / 729 * kp4))
-    kz6, kp6 = f(z + h * (0j + 9017 / 3168 * kz1 + -355 / 33 * kz2 + 46732 / 5247 * kz3
+    kz6, kp6 = f(z + h * (9017 / 3168 * kz1 + -355 / 33 * kz2 + 46732 / 5247 * kz3
                           + 49 / 176 * kz4 + -5103 / 18656 * kz5),
-                 p + h * (0j + 9017 / 3168 * kp1 + -355 / 33 * kp2 + 46732 / 5247 * kp3
+                 p + h * (9017 / 3168 * kp1 + -355 / 33 * kp2 + 46732 / 5247 * kp3
                           + 49 / 176 * kp4 + -5103 / 18656 * kp5))
-    z = z + h * (0j + 35 / 384 * kz1 + 500 / 1113 * kz3 + 125 / 192 * kz4
+    z = z + h * (35 / 384 * kz1 + 500 / 1113 * kz3 + 125 / 192 * kz4
                  + -2187 / 6784 * kz5 + 11 / 84 * kz6)
-    p = p + h * (0j + 35 / 384 * kp1 + 500 / 1113 * kp3 + 125 / 192 * kp4
+    p = p + h * (35 / 384 * kp1 + 500 / 1113 * kp3 + 125 / 192 * kp4
                  + -2187 / 6784 * kp5 + 11 / 84 * kp6)
     kz7, kp7 = f(z, p)
     # fifth- minus fourth-order weights
-    ez = (0j + (35 / 384 - 5179 / 57600) * kz1 + (500 / 1113 - 7571 / 16695) * kz3
+    ez = ((35 / 384 - 5179 / 57600) * kz1 + (500 / 1113 - 7571 / 16695) * kz3
           + (125 / 192 - 393 / 640) * kz4 + (-2187 / 6784 - -92097 / 339200) * kz5
           + (11 / 84 - 187 / 2100) * kz6 + (0.0 - 1 / 40) * kz7)
-    ep = (0j + (35 / 384 - 5179 / 57600) * kp1 + (500 / 1113 - 7571 / 16695) * kp3
+    ep = ((35 / 384 - 5179 / 57600) * kp1 + (500 / 1113 - 7571 / 16695) * kp3
           + (125 / 192 - 393 / 640) * kp4 + (-2187 / 6784 - -92097 / 339200) * kp5
           + (11 / 84 - 187 / 2100) * kp6 + (0.0 - 1 / 40) * kp7)
     return z, p, (kz7, kp7), (h * ez, h * ep)
@@ -1310,9 +1314,10 @@ def _dp45_rule(f, z, p, k, h):
 def _rk4_rule(f, z, p, k, h):
     """Classical fourth-order Runge-Kutta."""
     kz1, kp1 = k
-    kz2, kp2 = f(z + h * (0j + 0.5 * kz1), p + h * (0j + 0.5 * kp1))
-    kz3, kp3 = f(z + h * (0j + 0.5 * kz2), p + h * (0j + 0.5 * kp2))
-    kz4, kp4 = f(z + h * (0j + 1.0 * kz3), p + h * (0j + 1.0 * kp3))
+    hh = 0.5 * h  # a power of two: the half-step is exact
+    kz2, kp2 = f(z + hh * kz1, p + hh * kp1)
+    kz3, kp3 = f(z + hh * kz2, p + hh * kp2)
+    kz4, kp4 = f(z + h * kz3, p + h * kp3)
     z = z + h / 6.0 * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
     p = p + h / 6.0 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
     return z, p, f(z, p), None
@@ -1425,7 +1430,7 @@ def _moved_fields(dv, m):
         "complex": _complex_field(dv, m),
         "darboux": _darboux_field(dv, m),
         "hi": _hi_field(dv, m),
-        "hi_back": _hi_field(dv, m, -1.0),
+        "hi_back": _hi_field(dv, m, backwards=True),
     }
 
 
@@ -1591,6 +1596,105 @@ def test_kernels_match_moved_loop(src, mass, kernel, tol, start, t_end, dt):
     _check_counters(run, method, attempts)
 
 
+# The step rules as they stood while every stage sum started from 0j, rk4
+# halved its fields instead of its step and the H_i fields carried a
+# (+-1.0+0j) factor; ``_drive`` keeps its isfinite(p1) test.  The kernels
+# dropped those operations, which only set the sign of an exactly-zero
+# part: every run must equal these rules' run in value, -0 == 0 and NaN
+# matching NaN.
+
+def _signed_zero_dp45_rule(f, z, p, k, h):
+    kz1, kp1 = k
+    kz2, kp2 = f(z + h * (0j + 1 / 5 * kz1),
+                 p + h * (0j + 1 / 5 * kp1))
+    kz3, kp3 = f(z + h * (0j + 3 / 40 * kz1 + 9 / 40 * kz2),
+                 p + h * (0j + 3 / 40 * kp1 + 9 / 40 * kp2))
+    kz4, kp4 = f(z + h * (0j + 44 / 45 * kz1 + -56 / 15 * kz2 + 32 / 9 * kz3),
+                 p + h * (0j + 44 / 45 * kp1 + -56 / 15 * kp2 + 32 / 9 * kp3))
+    kz5, kp5 = f(z + h * (0j + 19372 / 6561 * kz1 + -25360 / 2187 * kz2
+                          + 64448 / 6561 * kz3 + -212 / 729 * kz4),
+                 p + h * (0j + 19372 / 6561 * kp1 + -25360 / 2187 * kp2
+                          + 64448 / 6561 * kp3 + -212 / 729 * kp4))
+    kz6, kp6 = f(z + h * (0j + 9017 / 3168 * kz1 + -355 / 33 * kz2 + 46732 / 5247 * kz3
+                          + 49 / 176 * kz4 + -5103 / 18656 * kz5),
+                 p + h * (0j + 9017 / 3168 * kp1 + -355 / 33 * kp2 + 46732 / 5247 * kp3
+                          + 49 / 176 * kp4 + -5103 / 18656 * kp5))
+    z = z + h * (0j + 35 / 384 * kz1 + 500 / 1113 * kz3 + 125 / 192 * kz4
+                 + -2187 / 6784 * kz5 + 11 / 84 * kz6)
+    p = p + h * (0j + 35 / 384 * kp1 + 500 / 1113 * kp3 + 125 / 192 * kp4
+                 + -2187 / 6784 * kp5 + 11 / 84 * kp6)
+    kz7, kp7 = f(z, p)
+    # fifth- minus fourth-order weights
+    ez = (0j + (35 / 384 - 5179 / 57600) * kz1 + (500 / 1113 - 7571 / 16695) * kz3
+          + (125 / 192 - 393 / 640) * kz4 + (-2187 / 6784 - -92097 / 339200) * kz5
+          + (11 / 84 - 187 / 2100) * kz6 + (0.0 - 1 / 40) * kz7)
+    ep = (0j + (35 / 384 - 5179 / 57600) * kp1 + (500 / 1113 - 7571 / 16695) * kp3
+          + (125 / 192 - 393 / 640) * kp4 + (-2187 / 6784 - -92097 / 339200) * kp5
+          + (11 / 84 - 187 / 2100) * kp6 + (0.0 - 1 / 40) * kp7)
+    return z, p, (kz7, kp7), (h * ez, h * ep)
+
+
+def _signed_zero_rk4_rule(f, z, p, k, h):
+    kz1, kp1 = k
+    kz2, kp2 = f(z + h * (0j + 0.5 * kz1), p + h * (0j + 0.5 * kp1))
+    kz3, kp3 = f(z + h * (0j + 0.5 * kz2), p + h * (0j + 0.5 * kp2))
+    kz4, kp4 = f(z + h * (0j + 1.0 * kz3), p + h * (0j + 1.0 * kp3))
+    z = z + h / 6.0 * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
+    p = p + h / 6.0 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
+    return z, p, f(z, p), None
+
+
+
+def _signed_zero_fields(dv, m):
+    m2 = 2.0 * m
+
+    def hi(sign):
+        def rhs(Z, P):
+            d = dv(Z / _SQRT2)
+            dZ, dP = sign * (-1j * P / m2), sign * (1j * d / _SQRT2)
+            if cmath.isfinite(dZ) and cmath.isfinite(dP):
+                return dZ, dP
+            raise PotentialOverflowError("non-finite vector field")
+
+        return rhs
+
+    return {"complex": _complex_field(dv, m), "darboux": _darboux_field(dv, m),
+            "hi": hi(1.0 + 0j), "hi_back": hi(-1.0 + 0j)}
+
+
+def _values(bits):
+    """A ``_run_bits`` record with every zero unsigned: two records are equal
+    when their floats are equal under ==, NaN matching NaN."""
+    if isinstance(bits, (list, tuple)):
+        return [_values(b) for b in bits]
+    return "0x0.0p+0" if bits == "-0x0.0p+0" else bits
+
+
+class TestSignedZeroRules:
+    @pytest.mark.parametrize("src", TestUnrolledRules.SOURCES)
+    @pytest.mark.parametrize("mass", [0.5, 1.0])
+    def test_values_match_signed_zero_rules(self, src, mass, rng):
+        spec = spec_for(src, mass)
+        fields = _signed_zero_fields(spec._dv, mass)
+        rules = {"rk45": _signed_zero_dp45_rule, "rk4": _signed_zero_rk4_rule,
+                 "split": _split_rule(spec.dv, mass)}
+        for method, frame in KERNELS:
+            for z, p, h in _draws(rng, 40):
+                # several steps, so that rk45 carries its error scales over
+                cfg = IntegratorConfig(method=method, dt=h, t_end=8 * h)
+                run, attempts = _kernel_run(spec, method, frame, z, p, cfg, h), []
+
+                def counted(*args):
+                    attempts.append(1)
+                    return rules[method](*args)
+
+                oracle = _drive(counted, fields[frame], z, p, cfg,
+                                "complex" if frame == "complex" else "darboux", h0=h)
+                assert _values(_run_bits(run)) == _values(_run_bits(oracle)), \
+                    (method, frame, z, p, h)
+                _check_counters(run, method, attempts)
+
+
 class TestStageChecks:
     """A kernel checks a stage's field only where the stage's weight in the
     step is 0.  Elsewhere a non-finite field fails the step through z1 or
@@ -1704,13 +1808,13 @@ def test_rows_match_array_of_pairs():
 # SHA-256 of each kernel's generated text; any change to a kernel shows here.
 # Text and not code objects: those differ across Python versions.
 KERNEL_SHA256 = {
-    ("rk45", "complex"): "c387d1dde21a8ee66e28cbe8c03b9fcaa1bffc86b2e95eb8a1437bed5f22936f",
-    ("rk45", "darboux"): "77ff0826ac944ddc32143e25c4e13c9be0c903efaed615d9842c2cae8d7da6e7",
-    ("rk4", "complex"): "c2d4cb6ef1a47e4d327d589fb643a4b05b782bccaf6aa114d05fbe6f326c698f",
-    ("rk4", "darboux"): "5097ffef00bc46e73f75f565ee7543620695a3f29f5dbad483a7cc41dd01dfcb",
-    ("rk4", "hi"): "ed02324079c52f72110c7eb68422c707ba1ba467f8e7d9f6d1843352413e9cce",
-    ("rk4", "hi_back"): "056ca3ef37fa719ffbebb8beb39f807fb03ab0a400728214be77e3075ddaeb90",
-    ("split", "darboux"): "43e2a080ab6450546aadbf480ef27ae766e16108eb87c6d70e9bc2b427ef3662",
+    ("rk45", "complex"): "c1748819994bdd1d6f97d0ae64e690918bdb93507febfd06dce71a73de39ffb2",
+    ("rk45", "darboux"): "136d6a09e278d3044b89ec0dab7e8f162a7012a10ea7d0b58d8963462848f922",
+    ("rk4", "complex"): "00ac3a829a1702c1c82ba5e7a43afcf43b0a8f9ffa5ef5d5c63f84fa85d8d00f",
+    ("rk4", "darboux"): "cd0886d48ffc933d6ee827b5ffed561910c01e4ccde2b87d50fbce6f3cab407c",
+    ("rk4", "hi"): "e59837b9308958ccaeef783d24ded9ff8985f03997e258490549051cc2b202ff",
+    ("rk4", "hi_back"): "d6b3aaf0efa0087f9f3c41edad38d5cd72df8cd1f75f11b76b6a734a1fb70366",
+    ("split", "darboux"): "16f46d927bae95878e07227f22c88ac3371ecc650cbc10f3012df670a940ba3e",
 }
 
 
