@@ -209,18 +209,17 @@ class Trajectory:
         A scalar time gives one row of shape (4,), a 1-D array of N times an
         (N, 4) stack.  Times outside the samples extrapolate the end
         intervals.  When the times are this run's first n sample times, bit
-        for bit, ``t`` ascends strictly and every sample and field is
-        finite, as the kernels record them (a fixed-step pair, or a run
-        stopped early beside a longer one), the rows are read off the
-        samples with the interpolant's bits (``_node_rows``).
+        for bit, and ``t`` ascends strictly (a fixed-step pair, or a run
+        stopped early beside a longer one), the rows are the samples
+        ``states[:n]`` as recorded; interpolating there could only change a
+        zero's sign, or give NaN beside a non-finite field.
         """
         tq = np.asarray(t_query, dtype=float)
         if tq.ndim > 1:
             raise ValueError("state_at takes a scalar or a 1-D array of times")
         n = tq.size
-        if (n and tq.tobytes() == self.t[:n].tobytes() and (self.t[1:] > self.t[:-1]).all()
-                and np.isfinite(self.states).all() and np.isfinite(self.derivs).all()):
-            rows = _node_rows(self.states, self.derivs, n)
+        if n and tq.tobytes() == self.t[:n].tobytes() and (self.t[1:] > self.t[:-1]).all():
+            rows = self.states[:n].copy()
         else:
             rows = _hermite(self.t, self.states, self.derivs, tq.reshape(-1))
         return rows[0] if tq.ndim == 0 else rows
@@ -234,31 +233,6 @@ def _max_drift(values: np.ndarray) -> float:
     if finite.size == 0:
         return math.nan
     return float(np.max(np.abs(finite - values[0]))) if np.isfinite(values[0]) else math.nan
-
-
-def _node_rows(ys: np.ndarray, ds: np.ndarray, n: int) -> np.ndarray:
-    """``_hermite`` at the first n of N strictly ascending sample times, for
-    finite samples and fields, without interpolating.
-
-    At a node k < N - 1 the interpolant adds y_k + (+0) d_k + (+0) y_{k+1}
-    + (-0) d_{k+1} (s = 0), and at the last node, on the last interval,
-    (+0) y_{N-2} + (+0) d_{N-2} + y_{N-1} + (+0) d_{N-1} (s = 1).  So a
-    nonzero sample comes out as it is, and a zero one as -0 only when all
-    four terms are -0.
-    """
-    rows = ys[:n].copy()
-    zero = rows == 0.0
-    if len(ys) == 1 or not zero.any():
-        return rows
-    sy, sd = np.signbit(ys), np.signbit(ds)
-    neg = np.empty_like(zero)
-    m = min(n, len(ys) - 1)
-    neg[:m] = sy[:m] & sd[:m] & sy[1:m + 1] & ~sd[1:m + 1]
-    if m < n:
-        neg[m] = sy[-2] & sd[-2] & sy[-1] & sd[-1]
-    rows[zero] = 0.0
-    rows[zero & neg] = -0.0
-    return rows
 
 
 def _hermite(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray, tq: np.ndarray) -> np.ndarray:

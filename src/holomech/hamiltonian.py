@@ -37,7 +37,6 @@ from .potentials import (
     compile_potential,
     derivative,
     parse_potential,
-    to_source,
 )
 
 __all__ = [
@@ -103,10 +102,6 @@ class SystemSpec:
     def from_source(cls, text: str, mass: float = mass) -> "SystemSpec":
         # ``mass`` defaults to the field's default, read in the class body
         return cls(parse_potential(text), mass)
-
-    @property
-    def source(self) -> str:
-        return to_source(self.potential)
 
     def v(self, z: complex) -> complex:
         """Checked potential value; raises PotentialOverflowError on overflow."""

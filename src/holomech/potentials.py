@@ -48,7 +48,6 @@ __all__ = [
     "Neg",
     "Call",
     "parse_potential",
-    "to_source",
     "compile_potential",
     "ARRAY_FUNCS",
     "derivative",
@@ -165,8 +164,8 @@ _ZERO = complex(0.0)
 _ONE = complex(1.0)
 
 # Deepest accepted nesting of parentheses, calls and unary minus, and deepest
-# accepted expression tree.  Parsing, printing, differentiation and
-# compilation recurse over the tree, so this bound keeps them within the
+# accepted expression tree.  Parsing, differentiation and compilation
+# recurse over the tree, so this bound keeps them within the
 # default interpreter recursion limit.
 MAX_DEPTH = 100
 
@@ -437,95 +436,6 @@ def parse_potential(text: str) -> Expr:
             case Power(a, _) | Neg(a) | Call(_, a):
                 stack.append((a, depth + 1))
     return tree
-
-
-# --------------------------------------------------------------------------
-# Printing (inverse of the parser up to constant folding)
-# --------------------------------------------------------------------------
-
-
-def _real_source(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot render non-finite constant {x!r}")
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
-
-
-def _const_source(c: complex) -> str:
-    re, im = c.real, c.imag
-    if im == 0.0:
-        return _real_source(re) if re >= 0 else f"-{_real_source(-re)}"
-    if re == 0.0:
-        if im == 1.0:
-            return "i"
-        if im == -1.0:
-            return "-i"
-        head = _real_source(im) if im >= 0 else f"-{_real_source(-im)}"
-        return f"{head}*i"
-    im_part = "i" if abs(im) == 1.0 else f"{_real_source(abs(im))}*i"
-    sign = "+" if im >= 0 else "-"
-    re_part = _real_source(re) if re >= 0 else f"-{_real_source(-re)}"
-    return f"({re_part}{sign}{im_part})"
-
-
-def _self_delimiting(e: Expr) -> bool:
-    """True when the rendered source can sit anywhere a 'base' can.
-
-    Z, calls, and constants that render as a bare atom ("2", "i") or as an
-    already-parenthesized complex literal qualify; constants rendering with
-    a leading minus or an embedded '*' (e.g. "2*i") do not.
-    """
-    if isinstance(e, (Z, Call)):
-        return True
-    if isinstance(e, Const):
-        src = _const_source(e.value)
-        return src.startswith("(") or (not src.startswith("-") and "*" not in src)
-    return False
-
-
-def _delimited(e: Expr) -> str:
-    src = to_source(e)
-    return src if _self_delimiting(e) else f"({src})"
-
-
-def to_source(e: Expr) -> str:
-    """Render an AST back to grammar-conformant text.
-
-    ``parse_potential(to_source(e))`` is structurally equal to ``e`` for any
-    AST built through the node constructors.
-    """
-    match e:
-        case Const(value):
-            return _const_source(value)
-        case Z():
-            return "z"
-        case Call(func, arg):
-            return f"{func}({to_source(arg)})"
-        case Neg(arg):
-            return f"-{_delimited(arg)}"
-        case Sum(left, right):
-            left_src = to_source(left)
-            if isinstance(right, Neg):
-                # print as subtraction; the minus binds the whole next term
-                return f"{left_src}-{_delimited(right.arg)}"
-            right_src = to_source(right)
-            if right_src.startswith("-"):  # negative constant
-                return f"{left_src}-{_delimited(make_neg(right))}"
-            if isinstance(right, Sum):
-                return f"{left_src}+({right_src})"
-            return f"{left_src}+{right_src}"
-        case Product(left, right) | Quotient(left, right):
-            op = "*" if isinstance(e, Product) else "/"
-            ls = f"({to_source(left)})" if isinstance(left, Sum) else to_source(left)
-            rs = to_source(right) if isinstance(right, Power) else _delimited(right)
-            return f"{ls}{op}{rs}"
-        case Power(base, exponent):
-            base_src = to_source(base)
-            if not isinstance(base, (Z, Call)):
-                base_src = f"({base_src})"
-            return f"{base_src}^{exponent}"
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # --------------------------------------------------------------------------

@@ -103,10 +103,6 @@ class SymplecticParams:
         """|alpha|^2 - a b - 1; the structure is invertible iff this is nonzero."""
         return _structure(self)[4]
 
-    @property
-    def is_degenerate(self) -> bool:
-        return abs(self.degeneracy_defect) <= DEGENERACY_TOL
-
 
 def sample_params(rng) -> SymplecticParams:
     """Draw (a, b, Re alpha, Im alpha) uniformly from [-2, 2]^4, redrawing

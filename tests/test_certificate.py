@@ -17,7 +17,8 @@ complex ones.
 The reference table is checked against h = 2 Re H and H_i = Im H built by
 sympy from each catalog source text; the table's texts are what the package
 evaluates, so this certifies the evaluated forms.  ``derivative`` is checked
-against ``sympy.diff`` of the printed expression.  Skipped without sympy.
+against ``sympy.diff`` of the expression sympy builds from the tree.  Skipped
+without sympy.
 """
 
 import functools
@@ -29,7 +30,19 @@ from test_potentials import _expressions
 
 from holomech import SystemSpec
 from holomech.closed_forms import CORRECTED_FORMS, REFERENCE_MASS, REFERENCE_TABLE
-from holomech.potentials import BUILTIN_SOURCES, PotentialOverflowError, derivative, to_source
+from holomech.potentials import (
+    BUILTIN_SOURCES,
+    Call,
+    Const,
+    Neg,
+    PotentialOverflowError,
+    Power,
+    Product,
+    Quotient,
+    Sum,
+    Z,
+    derivative,
+)
 from holomech.symplectic import (
     J_STANDARD,
     SymplecticParams,
@@ -249,13 +262,32 @@ def test_corrected_forms_equal_the_construction():
         assert not differs(text, name, column), text
 
 
-Z = sp.Symbol("z")
+Z_SYMBOL = sp.Symbol("z")
 # where two derivatives that differ by float folding are compared
 POINTS = [0.3 + 0.2j, -0.7 + 0.4j, 1 - 0.5j]
 
 
-def potential_text(e):
-    return sp.sympify(to_source(e).replace("^", "**"), locals={"i": sp.I, "z": Z})
+def as_sympy(e):
+    """The sympy expression of the tree e, each constant part as the
+    17-digit float it holds."""
+    match e:
+        case Const(value):
+            return sp.Float(repr(value.real), 17) + sp.I * sp.Float(repr(value.imag), 17)
+        case Z():
+            return Z_SYMBOL
+        case Sum(left, right):
+            return as_sympy(left) + as_sympy(right)
+        case Product(left, right):
+            return as_sympy(left) * as_sympy(right)
+        case Quotient(left, right):
+            return as_sympy(left) / as_sympy(right)
+        case Power(base, exponent):
+            return as_sympy(base) ** exponent
+        case Neg(arg):
+            return -as_sympy(arg)
+        case Call(func, arg):
+            return getattr(sp, func)(as_sympy(arg))
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def finite_at_points(e):
@@ -274,10 +306,10 @@ def finite_at_points(e):
 @settings(max_examples=100, deadline=None)
 @given(_expressions.filter(finite_at_points))
 def test_derivative_agrees_with_sympy_diff(e):
-    want, got = sp.diff(potential_text(e), Z), potential_text(derivative(e))
+    want, got = sp.diff(as_sympy(e), Z_SYMBOL), as_sympy(derivative(e))
     if sp.expand(want - got) == 0:
         return
     # constants folded in another order leave float residues
     for point in POINTS:
-        a, b = (sp.N(f.subs(Z, point), 30) for f in (want, got))
-        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (to_source(e), point)
+        a, b = (sp.N(f.subs(Z_SYMBOL, point), 30) for f in (want, got))
+        assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (e, point)

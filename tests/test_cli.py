@@ -216,6 +216,28 @@ class TestSimulate:
                                          args.p0.imag]), cfg).t
         assert np.array_equal(read_csv(out)[:, 0], tc[tc <= min(tc[-1], td[-1])])
 
+    @pytest.mark.parametrize("method", ["rk4", "split"])
+    @pytest.mark.parametrize("potential, z0, p0", [
+        ("i*z", "-0", "-0"),
+        ("z^2", "0.5-0i", "-0+0.25i"),
+        ("i*z^3", "-0", "-0"),
+        ("-(z^4)", "0.5-0i", "-0+0.25i"),
+        ("i*sin(z)", "0.2+0.1i", "1"),
+        ("exp(i*z)", "-0+0.3i", "0.4-0i"),
+    ])
+    def test_both_frames_darboux_columns_are_the_darboux_run(self, potential, z0, p0, method,
+                                                            tmp_path):
+        # both fixed-step frames share one grid, so the Darboux columns of a
+        # --frame both run are its Darboux run's samples, signed zeros included
+        def darboux_cells(frame):
+            out = tmp_path / f"{frame}.csv"
+            assert run(["simulate", f"--potential={potential}", f"--z0={z0}", f"--p0={p0}",
+                        f"--method={method}", "--dt=0.01", "--t-end=1", f"--frame={frame}",
+                        f"--out={out}"]) == 0
+            return [line.split(",")[5:9] for line in out.read_text().splitlines()]
+
+        assert darboux_cells("both") == darboux_cells("darboux")
+
     def test_overflowing_invariants_warn_nothing(self, tmp_path):
         # the last sample of this escaping run overflows v and p^2: its H
         # columns are NaN, and the array evaluation says nothing on stderr

@@ -908,7 +908,8 @@ class TestPostKernelOracles:
 
     def test_shared_grid_with_non_finite_field(self):
         # the raw samples deviate most at node 3, where the Darboux field at
-        # node 4 makes the interpolant NaN: the report skips that row there
+        # node 4 makes the interpolant NaN: the report reads the samples
+        # there and finds it, which the union-grid oracle skips
         t = np.arange(6.0)
         rng = np.random.default_rng(5)
         w = rng.standard_normal((6, 4))
@@ -921,9 +922,11 @@ class TestPostKernelOracles:
                             hr=zeros, hi=zeros, terminated_by="t_end", n_steps=5)
         td = dyn.Trajectory(frame="darboux", t=t.copy(), states=xi, derivs=d_xi,
                             hr=zeros, hi=zeros, terminated_by="t_end", n_steps=5)
+        report = equivalence_report(tc, td)
+        dev = np.max(np.abs(w_to_darboux(w) - xi), axis=1)
+        assert (report.max_deviation, report.t_worst, report.n_points) == (dev.max(), 3.0, 6)
         with np.errstate(invalid="ignore"):
-            self.assert_same_report(tc, td)
-            assert equivalence_report(tc, td).t_worst != 3.0
+            assert _union_report(tc, td).t_worst != 3.0
 
     def test_repeated_time_keeps_union_grid(self, monkeypatch):
         calls = self.count_hermite(monkeypatch)
@@ -1029,12 +1032,14 @@ class TestPostKernelOracles:
 
 
 class TestSamplesAt:
-    """``Trajectory.state_at`` gives ``_hermite``'s bytes, reading the
-    samples on the run's own grid."""
+    """``Trajectory.state_at`` gives the samples as recorded at the run's own
+    times on a strictly ascending grid, and ``_hermite``'s bytes elsewhere."""
 
     # zeros of both signs in the samples and fields, next to nonzero ones
     CELLS = st.sampled_from([0.0, -0.0, 1.5, -2.25]) | st.floats(
         -1e300, 1e300, allow_subnormal=True)
+    # fields may also be non-finite, which the interpolant spreads to a node
+    FIELD_CELLS = CELLS | st.sampled_from([math.inf, -math.inf, math.nan])
 
     @staticmethod
     def run_on(t, ys, ds):
@@ -1053,14 +1058,17 @@ class TestSamplesAt:
     def test_node_rows_match_state_at(self, data, size):
         t = sorted(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size,
                                       unique=True)))
-        cells = st.lists(self.CELLS, min_size=4 * size, max_size=4 * size)
-        ys = np.reshape(data.draw(cells), (size, 4))
-        ds = np.reshape(data.draw(cells), (size, 4))
+        ys = np.reshape(data.draw(st.lists(self.CELLS, min_size=4 * size,
+                                           max_size=4 * size)), (size, 4))
+        ds = np.reshape(data.draw(st.lists(self.FIELD_CELLS, min_size=4 * size,
+                                           max_size=4 * size)), (size, 4))
         n = data.draw(st.integers(1, size))
         traj = self.run_on(t, ys, ds)
-        assert traj.state_at(traj.t[:n]).tobytes() == self.hermite(traj, traj.t[:n]).tobytes()
+        rows = traj.state_at(traj.t[:n])
+        assert rows.tobytes() == ys[:n].tobytes()
+        assert not np.shares_memory(rows, traj.states)
         # a scalar time reads its row the same way
-        assert traj.state_at(traj.t[0]).tobytes() == self.hermite(traj, traj.t[:1])[0].tobytes()
+        assert traj.state_at(traj.t[0]).tobytes() == ys[0].tobytes()
 
     def test_other_times_interpolate(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -1086,12 +1094,16 @@ class TestSamplesAt:
         t = np.arange(4.0)
         ys = np.zeros((4, 4))
         ds = np.ones((4, 4))
-        ds[2, 1] = math.inf  # 0 * inf: nodes 1 and 2 give NaN, not their samples
+        # the interpolant is NaN at nodes 1 and 2 (0 * inf) and between them
+        # (inf - inf); the nodes still give their samples
+        ds[1:3, 1] = math.inf
         traj = self.run_on(t, ys, ds)
+        assert traj.state_at(t).tobytes() == ys.tobytes()
         with np.errstate(invalid="ignore"):
-            rows = traj.state_at(t)
-            assert rows.tobytes() == self.hermite(traj, t).tobytes()
-        assert np.isnan(rows[1:3, 1]).all()
+            assert np.isnan(self.hermite(traj, t)[1:3, 1]).all()
+            rows = traj.state_at(t[:3] + 0.5)
+            assert rows.tobytes() == self.hermite(traj, t[:3] + 0.5).tobytes()
+        assert np.isnan(rows[1, 1])
 
     @pytest.mark.parametrize("method, calls", [("rk4", 0), ("split", 0), ("rk45", 3)])
     def test_cli_both_frames(self, method, calls, tmp_path, monkeypatch):
@@ -1143,8 +1155,14 @@ def _combine(terms, kz, kp):
 def _stages(f, z, p, k, h, rows):
     kz, kp = [k[0]], [k[1]]
     for row in rows:
-        az, ap = _combine(row, kz, kp)
-        dz, dp = f(z + h * az, p + h * ap)
+        (j, c), *more = row
+        if not more and c in (0.5, 1.0):
+            # a power of two scales the step, as the kernels do: (c h) k
+            # rounds once where h (c k) rounds twice for a subnormal part of k
+            dz, dp = f(z + c * h * kz[j], p + c * h * kp[j])
+        else:
+            az, ap = _combine(row, kz, kp)
+            dz, dp = f(z + h * az, p + h * ap)
         kz.append(dz)
         kp.append(dp)
     return kz, kp
@@ -1498,7 +1516,11 @@ class TestUnrolledRules:
     @pytest.mark.parametrize("mass", [0.5, 1.0])
     def test_rules_match_tableau_loop(self, src, mass, rng):
         spec = spec_for(src, mass)
-        draws = _draws(rng, 40)
+        # starts whose stage fields have subnormal parts, where a half-step
+        # must be formed as (0.5 h) k and not h (0.5 k)
+        draws = _draws(rng, 40) + [(1e-320j, 1e-320j, 0.3),
+                                   (complex(1e-320, 1.5), complex(-0.5, 4e-321), 0.3),
+                                   (complex(0.25, -2e-315), complex(1e-318, 0.0), 0.01)]
         for method, frame in KERNELS:
             for z, p, h in draws:
                 cfg = _step_cfg(method, h)

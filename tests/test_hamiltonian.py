@@ -403,7 +403,7 @@ def test_table_splits_once_per_potential(monkeypatch):
     calls = []
 
     def counted(spec, w):
-        calls.append(spec.source)
+        calls.append(spec.potential)
         return hamiltonian_split(spec, w)
 
     monkeypatch.setattr(closed_forms, "hamiltonian_split", counted)

@@ -37,7 +37,6 @@ from holomech.potentials import (
     make_sum,
     parse_potential,
     split_real_imag,
-    to_source,
 )
 from holomech.potentials import _ENTIRE_FUNCS, _checked, _tokenize
 
@@ -563,8 +562,8 @@ class TestBuiltins:
 
 
 # ---------------------------------------------------------------------------
-# Round-trip property: parse(to_source(e)) is structurally equal to e for
-# any AST built through the node constructors.
+# Random expressions: ASTs built through the node constructors with finite
+# constants, for the derivative oracle in test_certificate.py.
 # ---------------------------------------------------------------------------
 
 _consts = st.complex_numbers(min_magnitude=0, max_magnitude=1e6,
@@ -620,14 +619,3 @@ def test_overflowing_constant_power_is_dropped():
     assert isinstance(folded, Const) and not cmath.isfinite(folded.value)
     assert not _all_consts_finite(make_sum(Z(), folded))
     assert _folded_power(Const(1e6), 4) == make_power(Const(1e6), 4)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_expressions)
-def test_print_parse_round_trip(expr):
-    assert parse_potential(to_source(expr)) == expr
-
-
-def test_round_trip_builtins(builtins_map):
-    for expr in builtins_map.values():
-        assert parse_potential(to_source(expr)) == expr

@@ -136,10 +136,15 @@ class TestStructureMatrices:
             assert np.array_equal(J, -J.T)
 
     def test_degeneracy_flag(self):
-        assert SymplecticParams(0.0, 0.0, 1j).is_degenerate
+        degenerate = SymplecticParams(0.0, 0.0, 1j)
+        assert degenerate.degeneracy_defect == 0.0
+        with pytest.raises(DegenerateStructureError):
+            build_real_J(degenerate)
         assert SymplecticParams(1.0, -2.0, 0.5j).degeneracy_defect == \
             pytest.approx(0.25 + 2.0 - 1.0)
-        assert not SymplecticParams(0.0, 0.0, 0j).is_degenerate
+        invertible = SymplecticParams(0.0, 0.0, 0j)
+        assert invertible.degeneracy_defect == -1.0
+        assert np.isfinite(build_real_J(invertible)).all()
 
 
 class TestEigenMagnitudes:
@@ -292,7 +297,7 @@ class TestCompatibility:
                 p = sample_params(rng)
                 w = rng.uniform(-2, 2, size=4)
                 rep = verify_compatibility(p, spec, w)
-                assert rep["passed"], (spec.source, p)
+                assert rep["passed"], (spec.potential, p)
 
     def test_standard_structure_incompatible(self, rng):
         # the standard bracket gives dz/dt = 0, so the residual equals |p/m|
