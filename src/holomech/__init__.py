@@ -34,7 +34,6 @@ from .symplectic import (
     DarbouxFrame,
     darboux_frame,
     frame_residuals,
-    ScalarField,
     position_field,
     momentum_field,
     hamiltonian_field,

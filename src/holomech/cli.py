@@ -48,9 +48,7 @@ from .dynamics import (
 )
 from .hamiltonian import (SystemSpec, complex_to_darboux, darboux_invariant, darboux_to_w,
                           w_to_darboux)
-# trajectory_csv stays imported: perfbench/workloads.py patches it by name.
-from .output import (check_target, json_text, trajectory_csv, write_text_atomic,
-                     write_trajectory_csv)
+from .output import check_target, json_text, trajectory_csv, write_text_atomic
 from .potentials import PotentialError
 from .symplectic import (
     CONDITIONING_WARN_R_MINUS,
@@ -291,7 +289,7 @@ def _write_run(args, summary, traj, traj_d=None) -> int:
         "n_rejected": traj.n_rejected,
         "samples": len(t),
     })
-    write_trajectory_csv(args.out, t, w_rows, xi_rows, traj.hr[:len(t)], traj.hi[:len(t)])
+    trajectory_csv(args.out, t, w_rows, xi_rows, traj.hr[:len(t)], traj.hi[:len(t)])
     write_text_atomic(_summary_path(args.out), json_text(summary))
     print(f"wrote {args.out} ({len(t)} samples), terminated by {traj.terminated_by}; "
           f"drift Hr={traj.drift_hr:.3e} Hi={traj.drift_hi:.3e}")

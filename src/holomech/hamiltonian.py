@@ -84,7 +84,6 @@ class SystemSpec:
 
     potential: Expr
     mass: float = 0.5
-    dv_expr: Expr = field(init=False, repr=False, compare=False)
     _v: Callable[[complex], complex] = field(init=False, repr=False, compare=False)
     _dv: Callable[[complex], complex] = field(init=False, repr=False, compare=False)
     _v_array: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
@@ -93,9 +92,8 @@ class SystemSpec:
     def __post_init__(self):
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be a positive finite real, got {self.mass!r}")
-        object.__setattr__(self, "dv_expr", derivative(self.potential))
         object.__setattr__(self, "_v", compile_potential(self.potential))
-        object.__setattr__(self, "_dv", compile_potential(self.dv_expr))
+        object.__setattr__(self, "_dv", compile_potential(derivative(self.potential)))
         object.__setattr__(self, "_v_array", compile_potential(self.potential, ARRAY_FUNCS))
 
     @classmethod

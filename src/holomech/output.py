@@ -16,31 +16,17 @@ import numpy as np
 TRAJECTORY_HEADER = "t,x,y,p,q,x1,p1,x2,p2,Hr,Hi"
 
 
-def trajectory_csv(t, w_rows, xi_rows, hr, hi) -> str:
-    """Render samples to CSV with the fixed column schema, as one ``str``.
+def trajectory_csv(path, t, w_rows, xi_rows, hr, hi) -> None:
+    """Write the samples to ``path`` as CSV with the fixed column schema,
+    atomically, as ``write_text_atomic`` writes (temp file, fsync, rename).
 
     ``w_rows`` are (x, p, y, q) rows and ``xi_rows`` are (x1, p1, x2, p2)
     rows on the same grid ``t``.  Every cell is written as ``%.17g`` writes
     it (17 significant digits, enough to round-trip a double), byte for byte.
-    The text is the bytes ``write_trajectory_csv`` writes to a file, which
-    holds only one block at a time; this one holds the whole table.
-    """
-    # one growing buffer, not a list of block strings to join: with the list,
-    # a process rendering table after table kept about 2 MB more heap
-    text = bytearray()
-    for block in _csv_blocks(t, w_rows, xi_rows, hr, hi):
-        text += block
-    return text.decode("ascii")
-
-
-def write_trajectory_csv(path, t, w_rows, xi_rows, hr, hi) -> None:
-    """Write the ``trajectory_csv`` table of the samples to ``path``
-    atomically, as ``write_text_atomic`` writes (temp file, fsync, rename).
-
     Each block's bytes go straight into the temp file, so the memory the
     write takes stays at about one block's, whatever the row count.
     """
-    with _atomic_file(path, "wb") as fh:
+    with _atomic_file(path) as fh:
         for block in _csv_blocks(t, w_rows, xi_rows, hr, hi):
             fh.write(block)
 
@@ -256,8 +242,8 @@ def write_text_atomic(path, text: str) -> None:
     """Write ``text`` via a unique temp file, fsync and rename, so readers
     never see partial output and concurrent writers never share a temp file
     (see ``_atomic_file``)."""
-    with _atomic_file(path, "w") as fh:
-        fh.write(text)
+    with _atomic_file(path) as fh:
+        fh.write(text.encode())
 
 
 def check_target(path) -> None:
@@ -282,8 +268,8 @@ def check_target(path) -> None:
 
 
 @contextlib.contextmanager
-def _atomic_file(path, mode: str):
-    """A new file opened with ``mode`` that replaces ``path`` once the block
+def _atomic_file(path):
+    """A new file opened for binary writing that replaces ``path`` once the block
     exits and the data are fsynced; on any exception the file is removed and
     ``path`` is left as it was.
 
@@ -297,7 +283,7 @@ def _atomic_file(path, mode: str):
     try:
         fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
-            with os.fdopen(fd, mode) as fh:
+            with os.fdopen(fd, "wb") as fh:
                 yield fh
                 fh.flush()
                 os.fsync(fh.fileno())

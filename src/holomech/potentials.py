@@ -19,7 +19,8 @@ AST nodes are frozen dataclasses; structural equality is decidable and all
 values are immutable after construction, so expressions can be shared
 freely across worker threads.  Node constructors fold purely numeric
 subtrees and neutral elements, and nothing else, which keeps structural
-equality predictable.
+equality predictable; a fold that overflows raises, so every z-free subtree
+of a parsed expression is one finite ``Const``.
 """
 
 from __future__ import annotations
@@ -170,21 +171,6 @@ _ONE = complex(1.0)
 MAX_DEPTH = 100
 
 
-def _contains_z(e: Expr) -> bool:
-    match e:
-        case Z():
-            return True
-        case Const():
-            return False
-        case Sum(l, r) | Product(l, r) | Quotient(l, r):
-            return _contains_z(l) or _contains_z(r)
-        case Power(b, _):
-            return _contains_z(b)
-        case Neg(a) | Call(_, a):
-            return _contains_z(a)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 # Smart constructors: fold constants and neutral elements so that parser
 # output and symbolic derivatives stay compact and structurally predictable.
 
@@ -215,14 +201,10 @@ def make_product(left: Expr, right: Expr) -> Expr:
 
 
 def make_quotient(num: Expr, den: Expr) -> Expr:
-    if not isinstance(den, Const):
-        if _contains_z(den):
-            raise UnsupportedFunctionError(
-                "division by a z-dependent expression introduces poles; "
-                "only quotients by constants are entire")
-        # z-free subtrees fold to a constant unless folding overflowed
-        raise PotentialOverflowError(
-            "constant denominator overflows double precision")
+    if not isinstance(den, Const):  # the constructors fold z-free operands to a Const
+        raise UnsupportedFunctionError(
+            "division by a z-dependent expression introduces poles; "
+            "only quotients by constants are entire")
     if den.value == _ZERO:
         raise ZeroDivisionError("division by zero")
     if isinstance(num, Const):
@@ -265,7 +247,7 @@ def make_call(func: str, arg: Expr) -> Expr:
         try:
             return Const(_ENTIRE_FUNCS[func](arg.value))
         except (OverflowError, ValueError):  # ValueError: cmath of an infinity
-            pass  # leave unfolded; parse_potential or evaluation reports it
+            raise OverflowError(f"constant {func} overflows double precision") from None
     return Call(func, arg)
 
 
@@ -400,7 +382,7 @@ class _Parser:
                 self._expect_op("(")
                 arg = self.expr()
                 self._expect_op(")")
-                return make_call(name, arg)  # type: ignore[arg-type]
+                return _located(pos, make_call, name, arg)
             if name in _NON_ENTIRE_FUNCS:
                 raise UnsupportedFunctionError(
                     f"{name!r} is not an entire function of z: it introduces "

@@ -56,7 +56,6 @@ __all__ = [
     "DarbouxFrame",
     "darboux_frame",
     "frame_residuals",
-    "ScalarField",
     "position_field",
     "momentum_field",
     "hamiltonian_field",
@@ -357,54 +356,42 @@ def frame_residuals(frame: DarbouxFrame, J: np.ndarray) -> dict:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    """Scalar function of w = (x, p, y, q) with its exact gradient."""
-
-    func: Callable[[np.ndarray], complex]
-    grad: Callable[[np.ndarray], np.ndarray]
-
-
-def position_field() -> ScalarField:
-    """The complex position z = x + i y as a scalar field on R^4."""
+def position_field() -> Callable[[np.ndarray], np.ndarray]:
+    """The gradient of the complex position z = x + i y on R^4."""
     g = np.array([1.0, 0.0, 1j, 0.0])
-    return ScalarField(func=lambda w: complex(w[0], w[2]), grad=lambda w: g)
+    return lambda w: g
 
 
-def momentum_field() -> ScalarField:
-    """The complex momentum p = p + i q as a scalar field on R^4."""
+def momentum_field() -> Callable[[np.ndarray], np.ndarray]:
+    """The gradient of the complex momentum p = p + i q on R^4."""
     g = np.array([0.0, 1.0, 0.0, 1j])
-    return ScalarField(func=lambda w: complex(w[1], w[3]), grad=lambda w: g)
+    return lambda w: g
 
 
-def hamiltonian_field(spec: SystemSpec) -> ScalarField:
-    """Complex H as a field on R^4, with its exact gradient.
+def hamiltonian_field(spec: SystemSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact gradient of complex H on R^4.
 
     dH/dx = v', dH/dp = p/m, dH/dy = i v', dH/dq = i p/m, using analyticity
     of the potential.
     """
-    def func(w):
-        z = complex(w[0], w[2])
-        p = complex(w[1], w[3])
-        return p * p / (2.0 * spec.mass) + spec.v(z)
-
     def grad(w):
         z = complex(w[0], w[2])
         p_over_m = complex(w[1], w[3]) / spec.mass
         dv = spec.dv(z)
         return np.array([dv, p_over_m, 1j * dv, 1j * p_over_m])
 
-    return ScalarField(func=func, grad=grad)
+    return grad
 
 
 def bracket(field_a, field_b, J: np.ndarray, w) -> complex:
-    """{{A, B}} = sum_ij J_ij dA/dw_i dB/dw_j at the point w.
+    """{{A, B}} = sum_ij J_ij dA/dw_i dB/dw_j at the point w, for A and B
+    given by their gradient functions.
 
     Bilinear and antisymmetric in (A, B); real-valued fields give a bracket
     with exactly zero imaginary part for real J.
     """
     w = np.asarray(w, dtype=float)
-    return complex(field_a.grad(w) @ (np.asarray(J) @ field_b.grad(w)))
+    return complex(field_a(w) @ (np.asarray(J) @ field_b(w)))
 
 
 def standard_bracket(field_a, field_b, w) -> complex:

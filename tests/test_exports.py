@@ -9,10 +9,9 @@ import holomech
 ROOT = Path(__file__).resolve().parent.parent
 
 # Exported for callers of the functions that return or raise them, though no
-# caller below names them: the frame of ``darboux_frame``, the fields of
-# ``position_field`` and its kin, the report of ``equivalence_report``, and
-# the parse errors under ``PotentialError``.
-RESULT_TYPES = {"DarbouxFrame", "ScalarField", "EquivalenceReport"}
+# caller below names them: the frame of ``darboux_frame``, the report of
+# ``equivalence_report``, and the parse errors under ``PotentialError``.
+RESULT_TYPES = {"DarbouxFrame", "EquivalenceReport"}
 EXCEPTION_TYPES = {"PotentialSyntaxError", "UnsupportedFunctionError"}
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from holomech import (
     DegenerateStructureError,
     J_STANDARD,
-    ScalarField,
     SystemSpec,
     SymplecticParams,
     bracket,
@@ -19,7 +18,6 @@ from holomech import (
     eigenvalue_magnitudes,
     frame_residuals,
     hamiltonian_field,
-    hamiltonian_split,
     momentum_field,
     position_field,
     standard_bracket,
@@ -42,20 +40,21 @@ J0 = 0.5 * np.array([
 ], dtype=float)
 
 
-# Fields and maps the tests build from the package's: the coordinate
-# functions, H_r and H_i with exact gradients, central-difference gradients
-# of any function, the block normal form of a frame and the Darboux map
-# xi = D^{-1/2} S^T w with its inverse.
+# Fields and maps the tests build from the package's: the gradients of the
+# coordinate functions, exact gradients of H_r and H_i, central-difference
+# gradients of any function, the block normal form of a frame and the Darboux
+# map xi = D^{-1/2} S^T w with its inverse.  A field enters ``bracket`` as its
+# gradient function.
 
 
 def coordinate_field(k):
     e = np.zeros(4)
     e[k] = 1.0
-    return ScalarField(func=lambda w: w[k], grad=lambda w: e)
+    return lambda w: e
 
 
 def fd_field(func):
-    """``func`` with central-difference gradients, step 1e-6 * max(1, |w|)."""
+    """Central-difference gradient of ``func``, step 1e-6 * max(1, |w|)."""
     def grad(w):
         step = 1e-6 * max(1.0, float(np.linalg.norm(w)))
         g = np.zeros(4, dtype=complex)
@@ -67,27 +66,27 @@ def fd_field(func):
             g[k] = (func(wp) - func(wm)) / (2.0 * step)
         return g
 
-    return ScalarField(func=func, grad=grad)
+    return grad
 
 
 def hamiltonian_real_field(spec):
-    """H_r with exact gradient (Re v', p/m, -Im v', -q/m)."""
+    """Exact gradient (Re v', p/m, -Im v', -q/m) of H_r."""
     def grad(w):
         dv = spec.dv(complex(w[0], w[2]))
         m = spec.mass
         return np.array([dv.real, w[1] / m, -dv.imag, -w[3] / m])
 
-    return ScalarField(func=lambda w: hamiltonian_split(spec, w)[0], grad=grad)
+    return grad
 
 
 def hamiltonian_imag_field(spec):
-    """H_i with exact gradient (Im v', q/m, Re v', p/m)."""
+    """Exact gradient (Im v', q/m, Re v', p/m) of H_i."""
     def grad(w):
         dv = spec.dv(complex(w[0], w[2]))
         m = spec.mass
         return np.array([dv.imag, w[3] / m, dv.real, w[1] / m])
 
-    return ScalarField(func=lambda w: hamiltonian_split(spec, w)[1], grad=grad)
+    return grad
 
 
 def j_prime(r_plus, r_minus):
@@ -258,9 +257,7 @@ class TestBrackets:
         x = coordinate_field(0)
         J = build_real_J(sample_params(rng))
         w = rng.uniform(-2, 2, size=4)
-        lhs = bracket(x, ScalarField(
-            func=lambda v: 2.0 * hr.func(v) - 3.0 * hi.func(v),
-            grad=lambda v: 2.0 * hr.grad(v) - 3.0 * hi.grad(v)), J, w)
+        lhs = bracket(x, lambda v: 2.0 * hr(v) - 3.0 * hi(v), J, w)
         rhs = 2.0 * bracket(x, hr, J, w) - 3.0 * bracket(x, hi, J, w)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
@@ -343,17 +340,14 @@ class TestRealGenerator:
         w, m = self.W, spec.mass
         dv = spec.dv(complex(w[0], w[2]))
         f = np.array([w[1] / m, -dv.real, w[3] / m, -dv.imag])
-        g = 2.0 * hamiltonian_field(spec).grad(w).real
+        g = 2.0 * hamiltonian_field(spec)(w).real
         return np.abs(J @ g - f).max(), (4.0 * self.EPS * (np.abs(J) @ np.abs(g))).max()
 
     def involution(self, spec, J):
         """(|{H_r, H_i}_J|, its rounding bound) at W."""
         H = hamiltonian_field(spec)
-        hr = ScalarField(func=lambda w: hamiltonian_split(spec, w)[0],
-                         grad=lambda w: H.grad(w).real)
-        hi = ScalarField(func=lambda w: hamiltonian_split(spec, w)[1],
-                         grad=lambda w: H.grad(w).imag)
-        gr, gi = hr.grad(self.W), hi.grad(self.W)
+        hr, hi = (lambda w: H(w).real), (lambda w: H(w).imag)
+        gr, gi = hr(self.W), hi(self.W)
         bound = 8.0 * self.EPS * (np.abs(gr) @ np.abs(J) @ np.abs(gi))
         return abs(bracket(hr, hi, J, self.W)), bound
 
@@ -514,7 +508,7 @@ def _oracle_residuals(S, r_plus, r_minus, J):
 
 
 def _oracle_compatibility(p, spec, w):
-    """(passed, res_z, res_p) through ScalarField gradients and bracket."""
+    """(passed, res_z, res_p) through the fields' gradients and bracket."""
     J = _oracle_real_J(p)
     H = hamiltonian_field(spec)
     res_z = abs(bracket(position_field(), H, J, w) - complex(w[1], w[3]) / spec.mass)
