@@ -22,8 +22,8 @@ Frames: the complex pair (z, p); the Darboux frame on the packed pair
 Z = x1 + i p2, P = p1 + i x2, which is sqrt(2) (z, p), with its force
 -sqrt(2) v'(Z/sqrt2) evaluated in its own arithmetic so that the
 cross-frame deviation stays a genuine check; and the H_i flow, the Darboux
-field at complex time dt = -i d(epsilon)/2, forwards or backwards.  Every
-field value is checked, and a non-finite one fails the step.
+field at complex time dt = -i d(epsilon)/2, run backwards on a negative step.
+Every field value is checked, and a non-finite one fails the step.
 
 Methods:
 
@@ -321,9 +321,10 @@ def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
 # Fused integration kernels
 # --------------------------------------------------------------------------
 
-# kernel(dv, m, z, p, t_end, h, atol, rtol, radius) integrates a pair over
-# [0, t_end] with v' as ``dv``, the fixed step or first adaptive step h, and
-# the escape radius on |z| and |p| of the complex frame.  Each stop sets
+# kernel(dv, m, z, p, t_end, h, atol, rtol, radius) integrates a pair from 0
+# to t_end with v' as ``dv``, the fixed step (negative backwards) or first
+# adaptive step h, and the escape radius on |z| and |p| of the complex
+# frame.  Each stop sets
 # ``stop`` and breaks to the one return: the sample lists (t, z, p, kz, kp)
 # and (terminated_by, n_steps, n_rhs, n_rejected), where ``lost`` charges a
 # failed fixed step in full.  The template is filled with one frame's field,
@@ -378,15 +379,12 @@ def kernel(dv, m, z, p, t_end, h, atol, rtol, radius):
 _S2 = repr(_SQRT2)
 
 # Fields (z, p) -> (dz, dp) of the frames in the module docstring, each
-# checking its own values; "hi_back" runs the H_i flow backwards, the
-# forward field negated through the sign of its 1j.  Each leaves v' at the
-# stage in ``d`` where it has one.
+# checking its own values; the one H_i field serves both flow directions.
+# Each leaves v' at the stage in ``d`` where it has one.
 _FIELDS = {
     "complex": "{dz} = {p} / mc\n{dp} = -dv({z})",
     "darboux": f"d = dv({{z}} / ({_S2}+0j))\n{{dz}} = {{p}} / mc\n{{dp}} = (-{_S2}+0j) * d",
-    **{name: f"d = dv({{z}} / ({_S2}+0j))\n{{dz}} = {minus}1j * {{p}} / m2\n"
-             f"{{dp}} = {plus}1j * d / ({_S2}+0j)"
-       for name, minus, plus in (("hi", "-", ""), ("hi_back", "", "-"))},
+    "hi": f"d = dv({{z}} / ({_S2}+0j))\n{{dz}} = -1j * {{p}} / m2\n{{dp}} = 1j * d / ({_S2}+0j)",
 }
 _CHECK = ("\nif not (isfinite({dz}) and isfinite({dp})):\n"
           "    raise PotentialOverflowError('non-finite vector field')")
@@ -480,8 +478,8 @@ p1 = p1 - kc * d
 kz1 = p1 / mc
 kp1 = (-{_S2}+0j) * d""" + _CHECK.format(dz="kz1", dp="kp1")
 
-_FIXED_SETUP = "dt = h\nn_grid = math.ceil(t_end / dt - 1e-12) if t_end > 0.0 else 0"
-# fixed grid t_n = n dt, with t_end as its last point
+_FIXED_SETUP = "dt = h\nn_grid = math.ceil(t_end / dt - 1e-12) if t_end != 0.0 else 0"
+# fixed grid t_n = n dt, with t_end as its last point; negative backwards
 _FIXED_ADVANCE = """\
 if n >= n_grid:
     break
@@ -552,8 +550,8 @@ def _indent(text: str, depth: int) -> str:
 
 
 def _kernel_source(method: str, frame: str) -> str:
-    """The text of the fused kernel of ``method`` in ``frame``; the H_i flows
-    hold Darboux rows."""
+    """The text of the fused kernel of ``method`` in ``frame``; the H_i flow
+    holds Darboux rows."""
     S, setup, advance, step, accept = _METHODS[method]
     unit = "" if frame == "complex" else f" / {_S2}"
     parts = [("xr", "xi", "yr", "yi")[c] for c in _COLUMNS.get(frame, _COLUMNS["darboux"])]
@@ -590,9 +588,10 @@ def _kernel(method: str, frame: str):
 # --------------------------------------------------------------------------
 
 
-def _run(spec: SystemSpec, method: str, frame: str, z, p, cfg: IntegratorConfig):
+def _run(spec: SystemSpec, method: str, frame: str, z, p, cfg: IntegratorConfig, sign=1.0):
+    """The kernel's run to sign t_end in steps of sign h: -1.0 runs backwards."""
     h = min(1e-3, cfg.t_end) if method == "rk45" else cfg.dt
-    return _kernel(method, frame)(spec._dv, spec.mass, z, p, cfg.t_end, h,
+    return _kernel(method, frame)(spec._dv, spec.mass, z, p, sign * cfg.t_end, sign * h,
                                   cfg.abs_tol, cfg.rel_tol, cfg.escape_radius)
 
 
@@ -657,15 +656,12 @@ def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
     ``epsilon_end`` flows backwards.
     """
     Z, P = _initial_xi(xi0)
-    backwards = flow.epsilon_end < 0.0
     span = abs(flow.epsilon_end)
     cfg = IntegratorConfig(method="rk4", dt=min(flow.d_epsilon, span) if span > 0 else flow.d_epsilon,
                            t_end=span, escape_radius=math.inf)
-    traj = _trajectory("darboux", spec,
-                       _run(spec, "rk4", "hi_back" if backwards else "hi", Z, P, cfg))
-    # the run is in |eps|: t = 0 - |eps| keeps the first sample at +0, and
-    # the derivatives become d/d(eps)
-    return replace(traj, t=0.0 - traj.t, derivs=-traj.derivs) if backwards else traj
+    # a backwards flow is the same field on the grid of -|eps| in steps of -d(eps)
+    sign = -1.0 if flow.epsilon_end < 0.0 else 1.0
+    return _trajectory("darboux", spec, _run(spec, "rk4", "hi", Z, P, cfg, sign))
 
 
 def solve_invariant_zero(spec: SystemSpec, x1: float, p1: float, p2: float) -> float:

@@ -728,6 +728,23 @@ class TestVerifySymplectic:
                 assert report[stat][key] is None
             assert 0.0 < report[stat]["canonicity"] <= 1e-10
 
+    def test_percentile_between_infinite_residuals(self, capsys):
+        # the 95th percentile of the position residuals at this mass falls
+        # between two infinite values, whose difference is NaN: it is null,
+        # and no warning is printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify-symplectic", "--seed=0", "--mass=1.1125369292536007e-308"]) == 2
+        captured = capsys.readouterr()
+        report, end = json.JSONDecoder(parse_constant=lambda c: pytest.fail(c)).raw_decode(
+            captured.out)
+        assert captured.out[end:] == "\n0/100 PASS (seed 0)\n" and captured.err == ""
+        drawn = structure_trials(SystemSpec.from_source("i*z^3", 1.1125369292536007e-308),
+                                 np.random.default_rng(0), 100)
+        column = np.sort([res["position_equation"] for _, _, res in drawn])
+        assert np.isinf(column[94:96]).all()
+        assert report["p95_residuals"]["position_equation"] is None
+
     def test_refused_out_runs_no_trial(self, tmp_path, monkeypatch, capsys):
         def no_trials(*args):
             raise AssertionError("a trial ran")

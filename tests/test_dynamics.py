@@ -1118,103 +1118,6 @@ class TestSamplesAt:
         assert len(counted) == calls
 
 
-# The tableau-driven step rules, error norm and finiteness wrapper as they
-# stood before the rules were written out stage by stage; driven by the
-# old loop below, they must give the fused kernels' runs bit for bit.
-
-def _sparse(row):
-    return tuple((j, c) for j, c in enumerate(row) if c != 0.0)
-
-
-_OLD_DP_B5_ROW = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_OLD_DP_A = tuple(map(_sparse, (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    _OLD_DP_B5_ROW[:6],
-)))
-_OLD_DP_B5 = _sparse(_OLD_DP_B5_ROW)
-_OLD_DP_ERR = _sparse(b5 - b4 for b5, b4 in zip(
-    _OLD_DP_B5_ROW,
-    (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40),
-))
-_OLD_RK4_A = tuple(map(_sparse, ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))))
-
-
-def _combine(terms, kz, kp):
-    (j, c), *rest = terms
-    az, ap = c * kz[j], c * kp[j]
-    for j, c in rest:
-        az += c * kz[j]
-        ap += c * kp[j]
-    return az, ap
-
-
-def _stages(f, z, p, k, h, rows):
-    kz, kp = [k[0]], [k[1]]
-    for row in rows:
-        (j, c), *more = row
-        if not more and c in (0.5, 1.0):
-            # a power of two scales the step, as the kernels do: (c h) k
-            # rounds once where h (c k) rounds twice for a subnormal part of k
-            dz, dp = f(z + c * h * kz[j], p + c * h * kp[j])
-        else:
-            az, ap = _combine(row, kz, kp)
-            dz, dp = f(z + h * az, p + h * ap)
-        kz.append(dz)
-        kp.append(dp)
-    return kz, kp
-
-
-def _old_dp45_rule(f, z, p, k, h):
-    kz, kp = _stages(f, z, p, k, h, _OLD_DP_A)
-    bz, bp = _combine(_OLD_DP_B5, kz, kp)
-    ez, ep = _combine(_OLD_DP_ERR, kz, kp)
-    return z + h * bz, p + h * bp, (kz[6], kp[6]), (h * ez, h * ep)
-
-
-def _old_rk4_rule(f, z, p, k, h):
-    kz, kp = _stages(f, z, p, k, h, _OLD_RK4_A)
-    z = z + h / 6.0 * (kz[0] + 2.0 * kz[1] + 2.0 * kz[2] + kz[3])
-    p = p + h / 6.0 * (kp[0] + 2.0 * kp[1] + 2.0 * kp[2] + kp[3])
-    return z, p, f(z, p), None
-
-
-def _old_checked(rhs):
-    def f(z, p):
-        dz, dp = rhs(z, p)
-        if not (cmath.isfinite(dz) and cmath.isfinite(dp)):
-            raise PotentialOverflowError("non-finite vector field")
-        return dz, dp
-
-    return f
-
-
-def _old_fields(dv, m):
-    """The complex, Darboux, forward and backward H_i fields, unchecked."""
-    m2 = 2.0 * m
-    return {
-        "complex": lambda z, p: (p / m, -dv(z)),
-        "darboux": lambda Z, P: (P / m, -S2 * dv(Z / S2)),
-        "hi": lambda Z, P: (-1j * P / m2, 1j * dv(Z / S2) / S2),
-        "hi_back": lambda Z, P: (1j * P / m2, -1j * dv(Z / S2) / S2),
-    }
-
-
-def _old_error_norm(cfg, columns, old, new, err):
-    def components(z, p):
-        return z.real, z.imag, p.real, p.imag
-
-    a, b, e = components(*old), components(*new), components(*err)
-    total = 0.0
-    for c in columns:
-        r = e[c] / (cfg.abs_tol + cfg.rel_tol * max(abs(a[c]), abs(b[c])))
-        total += r * r
-    return math.sqrt(total / 4.0)
-
-
 def _bits(value):
     """Hex of every float part, signed zeros included; None and tuples nest."""
     if value is None:
@@ -1241,9 +1144,10 @@ def _draws(rng, n):
 
 
 # The step rules, fields, error norm and integration loop that the fused
-# kernels replaced, copied as they stood (``_drive`` takes its first step
-# h0 as an argument, where it was fixed at 1e-3).  They are the oracle the
-# kernels must reproduce bit for bit.
+# kernels replaced, each rule written out stage by stage with its
+# coefficients as literals.  ``_drive`` takes the kernel's t_end and its
+# fixed or first step h, both negative for a backwards fixed-step run.  They
+# are the oracle the kernels must reproduce bit for bit.
 
 _MIN_STEP = 1e-14
 _SQRT2 = S2
@@ -1385,8 +1289,10 @@ def _error_norm(cfg: IntegratorConfig, darboux: bool, z, p, z1, p1, ez, ep) -> f
     return math.sqrt(total / 4.0)
 
 
-def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str, h0=1e-3):
-    """Integrate the pair (z, p) of ``frame`` over [0, t_end] with one rule.
+def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str, t_end, h):
+    """Integrate the pair (z, p) of ``frame`` from 0 to t_end with one rule,
+    in fixed steps of h or from the first adaptive step h; a fixed-step run
+    goes backwards on a negative t_end and h.
 
     Escape is tested on |z| and |p| of the complex frame in either frame.
     Returns (t, pairs, field pairs, terminated_by, n_steps).
@@ -1402,21 +1308,22 @@ def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str, h0=1e-3):
     derivs.append(k)
     adaptive = cfg.method == "rk45"
     # fixed grid t_n = n dt, with t_end as its last point
-    n_grid = math.ceil(cfg.t_end / cfg.dt - 1e-12) if cfg.t_end > 0.0 else 0
-    t, h, n = 0.0, min(h0, cfg.t_end), 0
+    dt = h
+    n_grid = math.ceil(t_end / dt - 1e-12) if t_end != 0.0 else 0
+    t, n = 0.0, 0
     while True:
         if abs(z) / unit > cfg.escape_radius or abs(p) / unit > cfg.escape_radius:
             return ts, pairs, derivs, "escape", n
         if adaptive:
-            remaining = cfg.t_end - t
-            if remaining <= 1e-13 * max(1.0, cfg.t_end):
+            remaining = t_end - t
+            if remaining <= 1e-13 * max(1.0, t_end):
                 break  # landed within rounding of t_end; not a failure
             h = min(h, remaining)
             if h < _MIN_STEP:
                 return ts, pairs, derivs, "step_failure", n
             t_next = t + h
         elif n < n_grid:
-            t_next = (n + 1) * cfg.dt if n + 1 < n_grid else cfg.t_end
+            t_next = (n + 1) * dt if n + 1 < n_grid else t_end
             h = t_next - t
         else:
             break
@@ -1444,34 +1351,27 @@ def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str, h0=1e-3):
 
 
 def _moved_fields(dv, m):
-    return {
-        "complex": _complex_field(dv, m),
-        "darboux": _darboux_field(dv, m),
-        "hi": _hi_field(dv, m),
-        "hi_back": _hi_field(dv, m, backwards=True),
-    }
+    return {"complex": _complex_field(dv, m), "darboux": _darboux_field(dv, m),
+            "hi": _hi_field(dv, m)}
 
 
 # The (method, frame) pairs the package runs.
 KERNELS = [("rk45", "complex"), ("rk45", "darboux"), ("rk4", "complex"), ("rk4", "darboux"),
-           ("rk4", "hi"), ("rk4", "hi_back"), ("split", "darboux")]
+           ("rk4", "hi"), ("split", "darboux")]
+# Each of them with the sign of its steps: the H_i flow also runs backwards.
+RUNS = [(*key, 1.0) for key in KERNELS] + [("rk4", "hi", -1.0)]
 
 
-def _kernel_run(spec, method, frame, z, p, cfg, h):
-    return dyn._kernel(method, frame)(spec._dv, spec.mass, z, p, cfg.t_end, h,
+def _kernel_run(spec, method, frame, z, p, cfg, h, sign=1.0):
+    return dyn._kernel(method, frame)(spec._dv, spec.mass, z, p, sign * cfg.t_end, sign * h,
                                       cfg.abs_tol, cfg.rel_tol, cfg.escape_radius)
 
 
-def _oracle_run(spec, method, frame, z, p, cfg, h, tableau=False, attempts=None):
-    """``_drive`` with the moved rules and fields, or with the tableau loops;
-    each step attempted appends to ``attempts`` when it is a list."""
-    if method == "split":
-        rule, f = _split_rule(spec.dv, spec.mass), _moved_fields(spec._dv, spec.mass)[frame]
-    elif tableau:
-        rule = {"rk45": _old_dp45_rule, "rk4": _old_rk4_rule}[method]
-        f = _old_checked(_old_fields(spec._dv, spec.mass)[frame])
-    else:
-        rule, f = _RK_RULES[method], _moved_fields(spec._dv, spec.mass)[frame]
+def _oracle_run(spec, method, frame, z, p, cfg, h, sign=1.0, attempts=None):
+    """``_drive`` with the rules and fields above, from 0 to sign t_end in
+    steps of sign h; each step attempted appends to ``attempts`` when it is
+    a list."""
+    rule = _split_rule(spec.dv, spec.mass) if method == "split" else _RK_RULES[method]
     if attempts is not None:
         counted = rule
 
@@ -1479,7 +1379,8 @@ def _oracle_run(spec, method, frame, z, p, cfg, h, tableau=False, attempts=None)
             attempts.append(1)
             return counted(*args)
 
-    return _drive(rule, f, z, p, cfg, "complex" if frame == "complex" else "darboux", h0=h)
+    return _drive(rule, _moved_fields(spec._dv, spec.mass)[frame], z, p, cfg,
+                  "complex" if frame == "complex" else "darboux", sign * cfg.t_end, sign * h)
 
 
 def _run_bits(run):
@@ -1515,18 +1416,23 @@ class TestUnrolledRules:
     @pytest.mark.parametrize("src", SOURCES)
     @pytest.mark.parametrize("mass", [0.5, 1.0])
     def test_rules_match_tableau_loop(self, src, mass, rng):
+        # the rules against the kernels that ``dynamics._rk_step`` generates
+        # by a loop over the tableaux: one rk45 step attempt or two fixed
+        # steps, and eight steps of h, so that rk45 carries its error scales
+        # over; starts whose stage fields have subnormal parts, where a
+        # half-step must be formed as (0.5 h) k and not h (0.5 k)
         spec = spec_for(src, mass)
-        # starts whose stage fields have subnormal parts, where a half-step
-        # must be formed as (0.5 h) k and not h (0.5 k)
         draws = _draws(rng, 40) + [(1e-320j, 1e-320j, 0.3),
                                    (complex(1e-320, 1.5), complex(-0.5, 4e-321), 0.3),
                                    (complex(0.25, -2e-315), complex(1e-318, 0.0), 0.01)]
-        for method, frame in KERNELS:
+        for method, frame, sign in RUNS:
             for z, p, h in draws:
-                cfg = _step_cfg(method, h)
-                got = _run_bits(_kernel_run(spec, method, frame, z, p, cfg, h))
-                want = _run_bits(_oracle_run(spec, method, frame, z, p, cfg, h, tableau=True))
-                assert got == want, (method, frame, z, p, h)
+                for cfg in (_step_cfg(method, h),
+                            IntegratorConfig(method=method, dt=h, t_end=8 * h)):
+                    run, attempts = _kernel_run(spec, method, frame, z, p, cfg, h, sign), []
+                    want = _oracle_run(spec, method, frame, z, p, cfg, h, sign, attempts)
+                    assert _run_bits(run) == _run_bits(want), (method, frame, sign, z, p, h)
+                    _check_counters(run, method, attempts)
 
     @pytest.mark.parametrize("src", ["z^2", "-(z^4)", "exp(z)+z^5", "z^7 - i*z^2 + 2"])
     def test_overflowing_stage_raises_in_both(self, src):
@@ -1534,15 +1440,15 @@ class TestUnrolledRules:
         # leaves double precision: a fixed step fails, an rk45 step is retried
         # with smaller h until the motion leaves the (small) escape radius
         spec = spec_for(src)
-        for method, frame in KERNELS:
+        for method, frame, sign in RUNS:
             # the same motion in each frame: the packed pairs are sqrt(2) (z, p)
             unit = 1.0 if frame == "complex" else S2
             z, p = unit * (1.0 + 0.5j), unit * (1.0 - 0.25j)
             cfg = IntegratorConfig(method=method, dt=1e300, t_end=1e300, escape_radius=1.2)
-            run = _kernel_run(spec, method, frame, z, p, cfg, 1e300)
+            run = _kernel_run(spec, method, frame, z, p, cfg, 1e300, sign)
             attempts = []
             assert _run_bits(run) == _run_bits(_oracle_run(
-                spec, method, frame, z, p, cfg, 1e300, tableau=True, attempts=attempts))
+                spec, method, frame, z, p, cfg, 1e300, sign, attempts))
             _check_counters(run, method, attempts)
             terminated, n_steps, _, n_rejected = run[5]
             if method == "rk45":
@@ -1559,7 +1465,7 @@ class TestUnrolledRules:
             z = unit * 3.0 + 0j
             run, attempts = _kernel_run(spec, "rk45", frame, z, 0j, cfg, 1e-3), []
             assert _run_bits(run) == _run_bits(_oracle_run(
-                spec, "rk45", frame, z, 0j, cfg, 1e-3, tableau=True, attempts=attempts))
+                spec, "rk45", frame, z, 0j, cfg, 1e-3, attempts=attempts))
             _check_counters(run, "rk45", attempts)
             terminated, n_steps, _, _ = run[5]
             assert terminated == "step_failure" and n_steps > 0
@@ -1567,34 +1473,11 @@ class TestUnrolledRules:
     def test_non_finite_field_raises(self):
         spec = spec_for("z^2", 1e-310)
         cfg = IntegratorConfig(method="rk4", dt=0.1, t_end=1.0)
-        for method, frame in KERNELS:
-            run = _kernel_run(spec, method, frame, 1.0 + 0j, 1e10 + 0j, cfg, 0.1)
+        for method, frame, sign in RUNS:
+            run = _kernel_run(spec, method, frame, 1.0 + 0j, 1e10 + 0j, cfg, 0.1, sign)
             assert run[5] == ("step_failure", 0, 1, 0) and run[3:5] == ([0j], [0j])
             assert _run_bits(run) == _run_bits(
-                _oracle_run(spec, method, frame, 1.0 + 0j, 1e10 + 0j, cfg, 0.1))
-
-    def test_error_norm_matches_component_loop(self, rng, monkeypatch):
-        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
-        for _ in range(500):
-            z, p, z1, p1 = (complex(*rng.uniform(-3, 3, 2)) for _ in range(4))
-            ez, ep = (complex(*(1e-9 * rng.standard_normal(2))) for _ in range(2))
-            for frame, columns in (("complex", [0, 2, 1, 3]), ("darboux", [0, 2, 3, 1])):
-                got = _error_norm(cfg, frame == "darboux", z, p, z1, p1, ez, ep)
-                ref = _old_error_norm(cfg, columns, (z, p), (z1, p1), (ez, ep))
-                assert got.hex() == ref.hex()
-
-        # whole rk45 runs, whose accepted grid the component-loop norm decides
-        def loop_norm(cfg, darboux, z, p, z1, p1, ez, ep):
-            columns = [0, 2, 3, 1] if darboux else [0, 2, 1, 3]
-            return _old_error_norm(cfg, columns, (z, p), (z1, p1), (ez, ep))
-
-        monkeypatch.setitem(globals(), "_error_norm", loop_norm)
-        spec = spec_for("i*sin(z)")
-        for z, p, _ in _draws(rng, 10):
-            cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11, t_end=2.0)
-            for frame in ("complex", "darboux"):
-                run = _kernel_run(spec, "rk45", frame, z, p, cfg, 1e-3)
-                assert _run_bits(run) == _run_bits(_oracle_run(spec, "rk45", frame, z, p, cfg, 1e-3))
+                _oracle_run(spec, method, frame, 1.0 + 0j, 1e10 + 0j, cfg, 0.1, sign))
 
 
 FINITE = st.floats(-2.0, 2.0, allow_nan=False)
@@ -1602,86 +1485,20 @@ FINITE = st.floats(-2.0, 2.0, allow_nan=False)
 
 @settings(max_examples=60, deadline=None)
 @given(src=st.sampled_from(TestUnrolledRules.SOURCES), mass=st.sampled_from([0.25, 0.5, 1.0]),
-       kernel=st.sampled_from(KERNELS), tol=st.floats(1e-12, 1e-4),
+       run=st.sampled_from(RUNS), tol=st.floats(1e-12, 1e-4),
        start=st.tuples(FINITE, FINITE, FINITE, FINITE), t_end=st.floats(0.0, 2.0),
        dt=st.sampled_from([1e-3, 0.01, 0.05, 0.3]))
-def test_kernels_match_moved_loop(src, mass, kernel, tol, start, t_end, dt):
-    method, frame = kernel
+def test_kernels_match_moved_loop(src, mass, run, tol, start, t_end, dt):
+    method, frame, sign = run
     spec = spec_for(src, mass)
     cfg = IntegratorConfig(method=method, dt=min(dt, t_end) if t_end > 0 else dt,
                            rel_tol=tol, abs_tol=tol, t_end=t_end, escape_radius=50.0)
     z, p = complex(start[0], start[1]), complex(start[2], start[3])
     h = min(1e-3, t_end) if method == "rk45" else cfg.dt
-    run, attempts = _kernel_run(spec, method, frame, z, p, cfg, h), []
-    assert _run_bits(run) == _run_bits(_oracle_run(spec, method, frame, z, p, cfg, h,
-                                                   attempts=attempts))
-    _check_counters(run, method, attempts)
-
-
-# The step rules as they stood while every stage sum started from 0j, rk4
-# halved its fields instead of its step and the H_i fields carried a
-# (+-1.0+0j) factor; ``_drive`` keeps its isfinite(p1) test.  The kernels
-# dropped those operations, which only set the sign of an exactly-zero
-# part: every run must equal these rules' run in value, -0 == 0 and NaN
-# matching NaN.
-
-def _signed_zero_dp45_rule(f, z, p, k, h):
-    kz1, kp1 = k
-    kz2, kp2 = f(z + h * (0j + 1 / 5 * kz1),
-                 p + h * (0j + 1 / 5 * kp1))
-    kz3, kp3 = f(z + h * (0j + 3 / 40 * kz1 + 9 / 40 * kz2),
-                 p + h * (0j + 3 / 40 * kp1 + 9 / 40 * kp2))
-    kz4, kp4 = f(z + h * (0j + 44 / 45 * kz1 + -56 / 15 * kz2 + 32 / 9 * kz3),
-                 p + h * (0j + 44 / 45 * kp1 + -56 / 15 * kp2 + 32 / 9 * kp3))
-    kz5, kp5 = f(z + h * (0j + 19372 / 6561 * kz1 + -25360 / 2187 * kz2
-                          + 64448 / 6561 * kz3 + -212 / 729 * kz4),
-                 p + h * (0j + 19372 / 6561 * kp1 + -25360 / 2187 * kp2
-                          + 64448 / 6561 * kp3 + -212 / 729 * kp4))
-    kz6, kp6 = f(z + h * (0j + 9017 / 3168 * kz1 + -355 / 33 * kz2 + 46732 / 5247 * kz3
-                          + 49 / 176 * kz4 + -5103 / 18656 * kz5),
-                 p + h * (0j + 9017 / 3168 * kp1 + -355 / 33 * kp2 + 46732 / 5247 * kp3
-                          + 49 / 176 * kp4 + -5103 / 18656 * kp5))
-    z = z + h * (0j + 35 / 384 * kz1 + 500 / 1113 * kz3 + 125 / 192 * kz4
-                 + -2187 / 6784 * kz5 + 11 / 84 * kz6)
-    p = p + h * (0j + 35 / 384 * kp1 + 500 / 1113 * kp3 + 125 / 192 * kp4
-                 + -2187 / 6784 * kp5 + 11 / 84 * kp6)
-    kz7, kp7 = f(z, p)
-    # fifth- minus fourth-order weights
-    ez = (0j + (35 / 384 - 5179 / 57600) * kz1 + (500 / 1113 - 7571 / 16695) * kz3
-          + (125 / 192 - 393 / 640) * kz4 + (-2187 / 6784 - -92097 / 339200) * kz5
-          + (11 / 84 - 187 / 2100) * kz6 + (0.0 - 1 / 40) * kz7)
-    ep = (0j + (35 / 384 - 5179 / 57600) * kp1 + (500 / 1113 - 7571 / 16695) * kp3
-          + (125 / 192 - 393 / 640) * kp4 + (-2187 / 6784 - -92097 / 339200) * kp5
-          + (11 / 84 - 187 / 2100) * kp6 + (0.0 - 1 / 40) * kp7)
-    return z, p, (kz7, kp7), (h * ez, h * ep)
-
-
-def _signed_zero_rk4_rule(f, z, p, k, h):
-    kz1, kp1 = k
-    kz2, kp2 = f(z + h * (0j + 0.5 * kz1), p + h * (0j + 0.5 * kp1))
-    kz3, kp3 = f(z + h * (0j + 0.5 * kz2), p + h * (0j + 0.5 * kp2))
-    kz4, kp4 = f(z + h * (0j + 1.0 * kz3), p + h * (0j + 1.0 * kp3))
-    z = z + h / 6.0 * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
-    p = p + h / 6.0 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
-    return z, p, f(z, p), None
-
-
-
-def _signed_zero_fields(dv, m):
-    m2 = 2.0 * m
-
-    def hi(sign):
-        def rhs(Z, P):
-            d = dv(Z / _SQRT2)
-            dZ, dP = sign * (-1j * P / m2), sign * (1j * d / _SQRT2)
-            if cmath.isfinite(dZ) and cmath.isfinite(dP):
-                return dZ, dP
-            raise PotentialOverflowError("non-finite vector field")
-
-        return rhs
-
-    return {"complex": _complex_field(dv, m), "darboux": _darboux_field(dv, m),
-            "hi": hi(1.0 + 0j), "hi_back": hi(-1.0 + 0j)}
+    got, attempts = _kernel_run(spec, method, frame, z, p, cfg, h, sign), []
+    assert _run_bits(got) == _run_bits(_oracle_run(spec, method, frame, z, p, cfg, h, sign,
+                                                   attempts))
+    _check_counters(got, method, attempts)
 
 
 def _values(bits):
@@ -1693,28 +1510,23 @@ def _values(bits):
 
 
 class TestSignedZeroRules:
+    """A backwards H_i flow is the forward field run on a negative step.  The
+    rk4 rule on the negated field, run forwards and then read with t and the
+    fields negated, gives the same values: the two runs differ only in the
+    sign of an exactly-zero part."""
+
     @pytest.mark.parametrize("src", TestUnrolledRules.SOURCES)
     @pytest.mark.parametrize("mass", [0.5, 1.0])
     def test_values_match_signed_zero_rules(self, src, mass, rng):
         spec = spec_for(src, mass)
-        fields = _signed_zero_fields(spec._dv, mass)
-        rules = {"rk45": _signed_zero_dp45_rule, "rk4": _signed_zero_rk4_rule,
-                 "split": _split_rule(spec.dv, mass)}
-        for method, frame in KERNELS:
-            for z, p, h in _draws(rng, 40):
-                # several steps, so that rk45 carries its error scales over
-                cfg = IntegratorConfig(method=method, dt=h, t_end=8 * h)
-                run, attempts = _kernel_run(spec, method, frame, z, p, cfg, h), []
-
-                def counted(*args):
-                    attempts.append(1)
-                    return rules[method](*args)
-
-                oracle = _drive(counted, fields[frame], z, p, cfg,
-                                "complex" if frame == "complex" else "darboux", h0=h)
-                assert _values(_run_bits(run)) == _values(_run_bits(oracle)), \
-                    (method, frame, z, p, h)
-                _check_counters(run, method, attempts)
+        negated = _hi_field(spec._dv, mass, backwards=True)
+        for z, p, h in _draws(rng, 40):
+            cfg = IntegratorConfig(method="rk4", dt=h, t_end=8 * h)
+            run = _kernel_run(spec, "rk4", "hi", z, p, cfg, h, sign=-1.0)
+            ts, pairs, derivs, stop, n = _drive(_rk4_rule, negated, z, p, cfg, "darboux",
+                                                cfg.t_end, h)
+            oracle = ([0.0 - t for t in ts], pairs, [(-dz, -dp) for dz, dp in derivs], stop, n)
+            assert _values(_run_bits(run)) == _values(_run_bits(oracle)), (z, p, h)
 
 
 class TestStageChecks:
@@ -1727,24 +1539,28 @@ class TestStageChecks:
         # stateless: sign * z inside |z| < 1, infinite from there on
         return lambda z: sign * z if abs(z) < 1.0 else complex(math.inf, 0.0)
 
-    # (method, frame): v' = sign * z inside the unit disk, the start's
-    # momentum (outward along the real axis), and per stage the start
+    # (method, frame, step h, sign): v' = sign * z inside the unit disk, the
+    # start's momentum (outward along the real axis), and per stage the start
     # 1 - delta from which that stage is the first past |z| = 1; the motion
     # is repelled, so a later stage reaches farther.  rk45's stage 2 keeps
     # its check.
     CASES = {
-        ("rk45", "complex"): (-1.0, 1.0, {2: 0.02, 3: 0.05, 4: 0.11, 5: 0.175, 6: 0.19}),
-        ("rk45", "darboux"): (-1.0, 1.0, {2: 0.02, 3: 0.05, 4: 0.11, 5: 0.175, 6: 0.19}),
-        ("rk4", "complex"): (-1.0, 1.0, {2: 0.05, 3: 0.102, 4: 0.15}),
-        ("rk4", "darboux"): (-1.0, 1.0, {2: 0.05, 3: 0.102, 4: 0.15}),
-        ("rk4", "hi"): (1.0, 1j, {2: 0.025, 3: 0.0506, 4: 0.08}),
-        ("rk4", "hi_back"): (1.0, -1j, {2: 0.025, 3: 0.0506, 4: 0.08}),
+        "rk45-complex": ("rk45", "complex", 0.1, -1.0, 1.0,
+                         {2: 0.02, 3: 0.05, 4: 0.11, 5: 0.175, 6: 0.19}),
+        "rk45-darboux": ("rk45", "darboux", 0.1, -1.0, 1.0,
+                         {2: 0.02, 3: 0.05, 4: 0.11, 5: 0.175, 6: 0.19}),
+        "rk4-complex": ("rk4", "complex", 0.1, -1.0, 1.0, {2: 0.05, 3: 0.102, 4: 0.15}),
+        "rk4-darboux": ("rk4", "darboux", 0.1, -1.0, 1.0, {2: 0.05, 3: 0.102, 4: 0.15}),
+        "rk4-hi": ("rk4", "hi", 0.1, 1.0, 1j, {2: 0.025, 3: 0.0506, 4: 0.08}),
+        # the H_i flow backwards: the same field on a negative step
+        "rk4-hi-backwards": ("rk4", "hi", -0.1, 1.0, -1j, {2: 0.025, 3: 0.0506, 4: 0.08}),
     }
 
     @staticmethod
-    def first_failing_stage(method, frame, dv, z, p, cfg, attempts):
-        """``_drive`` with the checked fields, and the first stage whose
-        field was not finite (1 is the start's field, S + 1 the step's)."""
+    def first_failing_stage(method, frame, dv, z, p, cfg, h, attempts):
+        """``_drive`` over one step h with the checked fields, and the first
+        stage whose field was not finite (1 is the start's field, S + 1 the
+        step's)."""
         field, rule = _moved_fields(dv, 0.5)[frame], _RK_RULES[method]
         stage, failed = [0], []
 
@@ -1761,13 +1577,12 @@ class TestStageChecks:
             stage[0] = 1  # the field carried in
             return rule(*args)
 
-        run = _drive(counted, f, z, p, cfg, "complex" if frame == "complex" else "darboux",
-                     h0=0.1)
+        run = _drive(counted, f, z, p, cfg, "complex" if frame == "complex" else "darboux", h, h)
         return run, failed[0]
 
-    @pytest.mark.parametrize("method, frame", list(CASES))
-    def test_dropped_checks_fail_the_same_step(self, method, frame):
-        sign, momentum, starts = self.CASES[method, frame]
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_dropped_checks_fail_the_same_step(self, case):
+        method, frame, h, sign, momentum, starts = self.CASES[case]
         unit = 1.0 if frame == "complex" else S2
         cfg = IntegratorConfig(method=method, dt=0.1, t_end=0.1, escape_radius=10.0)
         dv = self.dv(sign)
@@ -1776,9 +1591,9 @@ class TestStageChecks:
         for want, delta in starts.items():
             z, p = complex(unit * (1.0 - delta)), unit * momentum
             attempts = []
-            oracle, stage = self.first_failing_stage(method, frame, dv, z, p, cfg, attempts)
+            oracle, stage = self.first_failing_stage(method, frame, dv, z, p, cfg, h, attempts)
             assert stage == want
-            run = dyn._kernel(method, frame)(dv, 0.5, z, p, cfg.t_end, 0.1, cfg.abs_tol,
+            run = dyn._kernel(method, frame)(dv, 0.5, z, p, h, h, cfg.abs_tol,
                                              cfg.rel_tol, cfg.escape_radius)
             assert _run_bits(run) == _run_bits(oracle)
             _check_counters(run, method, attempts)
@@ -1832,11 +1647,10 @@ def test_rows_match_array_of_pairs():
 KERNEL_SHA256 = {
     ("rk45", "complex"): "c1748819994bdd1d6f97d0ae64e690918bdb93507febfd06dce71a73de39ffb2",
     ("rk45", "darboux"): "136d6a09e278d3044b89ec0dab7e8f162a7012a10ea7d0b58d8963462848f922",
-    ("rk4", "complex"): "00ac3a829a1702c1c82ba5e7a43afcf43b0a8f9ffa5ef5d5c63f84fa85d8d00f",
-    ("rk4", "darboux"): "cd0886d48ffc933d6ee827b5ffed561910c01e4ccde2b87d50fbce6f3cab407c",
-    ("rk4", "hi"): "e59837b9308958ccaeef783d24ded9ff8985f03997e258490549051cc2b202ff",
-    ("rk4", "hi_back"): "d6b3aaf0efa0087f9f3c41edad38d5cd72df8cd1f75f11b76b6a734a1fb70366",
-    ("split", "darboux"): "16f46d927bae95878e07227f22c88ac3371ecc650cbc10f3012df670a940ba3e",
+    ("rk4", "complex"): "863680e3f1d95410f863162b504d1255e1ec82cd29f2852de61f83b34aeb9a07",
+    ("rk4", "darboux"): "79791c49fcb6ece92d6d9223dcdb5501b8066ff8b8956e816611e71e9315ec61",
+    ("rk4", "hi"): "4e25ab0f1bf933cf92beb86d5dee5afb5e971279e922266770fa2c63dd4a91d0",
+    ("split", "darboux"): "6c6502efe79964602a7e4dfee68502664c5d647cbc4d15e0f57cdfbf01d242f7",
 }
 
 
