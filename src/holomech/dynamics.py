@@ -66,6 +66,7 @@ from .hamiltonian import (
     _SQRT2,
     SystemSpec,
     complex_to_darboux,
+    darboux_invariant,
     darboux_to_w,
     hamiltonian_split,
     w_to_darboux,
@@ -590,7 +591,7 @@ def _kernel(method: str, frame: str):
 
 def _run(spec: SystemSpec, method: str, frame: str, z, p, cfg: IntegratorConfig, sign=1.0):
     """The kernel's run to sign t_end in steps of sign h: -1.0 runs backwards."""
-    h = min(1e-3, cfg.t_end) if method == "rk45" else cfg.dt
+    h = 1e-3 if method == "rk45" else cfg.dt
     return _kernel(method, frame)(spec._dv, spec.mass, z, p, sign * cfg.t_end, sign * h,
                                   cfg.abs_tol, cfg.rel_tol, cfg.escape_radius)
 
@@ -667,14 +668,12 @@ def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
 def solve_invariant_zero(spec: SystemSpec, x1: float, p1: float, p2: float) -> float:
     """Solve H_i(x1, p1, x2, p2) = 0 for x2.
 
-    x2 = -2 m v_i(x1/sqrt2, p2/sqrt2) / p1.  Raises
+    x2 = -2 m v_i / p1, where v_i = H_i(x1, 0, 0, p2), at zero momentum.  Raises
     ConstraintUnsolvableError when p1 = 0 with v_i != 0 or when that quotient
     is not finite (it overflows for a tiny p1, or p1 is NaN), and
     ConstraintFreeError when p1 = 0 with v_i = 0 (any x2 works).
     """
-    x = x1 / _SQRT2
-    y = p2 / _SQRT2
-    vi = spec.v(complex(x, y)).imag
+    vi = darboux_invariant(spec, (x1, 0.0, 0.0, p2))
     if p1 == 0.0:
         if vi == 0.0:
             raise ConstraintFreeError(

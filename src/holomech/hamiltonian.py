@@ -33,6 +33,7 @@ import numpy as np
 from .potentials import (
     ARRAY_FUNCS,
     Expr,
+    PotentialOverflowError,
     _checked,
     compile_potential,
     derivative,
@@ -77,14 +78,13 @@ def complex_to_darboux(z: complex, p: complex) -> np.ndarray:
 class SystemSpec:
     """An entire potential plus a particle mass.
 
-    Compiles the potential and its exact symbolic derivative once, so
-    integrators can evaluate both at every step without re-walking the AST,
-    and the potential once more over complex arrays for stacks of points.
+    Compiles the exact symbolic derivative once, so integrators can evaluate
+    it at every step without re-walking the AST, and the potential once over
+    complex arrays, which ``hamiltonian_split`` reads for points and stacks.
     """
 
     potential: Expr
     mass: float = 0.5
-    _v: Callable[[complex], complex] = field(init=False, repr=False, compare=False)
     _dv: Callable[[complex], complex] = field(init=False, repr=False, compare=False)
     _v_array: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False,
                                                          compare=False)
@@ -92,7 +92,6 @@ class SystemSpec:
     def __post_init__(self):
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be a positive finite real, got {self.mass!r}")
-        object.__setattr__(self, "_v", compile_potential(self.potential))
         object.__setattr__(self, "_dv", compile_potential(derivative(self.potential)))
         object.__setattr__(self, "_v_array", compile_potential(self.potential, ARRAY_FUNCS))
 
@@ -100,10 +99,6 @@ class SystemSpec:
     def from_source(cls, text: str, mass: float = mass) -> "SystemSpec":
         # ``mass`` defaults to the field's default, read in the class body
         return cls(parse_potential(text), mass)
-
-    def v(self, z: complex) -> complex:
-        """Checked potential value; raises PotentialOverflowError on overflow."""
-        return _checked(self._v, z, "v")
 
     def dv(self, z: complex) -> complex:
         """Checked derivative value dv/dz."""
@@ -114,19 +109,17 @@ def hamiltonian_split(spec: SystemSpec, w):
     """(H_r, H_i) at the real phase point w = (x, p, y, q).
 
     The real and imaginary parts of H = p^2/(2m) + v(z) at the corresponding
-    complex point.  A point gives two floats and raises
-    PotentialOverflowError where v is not finite; a (..., 4) stack gives two
-    (...) arrays from one evaluation of v, with NaN in both wherever v is not
-    finite.
+    complex point.  A (..., 4) stack gives two (...) arrays from one
+    evaluation of v, with NaN in both wherever v is not finite.  A point is
+    the one-row stack of itself: it gives that row's two values as floats,
+    and raises PotentialOverflowError where v is not finite.
     """
     w = np.asarray(w, dtype=float)
     m = spec.mass
-    if w.ndim < 2:
-        x, p, y, q = w.tolist()
-        v = spec.v(complex(x, y))
-        return (p * p - q * q) / (2.0 * m) + v.real, p * q / m + v.imag
-    if w.shape[-1] != 4:
+    if w.shape[-1:] != (4,):
         raise ValueError(f"expected (..., 4) phase points, got shape {w.shape}")
+    point = w.ndim == 1
+    w = np.atleast_2d(w)
     x, p, y, q = w[..., 0], w[..., 1], w[..., 2], w[..., 3]
     # the parts are copied: x + 1j*y would turn an infinite y into a NaN
     # real part and a -0.0 y into +0.0
@@ -136,7 +129,11 @@ def hamiltonian_split(spec: SystemSpec, w):
         v = spec._v_array(z)
         hr = (p * p - q * q) / (2.0 * m) + v.real
         hi = p * q / m + v.imag
-    finite = np.isfinite(v)
+    finite = np.isfinite(v)  # one bool where v is a constant
+    if point:
+        if not finite.all():
+            raise PotentialOverflowError(f"overflow evaluating v at z={complex(z[0])!r}")
+        return float(hr[0]), float(hi[0])
     return np.where(finite, hr, np.nan), np.where(finite, hi, np.nan)
 
 

@@ -299,7 +299,6 @@ def _finite(value: float, pos: int) -> float:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -444,8 +443,8 @@ _BINARY_OPS = {Sum: "+", Product: "*", Quotient: "/"}
 def compile_potential(e: Expr, funcs=_ENTIRE_FUNCS) -> Callable:
     """Generate one function computing v(z); it is the package's only
     evaluator of an expression tree.  The function does no finiteness check:
-    ``split_real_imag`` and ``SystemSpec`` add one, and the integration kernels
-    handle OverflowError and non-finite values themselves.
+    ``split_real_imag``, ``SystemSpec.dv`` and ``hamiltonian_split`` add one,
+    and the kernels handle OverflowError and non-finite values themselves.
 
     The function body is straight-line code, one assignment per distinct
     operation node in the order of a depth-first walk, left operand first,

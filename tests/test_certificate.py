@@ -42,6 +42,7 @@ from holomech.potentials import (
     Sum,
     Z,
     derivative,
+    split_real_imag,
 )
 from holomech.symplectic import (
     J_STANDARD,
@@ -297,7 +298,7 @@ def finite_at_points(e):
     spec = SystemSpec(e)
     try:
         for point in POINTS:
-            spec.v(point), spec.dv(point)
+            split_real_imag(e, point.real, point.imag), spec.dv(point)
     except PotentialOverflowError:
         return False
     return True

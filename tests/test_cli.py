@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holomech
+from holomech import closed_forms
 from holomech import FlowConfig, IntegratorConfig, SystemSpec, get_builtin, output
 from holomech.cli import build_parser, main, parse_complex
 from holomech.output import TRAJECTORY_HEADER
@@ -112,6 +113,16 @@ class TestSimulate:
         assert abs(rows[-1, 3]) <= 1e-6        # p
         summary = json.loads(out.with_suffix(".json").read_text())
         assert summary["terminated_by"] == "t_end"
+
+    def test_fixed_grid_ends_on_t_end(self, tmp_path):
+        # 0.07 / 0.01 is 7.000000000000001 in floats: the grid takes 7 steps,
+        # not 8, and its last sample is t_end itself
+        out = tmp_path / "traj.csv"
+        assert run(["simulate", "--potential=z^2", "--method=rk4", "--dt=0.01",
+                    "--t-end=0.07", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows.shape[0] == 8 and rows[-1, 0] == 0.07
+        assert json.loads(out.with_suffix(".json").read_text())["samples"] == 8
 
     def test_both_frames_drift_and_deviation(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -637,6 +648,26 @@ class TestVerifyTable1:
         assert flagged == {("iz", "h"), ("neg_z4", "Hi")}
         assert report["seed"] == 42
 
+    @pytest.mark.parametrize("table, corrections", [
+        # a wrong entry with no correction
+        ([closed_forms.ReferenceEntry("z2", "h", "p1^2")], {}),
+        # a known-bad entry whose correction is wrong too
+        (closed_forms.REFERENCE_TABLE[:1],
+         {("iz", "h"): ("p1^2", closed_forms._compile_form("p1^2"))}),
+    ])
+    def test_inconsistent_table_exit_2(self, table, corrections, monkeypatch, capsys):
+        monkeypatch.setattr(closed_forms, "REFERENCE_TABLE", table)
+        monkeypatch.setattr(closed_forms, "CORRECTED_FORMS", corrections)
+        assert run(["verify-table1", "--points=10"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["consistent"] is False and report["n_discrepant"] == 1
+        [row] = report["rows"]
+        assert row["status"] == "DISCREPANT"
+        if corrections:
+            assert row["corrected_form"] == "p1^2" and row["corrected_max_deviation"] > 1e-12
+        else:
+            assert "corrected_form" not in row
+
     def test_stdout_default(self, capsys):
         assert run(["verify-table1"]) == 0
         out = capsys.readouterr().out
@@ -923,6 +954,48 @@ class TestConstrain:
         assert captured.out == ""
         assert captured.err.startswith("holomech: potential error: overflow")
         assert len(captured.err.strip().splitlines()) == 1
+
+
+class TestRejectedInput:
+    """Malformed input ends with exit 1 and one error line, before any run."""
+
+    @pytest.mark.parametrize("xi0, message", [
+        ("1,2,3", "expected four comma-separated reals: x1,p1,x2,p2"),
+        ("a,b,c,d", "invalid Darboux point 'a,b,c,d'"),
+    ])
+    def test_bad_xi0(self, xi0, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["hi-flow", "--potential=z", f"--xi0={xi0}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse prints its usage above the one error line
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"holomech hi-flow: error: argument --xi0: {message}"]
+        assert captured.err.splitlines()[-1] == errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_non_positive_escape_radius(self, radius, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--potential=z", f"--escape-radius={radius}",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "holomech: error: escape_radius must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("potential, message", [
+        ("(z", "expected ')' (at position 2)"),
+        ("sin z", "expected '(' (at position 4)"),
+        ("exp(z", "expected ')' (at position 5)"),
+    ])
+    def test_unbalanced_potential(self, potential, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", f"--potential={potential}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"holomech: potential error: {message}\n"
+        assert not out.exists()
 
 
 class TestUsage:

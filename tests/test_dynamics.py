@@ -304,6 +304,16 @@ class TestEscapeAndFailure:
         for traj in trajs:
             assert traj.terminated_by == "escape" and len(traj.t) == 1
 
+    @pytest.mark.parametrize("past, last", [(5e-13, [0.781 + 5e-13]), (5e-14, [])])
+    def test_rk45_lands_within_its_tolerance(self, past, last):
+        # on v = z the error estimate is rounding noise, so every step is 5
+        # times the last.  What is left past 0.781 takes one more step if it
+        # exceeds 1e-13 max(1, t_end), and is dropped if it does not
+        traj = integrate_complex(spec_for("z"), 0j, 1 + 0j,
+                                 IntegratorConfig(method="rk45", t_end=0.781 + past))
+        assert traj.terminated_by == "t_end"
+        assert traj.t.tolist() == [0.0, 0.001, 0.006, 0.031, 0.156, 0.781, *last]
+
     def test_initial_point_outside_radius(self):
         traj = integrate_complex(spec_for("z^2"), 2e3 + 0j, 0j,
                                  IntegratorConfig(method="rk45", t_end=1.0))

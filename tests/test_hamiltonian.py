@@ -1,6 +1,7 @@
 """Energy evaluation in all three descriptions, plus the reference table."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from holomech import (
     w_to_darboux,
 )
 from holomech.closed_forms import CORRECTED_FORMS, REFERENCE_MASS, REFERENCE_TABLE
+from holomech.hamiltonian import complex_to_darboux
+from holomech.potentials import _checked, compile_potential, split_real_imag
 
 S2 = math.sqrt(2.0)
 EPS = np.finfo(float).eps
@@ -36,7 +39,7 @@ def spec_for(src, mass=0.5):
 
 def complex_energy(spec, z, p):
     """H(z, p) = p^2/(2m) + v(z) in complex arithmetic; the oracle for the split."""
-    return p * p / (2.0 * spec.mass) + spec.v(z)
+    return p * p / (2.0 * spec.mass) + complex(*split_real_imag(spec.potential, z.real, z.imag))
 
 
 def split_at(spec, z, p):
@@ -91,7 +94,7 @@ def log_uniform_points(rng, n, top):
 
 class TestStackSplit:
     """A (..., 4) stack evaluates v once over arrays; each row agrees with
-    the scalar path of its point."""
+    v evaluated in cmath at its point."""
 
     @pytest.mark.parametrize("src", [*BUILTIN_SOURCES.values(), *NON_CATALOG_SOURCES])
     @pytest.mark.parametrize("top", [1e3, 1e60, 1e80])
@@ -100,12 +103,14 @@ class TestStackSplit:
         stack = log_uniform_points(rng, 400, top)
         hr, hi = hamiltonian_split(spec, stack)
         assert hr.shape == hi.shape == (400,)
-        for w, hr_k, hi_k in zip(stack, hr, hi):
+        v, m = compile_potential(spec.potential), spec.mass
+        for (x, p, y, q), hr_k, hi_k in zip(stack.tolist(), hr, hi):
             try:
-                ref_r, ref_i = hamiltonian_split(spec, w)
+                vz = _checked(v, complex(x, y), "v")
             except PotentialOverflowError:
                 assert math.isnan(hr_k) and math.isnan(hi_k)
                 continue
+            ref_r, ref_i = (p * p - q * q) / (2.0 * m) + vz.real, p * q / m + vz.imag
             scale = max(1.0, abs(complex(ref_r, ref_i)))
             assert abs(hr_k - ref_r) <= 4 * EPS * scale
             assert abs(hi_k - ref_i) <= 4 * EPS * scale
@@ -145,9 +150,8 @@ class TestStackSplit:
     def test_domain_error_raises_overflow(self):
         # z^5 overflows to an infinite argument, where cmath.sin raises ValueError
         spec = spec_for("sin(z*z*z*z*z)")
-        for f in (spec.v, spec.dv):
-            with pytest.raises(PotentialOverflowError):
-                f(1e70 + 0j)
+        with pytest.raises(PotentialOverflowError):
+            spec.dv(1e70 + 0j)
         with pytest.raises(PotentialOverflowError):
             hamiltonian_split(spec, [1e70, 1.0, 0.0, 0.0])
 
@@ -157,6 +161,49 @@ class TestStackSplit:
             hr, hi = hamiltonian_split(spec, darboux_to_w(xi))
             assert np.array_equal(darboux_hamiltonian(spec, xi), 2.0 * hr)
             assert np.array_equal(darboux_invariant(spec, xi), hi)
+
+
+def assert_points_are_rows(spec, w, hr, hi):
+    """Each point of the (n, 4) stack w gives its row of (hr, hi) bit for bit,
+    and raises PotentialOverflowError exactly where that row is NaN."""
+    for w_k, hr_k, hi_k in zip(w, hr, hi):
+        if math.isnan(hr_k):
+            assert math.isnan(hi_k)
+            with pytest.raises(PotentialOverflowError, match="^overflow evaluating v"):
+                hamiltonian_split(spec, w_k)
+        else:
+            point = hamiltonian_split(spec, w_k)
+            assert [c.hex() for c in point] == [hr_k.hex(), hi_k.hex()], w_k
+
+
+class TestPointIsStackRow:
+    """A point goes through the stack path: the split at a trajectory's row is
+    the (hr, hi) it records, in every method and frame and along an H_i flow."""
+
+    Z0, P0 = 0.3 + 0.2j, 0.5 - 0.1j
+    CFG = dict(dt=0.01, t_end=2.0)
+
+    @pytest.mark.parametrize("method", ["rk45", "rk4", "split"])
+    def test_trajectory_rows(self, builtin_specs, method):
+        cfg = IntegratorConfig(method=method, **self.CFG)
+        for spec in builtin_specs.values():
+            traj = integrate_complex(spec, self.Z0, self.P0, cfg)
+            assert_points_are_rows(spec, traj.states, traj.hr, traj.hi)
+            traj = integrate_darboux(spec, complex_to_darboux(self.Z0, self.P0), cfg)
+            assert_points_are_rows(spec, darboux_to_w(traj.states), traj.hr, traj.hi)
+
+    def test_invariant_flow_rows(self, builtin_specs):
+        flow = FlowConfig(epsilon_end=-0.5, d_epsilon=0.01)
+        for spec in builtin_specs.values():
+            traj = invariant_flow(spec, [0.4, 0.3, -0.2, 0.5], flow)
+            assert_points_are_rows(spec, darboux_to_w(traj.states), traj.hr, traj.hi)
+
+    def test_overflowing_rows_raise(self, rng):
+        spec = spec_for("exp(z)+z^5")
+        w = log_uniform_points(rng, 200, 1e60)
+        hr, hi = hamiltonian_split(spec, w)
+        assert np.isnan(hr).any() and np.isfinite(hr).any()
+        assert_points_are_rows(spec, w, hr, hi)
 
 
 class TestDarbouxQuantities:
@@ -249,6 +296,12 @@ class TestReferenceTable:
         bad = {(r["potential"], r["column"]) for r in report["rows"]
                if r["status"] == "DISCREPANT"}
         assert bad == {("iz", "h"), ("neg_z4", "Hi")}
+
+    @pytest.mark.parametrize("text, names", [("x1 + foo(x2)", "['foo']"),
+                                             ("abs(x1) + pi", "['abs', 'pi']")])
+    def test_form_with_unknown_name_refused(self, text, names):
+        with pytest.raises(ValueError, match=re.escape(f"names {names}")):
+            closed_forms._compile_form(text)
 
     def test_corrected_forms_verify(self):
         report = verify_reference_table(seed=42, points=100)

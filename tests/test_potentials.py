@@ -26,6 +26,7 @@ from holomech.potentials import (
     PotentialOverflowError,
     PotentialSyntaxError,
     UnsupportedFunctionError,
+    _checked,
     compile_potential,
     derivative,
     get_builtin,
@@ -42,8 +43,8 @@ from holomech.potentials import _ENTIRE_FUNCS, _checked, _tokenize
 
 
 def eval_checked(e, z):
-    """Checked v(z) through the compiled tree, as ``SystemSpec.v`` and
-    ``split_real_imag`` evaluate it."""
+    """Checked v(z) through the compiled tree, as ``split_real_imag``
+    evaluates it."""
     return _checked(compile_potential(e), complex(z), "potential")
 
 
@@ -146,6 +147,9 @@ class TestParse:
     def test_quotient_by_constant(self):
         e = parse_potential("z^2/2")
         assert e == Quotient(Power(Z(), 2), Const(2 + 0j))
+
+    def test_quotient_by_one_folds(self):
+        assert parse_potential("z/1") == Z()
 
     @pytest.mark.parametrize("text, error, position", [
         ("z^\u00b2", PotentialSyntaxError, 2),   # superscript two: a digit, not decimal
@@ -349,7 +353,7 @@ def _eval(e, z):
 
 
 def _checked_eval(e, z):
-    """The tree walk with the finiteness check of ``SystemSpec.v``."""
+    """The tree walk with the finiteness check of ``_checked``."""
     try:
         value = _eval(e, complex(z))
     except (OverflowError, ValueError) as exc:
@@ -411,17 +415,17 @@ class TestGeneratedFunctions:
 
     @pytest.mark.parametrize("k", range(len(_ORACLE_TREES)))
     def test_checked_calls_match_checked_eval(self, k, rng):
-        # SystemSpec.v and SystemSpec.dv give the tree walk's bits where it is
+        # the checked v and SystemSpec.dv give the tree walk's bits where it is
         # finite and PotentialOverflowError wherever it raises or is not finite
         e = _ORACLE_TREES[k]
-        spec = SystemSpec(e)
+        spec, v = SystemSpec(e), compile_potential(e)
         zs = [complex(*rng.uniform(-2, 2, 2)) for _ in range(20)]
         zs += [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
         zs += [1e3 + 0j, 1e70 + 0j, complex(0.0, 800.0), complex(0.0, -800.0),
                complex(1e200, -1e200), complex(1.7e308, 1.7e308)]
         for z in zs:
             expected = _scalar_outcome(_checked_eval, e, z)
-            assert _scalar_outcome(spec.v, z) == expected, (k, z)
+            assert _scalar_outcome(_checked, v, z, "v") == expected, (k, z)
             assert _scalar_outcome(spec.dv, z) == \
                 _scalar_outcome(_checked_eval, derivative(spec.potential), z), (k, z)
 
