@@ -366,6 +366,19 @@ class TestSplitStep:
         with pytest.raises(ValueError, match="4 finite reals"):
             split_step(spec_for("z^2"), xi, 0.1)
 
+    @pytest.mark.parametrize("z0, p0", [(complex(math.nan, 0.0), 0j),
+                                        (0j, complex(0.0, math.inf))])
+    def test_complex_entry_point_checks_the_start(self, z0, p0):
+        # before the split branch maps it to the Darboux frame
+        with pytest.raises(ValueError, match="initial data must be finite"):
+            integrate_complex(spec_for("z^2"), z0, p0,
+                              IntegratorConfig(method="split", dt=0.1, t_end=1.0))
+
+    def test_step_leaving_double_precision_raises(self):
+        # exp(z) at z = 800 overflows: the kick has no finite value
+        with pytest.raises(PotentialOverflowError, match="left double precision"):
+            split_step(spec_for("exp(z)"), np.array([800 * S2, 0.0, 0.0, 0.0]), 0.1)
+
     def test_no_secular_energy_growth(self):
         # harmonic long run: split drift stays bounded while rk4 drift grows
         spec = spec_for("z^2")
@@ -531,6 +544,12 @@ class TestFrameMaps:
 
     def test_momentum_components(self):
         assert np.array_equal(xi_of(0j, 2 + 3j), [0.0, 2 * S2, 3 * S2, 0.0])
+
+    def test_complex_view_refuses_a_complex_run(self):
+        traj = integrate_complex(spec_for("z^2"), 1 + 0j, 0j,
+                                 IntegratorConfig(method="rk4", dt=0.1, t_end=0.2))
+        with pytest.raises(ValueError, match="Darboux-frame"):
+            dyn.complex_view(traj)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
@@ -881,6 +900,18 @@ class TestPostKernelOracles:
         spec = spec_for(src)
         cfg = IntegratorConfig(method=method, dt=0.01, t_end=t_end, **kw)
         return integrate_complex(spec, z0, p0, cfg), integrate_darboux(spec, xi_from(z0, p0), cfg)
+
+    def test_disjoint_ranges_within_tolerance_give_no_points(self):
+        # both ends agree within 1e-9, but [0, 1e-10] and [2e-10, 3e-10]
+        # share no time: a zero-point report at the later start
+        def run(frame, t):
+            rows = np.zeros((2, 4))
+            return dyn.Trajectory(frame, np.array(t), rows, rows, np.zeros(2),
+                                  np.zeros(2), "t_end", 1)
+        report = equivalence_report(run("complex", [0.0, 1e-10]),
+                                    run("darboux", [2e-10, 3e-10]))
+        assert report == dyn.EquivalenceReport(max_deviation=0.0, tolerance=1e-6,
+                                               passed=True, n_points=0, t_worst=2e-10)
 
     @staticmethod
     def count_hermite(monkeypatch):

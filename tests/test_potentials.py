@@ -74,6 +74,11 @@ class TestParse:
         with pytest.raises(UnsupportedFunctionError):
             parse_potential("sqrt(z)")
 
+    def test_make_call_rejects_unknown_function(self):
+        # the parser refuses the name first; make_call owns the rule as well
+        with pytest.raises(UnsupportedFunctionError, match="unknown entire function 'sqrt'"):
+            make_call("sqrt", Z())
+
     def test_log_rejected(self):
         with pytest.raises(UnsupportedFunctionError):
             parse_potential("log(z)")
