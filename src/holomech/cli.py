@@ -46,8 +46,8 @@ from .dynamics import (
     invariant_flow,
     solve_invariant_zero,
 )
-from .hamiltonian import (SystemSpec, complex_to_darboux, darboux_invariant, darboux_to_w,
-                          w_to_darboux)
+from .hamiltonian import (SystemSpec, _row_to_pair, complex_to_darboux, darboux_invariant,
+                          darboux_to_w, w_to_darboux)
 from .output import check_target, json_text, trajectory_csv, write_text_atomic
 from .potentials import PotentialError
 from .symplectic import (
@@ -231,8 +231,7 @@ def _start(args):
     """(z0, p0, xi0) of --xi0 if given, else of --z0/--p0, whose Darboux
     image must be finite (a part above about 1.27e308 overflows it)."""
     if args.xi0 is not None:
-        w0 = darboux_to_w(args.xi0)
-        return complex(w0[0], w0[2]), complex(w0[1], w0[3]), args.xi0
+        return *_row_to_pair(darboux_to_w(args.xi0), "complex"), args.xi0
     z0, p0 = args.z0, args.p0
     xi0 = complex_to_darboux(z0, p0)
     if not np.isfinite(xi0).all():

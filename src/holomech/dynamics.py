@@ -63,8 +63,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .hamiltonian import (
+    _LAYOUT,
     _SQRT2,
     SystemSpec,
+    _pairs_to_rows,
+    _row_to_pair,
     complex_to_darboux,
     darboux_invariant,
     darboux_to_w,
@@ -283,26 +286,6 @@ def _hermite(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray, tq: np.ndarray) -> 
     return rows
 
 
-# --------------------------------------------------------------------------
-# Phase-point layouts
-# --------------------------------------------------------------------------
-
-# Per frame, the row layout as columns of (Re z, Im z, Re p, Im p), which is
-# also what a complex (N, 2) array of pairs viewed as float holds.
-_COLUMNS = {
-    "complex": [0, 2, 1, 3],   # w = (x, p, y, q)
-    "darboux": [0, 2, 3, 1],   # xi = (x1, p1, x2, p2); Z = x1 + i p2, P = p1 + i x2
-}
-
-
-def _rows(zs, ps, columns) -> np.ndarray:
-    """Lists of z and of p -> (N, 4) float rows in the given layout."""
-    pairs = np.empty((len(zs), 2), complex)
-    pairs[:, 0] = zs
-    pairs[:, 1] = ps
-    return pairs.view(float)[:, columns]
-
-
 def split_step(spec: SystemSpec, xi, dt: float) -> np.ndarray:
     """One Strang step of the Darboux-frame dynamics.
 
@@ -494,10 +477,11 @@ if not ok:
 
 # Elementary step control on the RMS of the error pair scaled by the
 # tolerances, its squares (xr, xi, yr, yi: Re z, Im z, Re p, Im p) summed in
-# the order of the frame's row components, ``_COLUMNS``.  Each scale takes
-# the larger of |part| at the accepted state (azr, azi, apr, api, set up
-# with the run and carried over from the last accepted step) and at the
-# attempt (bzr, bzi, bpr, bpi).
+# the order of the frame's row components, as ``hamiltonian._LAYOUT`` states
+# it (the H_i flow keeps the Darboux order).  Each scale takes the larger of
+# |part| at the accepted state (azr, azi, apr, api, set up with the run and
+# carried over from the last accepted step) and at the attempt (bzr, bzi,
+# bpr, bpi).
 _NORM = """\
 if not (ok and isfinite(ez) and isfinite(ep)):
     h *= 0.25
@@ -555,7 +539,7 @@ def _kernel_source(method: str, frame: str) -> str:
     holds Darboux rows."""
     S, setup, advance, step, accept = _METHODS[method]
     unit = "" if frame == "complex" else f" / {_S2}"
-    parts = [("xr", "xi", "yr", "yi")[c] for c in _COLUMNS.get(frame, _COLUMNS["darboux"])]
+    parts = [("xr", "xi", "yr", "yi")[c] for c in _LAYOUT.get(frame, _LAYOUT["darboux"])]
     return _KERNEL.format(
         first=_indent(_field(frame, "z", "p", "kz", "kp"), 2),
         setup=_indent(setup, 2),
@@ -598,25 +582,24 @@ def _run(spec: SystemSpec, method: str, frame: str, z, p, cfg: IntegratorConfig,
 
 def _trajectory(frame: str, spec: SystemSpec, run) -> Trajectory:
     ts, zs, ps, kzs, kps, stats = run
-    columns = _COLUMNS[frame]
-    states = _rows(zs, ps, columns)
+    states = _pairs_to_rows(zs, ps, frame)
     hr, hi = hamiltonian_split(spec, states if frame == "complex" else darboux_to_w(states))
-    return Trajectory(frame, np.array(ts), states, _rows(kzs, kps, columns), hr, hi, *stats)
+    return Trajectory(frame, np.array(ts), states, _pairs_to_rows(kzs, kps, frame), hr, hi, *stats)
 
 
 def _initial_xi(xi0) -> tuple[complex, complex]:
     xi0 = np.asarray(xi0, dtype=float)
     if xi0.shape != (4,) or not np.isfinite(xi0).all():
         raise ValueError("initial Darboux point must be 4 finite reals")
-    return complex(xi0[0], xi0[3]), complex(xi0[1], xi0[2])  # (Z, P)
+    return _row_to_pair(xi0, "darboux")  # (Z, P)
 
 
 def complex_view(traj: Trajectory) -> Trajectory:
     """A Darboux-frame trajectory in the complex frame.
 
-    States and derivatives are mapped through ``darboux_to_w``, which is
-    exact (a scaled signed permutation); times, invariants and counters are
-    shared.
+    States and derivatives are mapped through ``darboux_to_w``, a
+    permutation divided by sqrt(2), which rounds each part to the nearest
+    double; times, invariants and counters are shared.
     """
     if traj.frame != "darboux":
         raise ValueError("expected a Darboux-frame trajectory")

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .hamiltonian import _SLOT
+
+# x, y, p, q: the w row's (Re z, Im z, Re p, Im p), read through _SLOT
 TRAJECTORY_HEADER = "t,x,y,p,q,x1,p1,x2,p2,Hr,Hi"
 
 
@@ -47,7 +50,7 @@ def _csv_blocks(t, w_rows, xi_rows, hr, hi):
     for k in range(0, len(t), _BLOCK_ROWS):
         s = slice(k, k + _BLOCK_ROWS)
         yield _csv_block(np.column_stack(
-            (t[s], w[s][:, [0, 2, 1, 3]], xi[s], hr[s], hi[s])))
+            (t[s], w[s][:, _SLOT["complex"]], xi[s], hr[s], hi[s])))
 
 
 # Rows per rendered block.  Every per-block temporary stays under glibc's

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import SystemSpec
+from .hamiltonian import SystemSpec, _row_to_pair
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -375,8 +375,8 @@ def hamiltonian_field(spec: SystemSpec) -> Callable[[np.ndarray], np.ndarray]:
     of the potential.
     """
     def grad(w):
-        z = complex(w[0], w[2])
-        p_over_m = complex(w[1], w[3]) / spec.mass
+        z, p = _row_to_pair(w, "complex")
+        p_over_m = p / spec.mass
         dv = spec.dv(z)
         return np.array([dv, p_over_m, 1j * dv, 1j * p_over_m])
 
@@ -427,8 +427,9 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
     # {{A, H}} = g_A . (J g_H) with the exact gradient row
     # g_H = (v', p/m, i v', i p/m) and the constant rows g_z = (1, 0, i, 0),
     # g_p = (0, 1, 0, i).
-    dv = spec.dv(complex(w[0], w[2]))
-    p_over_m = complex(w[1], w[3]) / spec.mass
+    z, p = _row_to_pair(w, "complex")
+    dv = spec.dv(z)
+    p_over_m = p / spec.mass
     g_h = (dv, p_over_m, 1j * dv, 1j * p_over_m)
     jg0, jg1, jg2, jg3 = _dot(J[0], g_h), _dot(J[1], g_h), _dot(J[2], g_h), _dot(J[3], g_h)
     res_z = abs(jg0 + 1j * jg2 - p_over_m)

@@ -33,6 +33,7 @@ from holomech import (
     w_to_darboux,
 )
 from holomech import dynamics as dyn
+from holomech.hamiltonian import _pairs_to_rows
 from holomech.potentials import PotentialOverflowError
 
 S2 = math.sqrt(2.0)
@@ -1670,14 +1671,16 @@ class TestRunCounters:
 
 
 def test_rows_match_array_of_pairs():
-    # the rows are those of np.array(pairs, dtype=complex), byte for byte,
-    # signed zeros, infinities and NaN parts included
+    # the rows that the trajectories record are those of
+    # np.array(pairs, dtype=complex) in each frame's layout, byte for byte,
+    # signed zeros, infinities and NaN parts included; the layouts are
+    # spelled out here, apart from the table in hamiltonian.py
     parts = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 5e-324]
     values = [complex(a, b) for a in parts for b in parts]
     pairs = list(zip(values, reversed(values)))
-    for columns in dyn._COLUMNS.values():
+    for frame, columns in (("complex", [0, 2, 1, 3]), ("darboux", [0, 2, 3, 1])):
         for n in (1, 2, len(pairs)):
-            got = dyn._rows([z for z, _ in pairs[:n]], [p for _, p in pairs[:n]], columns)
+            got = _pairs_to_rows([z for z, _ in pairs[:n]], [p for _, p in pairs[:n]], frame)
             ref = np.array(pairs[:n], dtype=complex).view(float)[:, columns]
             assert got.shape == ref.shape == (n, 4)
             assert got.tobytes() == ref.tobytes()

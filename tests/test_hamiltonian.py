@@ -1,5 +1,6 @@
 """Energy evaluation in all three descriptions, plus the reference table."""
 
+import itertools
 import math
 import re
 
@@ -26,7 +27,7 @@ from holomech import (
     w_to_darboux,
 )
 from holomech.closed_forms import CORRECTED_FORMS, REFERENCE_MASS, REFERENCE_TABLE
-from holomech.hamiltonian import complex_to_darboux
+from holomech.hamiltonian import _pairs_to_rows, _row_to_pair, complex_to_darboux
 from holomech.potentials import _checked, compile_potential, split_real_imag
 
 S2 = math.sqrt(2.0)
@@ -275,6 +276,45 @@ class TestPhasePoints:
         # xi = sqrt(2) (x, p, q, y), written out
         xi = np.array([[S2 * x, S2 * p, S2 * q, S2 * y] for x, p, y, q in stack])
         assert np.array_equal(w_to_darboux(stack), xi)
+
+    @pytest.mark.parametrize("frame", ["complex", "darboux"])
+    def test_row_pair_row_bit_for_bit(self, frame):
+        # row -> (z, p) -> row keeps every part's bits: signed zeros, +-inf,
+        # NaN and subnormals included
+        parts = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1.5]
+        for row in np.array(list(itertools.product(parts, repeat=4))):
+            z, p = _row_to_pair(row, frame)
+            assert _pairs_to_rows([z], [p], frame)[0].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("z, p", [
+        (0.3 + 0.2j, 0.5 - 0.1j),
+        (complex(-0.0, 0.0), complex(0.0, -0.0)),
+        (complex(5e-324, -5e-324), complex(-2.5e-310, 1e-300)),
+        (complex(1.2e308, -1.3e308), complex(-1.7e308, 1e308)),  # overflows to inf
+        (complex(math.inf, -math.inf), complex(math.nan, 1.0)),
+    ])
+    def test_complex_to_darboux_is_the_scaled_w_row(self, z, p):
+        # byte for byte the image of the w row (x, p, y, q) under w_to_darboux
+        with np.errstate(over="ignore"):
+            ref = w_to_darboux(np.array([z.real, p.real, z.imag, p.imag]))
+        got = complex_to_darboux(z, p)
+        assert got.shape == (4,) and got.dtype == float
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("top", [3.0, 1e300, 1e-300])
+    def test_round_trips_within_one_ulp(self, rng, top):
+        # dividing and multiplying by sqrt(2) each round: a round trip in
+        # either direction moves about one coordinate in eight of a normal
+        # row, and none by more than 1 ulp
+        rows = rng.uniform(-top, top, size=(200_000, 4))
+        tiny = np.finfo(float).tiny
+        for there, back in ((w_to_darboux, darboux_to_w), (darboux_to_w, w_to_darboux)):
+            image = there(rows)
+            normal = ((np.abs(rows) >= tiny) & (np.abs(image) >= tiny)).all(axis=1)
+            assert normal.mean() > 0.99
+            moved = np.abs(back(image)[normal] - rows[normal])
+            assert (moved <= np.spacing(np.abs(rows[normal]))).all()
+            assert 0.05 < np.mean(moved > 0) < 0.25
 
 
 class TestReferenceTable:
