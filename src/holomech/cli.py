@@ -245,32 +245,32 @@ def _literal(value: complex) -> str:
     return f"{value.real}{value.imag:+}i"
 
 
-def _both_frames(spec, z0, p0, xi0, cfg):
-    """(complex, Darboux) trajectories of one motion.
-
-    ``split`` steps in the Darboux frame, so its one run from xi0 serves both
-    frames and the frame deviation measures only the frame maps; the other
-    methods integrate each frame from its own start.
-    """
-    traj_d = integrate_darboux(spec, xi0, cfg)
-    if cfg.method == "split":
+def _frame_runs(spec, frame, z0, p0, xi0, cfg):
+    """(complex, Darboux) trajectories that ``--frame`` writes, None for one it
+    does not.  ``split`` steps in the Darboux frame, so in every frame its one
+    run from xi0 and that run's ``complex_view`` serve both; the other methods
+    integrate each frame asked for from its own start."""
+    split = cfg.method == "split"
+    traj_d = integrate_darboux(spec, xi0, cfg) if split or frame != "complex" else None
+    if split:
         return complex_view(traj_d), traj_d
-    return integrate_complex(spec, z0, p0, cfg), traj_d
+    return (integrate_complex(spec, z0, p0, cfg) if frame != "darboux" else None), traj_d
 
 
-def _write_run(args, summary, traj, traj_d=None) -> int:
+def _write_run(args, summary, traj_c, traj_d) -> int:
     """Add the shared run fields to ``summary``, write the CSV and then the
     summary, print the run's line; exit 0 if it ran to the end or escaped.
-    The other frame's columns are ``traj``'s states mapped, or with ``traj_d``
-    (``--frame both``) its rows on ``traj``'s grid up to where both runs end."""
+    One run fills the other frame's columns with its states mapped; given two,
+    the Darboux rows are read on the complex grid up to where both runs end."""
+    traj = traj_c or traj_d
     t, states = traj.t, traj.states
-    if traj_d is not None:
-        t = t[:np.searchsorted(t, min(t[-1], traj_d.t[-1]), side="right")]
-        w_rows, xi_rows = states[:len(t)], traj_d.state_at(t)
-    elif traj.frame == "complex":
+    if traj_c is None:
+        w_rows, xi_rows = darboux_to_w(states), states
+    elif traj_d is None:
         w_rows, xi_rows = states, w_to_darboux(states)
     else:
-        w_rows, xi_rows = darboux_to_w(states), states
+        t = t[:np.searchsorted(t, min(t[-1], traj_d.t[-1]), side="right")]
+        w_rows, xi_rows = states[:len(t)], traj_d.state_at(t)
     summary.update({
         "command": args.command,
         "potential": args.potential,
@@ -298,20 +298,17 @@ def cmd_simulate(args) -> int:
                            t_end=args.t_end, escape_radius=args.escape_radius)
     z0, p0, xi0 = _start(args)
     summary = {"frame": args.frame, **asdict(cfg), "z0": z0, "p0": p0, "xi0": xi0}
-    if args.frame == "complex":
-        return _write_run(args, summary, integrate_complex(spec, z0, p0, cfg))
-    if args.frame == "darboux":
-        return _write_run(args, summary, integrate_darboux(spec, xi0, cfg))
-    traj, traj_d = _both_frames(spec, z0, p0, xi0, cfg)
-    try:
-        eq = equivalence_report(traj, traj_d)
-        summary["max_frame_deviation"] = eq.max_deviation
-        summary["frames_equivalent"] = eq.passed
-    except GridMismatchError as exc:
-        summary["max_frame_deviation"] = None
-        summary["frames_equivalent"] = False
-        summary["grid_mismatch"] = str(exc)
-    return _write_run(args, summary, traj, traj_d)
+    traj_c, traj_d = _frame_runs(spec, args.frame, z0, p0, xi0, cfg)
+    if args.frame == "both":
+        try:
+            eq = equivalence_report(traj_c, traj_d)
+            summary["max_frame_deviation"] = eq.max_deviation
+            summary["frames_equivalent"] = eq.passed
+        except GridMismatchError as exc:
+            summary["max_frame_deviation"] = None
+            summary["frames_equivalent"] = False
+            summary["grid_mismatch"] = str(exc)
+    return _write_run(args, summary, traj_c, traj_d)
 
 
 def cmd_verify_table1(args) -> int:
@@ -389,7 +386,8 @@ def cmd_hi_flow(args) -> int:
     spec = SystemSpec.from_source(args.potential, args.mass)
     xi0 = _start(args)[2]
     flow = FlowConfig(epsilon_end=args.eps_end, d_epsilon=args.d_eps)
-    return _write_run(args, {"xi0": xi0, **asdict(flow)}, invariant_flow(spec, xi0, flow))
+    return _write_run(args, {"xi0": xi0, **asdict(flow)}, None,
+                      invariant_flow(spec, xi0, flow))
 
 
 def cmd_constrain(args) -> int:

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import holomech
 from holomech import closed_forms
-from holomech import FlowConfig, IntegratorConfig, SystemSpec, get_builtin, output
+from holomech import (BUILTIN_SOURCES, FlowConfig, IntegratorConfig, SystemSpec, get_builtin,
+                      output)
 from holomech.cli import build_parser, main, parse_complex
 from holomech.output import TRAJECTORY_HEADER
 from holomech.symplectic import RESIDUAL_LIMITS, structure_trials
@@ -1087,8 +1088,8 @@ class TestSeedEnvironment:
 
 
 class TestSplitBothFrames:
-    """``simulate --frame both --method split`` integrates once, from the
-    Darboux start, for every start: its complex columns are that run mapped."""
+    """``simulate --method split`` integrates once, from the Darboux start, for
+    every start and in every frame: its complex columns are that run mapped."""
 
     ARGS = ["simulate", "--potential=i*z^3", "--frame=both", "--method=split",
             "--dt=0.01", "--t-end=2"]
@@ -1120,7 +1121,7 @@ class TestSplitBothFrames:
         assert calls == ["integrate_darboux"]
         calls.clear()
         # the oracle: both frames integrated, as for the other methods
-        monkeypatch.setattr(cli, "_both_frames", lambda spec, z0, p0, xi0, cfg: (
+        monkeypatch.setattr(cli, "_frame_runs", lambda spec, frame, z0, p0, xi0, cfg: (
             cli.integrate_complex(spec, z0, p0, cfg), cli.integrate_darboux(spec, xi0, cfg)))
         want = self.outputs(self.ARGS + start, tmp_path / "two", capsys)
         assert sorted(calls) == ["integrate_complex", "integrate_darboux"]
@@ -1134,6 +1135,40 @@ class TestSplitBothFrames:
         deviation = json.loads(got[2])["max_frame_deviation"]
         assert deviation <= 1e-13 < json.loads(want[2])["max_frame_deviation"]
         assert (got[0], got[4]) == (want[0], want[4])
+
+    # signed zeros, a generic start, and an --xi0 whose round trip through
+    # (z0, p0) is exact and one whose round trip is not
+    STARTS = {
+        "zeros": ["--z0=-0", "--p0=-0"],
+        "zero-parts": ["--z0=0.5-0i", "--p0=-0+0.25i"],
+        "generic": ["--z0=0.3+0.2i", "--p0=0.5-0.1i"],
+        "xi0-exact": ["--xi0=0.4,0.3,-0.2,0.5"],
+        "xi0-ulp": ["--xi0=0.548,-0.921,-1.836,-1.934"],
+    }
+
+    @pytest.mark.parametrize("source", sorted(BUILTIN_SOURCES.values()))
+    @pytest.mark.parametrize("start", STARTS.values(), ids=STARTS)
+    def test_one_csv_in_every_frame(self, source, start, tmp_path, capsys):
+        argv = ["simulate", f"--potential={source}", "--method=split", "--dt=0.01",
+                "--t-end=1", *start]
+        runs = {frame: self.outputs(argv + [f"--frame={frame}"], tmp_path / frame, capsys)
+                for frame in ("complex", "darboux", "both")}
+        codes, csvs, _, outs, errs = (set(parts) for parts in zip(*runs.values()))
+        assert len(codes) == len(csvs) == len(outs) == len(errs) == 1
+        summaries = {frame: json.loads(run[2]) for frame, run in runs.items()}
+        assert [summary.pop("frame") for summary in summaries.values()] == list(runs)
+        both_only = {key: summaries["both"].pop(key)
+                     for key in ("max_frame_deviation", "frames_equivalent")}
+        assert both_only["frames_equivalent"] is True
+        assert summaries["complex"] == summaries["darboux"] == summaries["both"]
+
+    @pytest.mark.parametrize("frame", ["complex", "darboux", "both"])
+    def test_non_finite_xi0_in_every_frame(self, frame, tmp_path, capsys):
+        assert run(["simulate", "--potential=i*z^3", "--method=split", f"--frame={frame}",
+                    "--xi0=1,2,3,nan", f"--out={tmp_path / 'traj.csv'}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "holomech: error: initial Darboux point must be 4 finite reals\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
 
 class TestOutCheckedFirst:
