@@ -39,6 +39,7 @@ from .dynamics import (
     GridMismatchError,
     METHODS,
     IntegratorConfig,
+    _initial_xi,
     complex_view,
     equivalence_report,
     integrate_complex,
@@ -231,6 +232,7 @@ def _start(args):
     """(z0, p0, xi0) of --xi0 if given, else of --z0/--p0, whose Darboux
     image must be finite (a part above about 1.27e308 overflows it)."""
     if args.xi0 is not None:
+        _initial_xi(args.xi0)  # one message for a bad --xi0 in every method and frame
         return *_row_to_pair(darboux_to_w(args.xi0), "complex"), args.xi0
     z0, p0 = args.z0, args.p0
     xi0 = complex_to_darboux(z0, p0)

@@ -27,8 +27,8 @@ Every field value is checked, and a non-finite one fails the step.
 
 Methods:
 
-* ``rk4``   - classical Runge-Kutta on the fixed grid t_k = k dt, ending at
-  t_end;
+* ``rk4``   - classical Runge-Kutta on the fixed grid t_k = k dt, ending
+  once at t_end;
 * ``rk45``  - Dormand-Prince 5(4) with elementary step control (Hairer,
   Norsett and Wanner, *Solving ODEs I*, II.5); samples at accepted steps,
   dense output by cubic Hermite interpolation;
@@ -125,8 +125,8 @@ class GridMismatchError(ValueError):
 class IntegratorConfig:
     """Integration settings.
 
-    dt applies to the fixed-step methods, (rel_tol, abs_tol) to the adaptive
-    one.  Defaults favor the conservation tests: adaptive rk45 at 1e-10.
+    dt steps rk4 and split on a grid ending at t_end, one step if dt exceeds
+    it; (rel_tol, abs_tol) steer rk45, by default 1e-10 for conservation.
     """
 
     method: str = "rk45"
@@ -145,8 +145,6 @@ class IntegratorConfig:
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError("dt must be a positive finite real")
         if self.method != "rk45":
-            if self.t_end > 0.0 and self.dt > self.t_end:
-                raise ValueError("dt must not exceed t_end")
             if not self.t_end / self.dt <= MAX_GRID_STEPS:
                 raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} exceeds the "
                                  f"{MAX_GRID_STEPS} steps of the longest fixed-step grid")
@@ -462,8 +460,12 @@ p1 = p1 - kc * d
 kz1 = p1 / mc
 kp1 = (-{_S2}+0j) * d""" + _CHECK.format(dz="kz1", dp="kp1")
 
-_FIXED_SETUP = "dt = h\nn_grid = math.ceil(t_end / dt - 1e-12) if t_end != 0.0 else 0"
-# fixed grid t_n = n dt, with t_end as its last point; negative backwards
+# fixed grid t_n = n dt, at least one step, ending once at t_end; negative backwards
+_FIXED_SETUP = """\
+dt = h
+n_grid = max(1, math.ceil(t_end / dt - 1e-12)) if t_end != 0.0 else 0
+if abs((n_grid - 1) * dt) >= abs(t_end) > 0.0:
+    n_grid -= 1"""
 _FIXED_ADVANCE = """\
 if n >= n_grid:
     break
@@ -640,9 +642,8 @@ def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
     ``epsilon_end`` flows backwards.
     """
     Z, P = _initial_xi(xi0)
-    span = abs(flow.epsilon_end)
-    cfg = IntegratorConfig(method="rk4", dt=min(flow.d_epsilon, span) if span > 0 else flow.d_epsilon,
-                           t_end=span, escape_radius=math.inf)
+    cfg = IntegratorConfig(method="rk4", dt=flow.d_epsilon, t_end=abs(flow.epsilon_end),
+                           escape_radius=math.inf)
     # a backwards flow is the same field on the grid of -|eps| in steps of -d(eps)
     sign = -1.0 if flow.epsilon_end < 0.0 else 1.0
     return _trajectory("darboux", spec, _run(spec, "rk4", "hi", Z, P, cfg, sign))

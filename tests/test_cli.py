@@ -125,6 +125,14 @@ class TestSimulate:
         assert rows.shape[0] == 8 and rows[-1, 0] == 0.07
         assert json.loads(out.with_suffix(".json").read_text())["samples"] == 8
 
+    @pytest.mark.parametrize("method", ["rk4", "split"])
+    def test_step_longer_than_span_is_one_step(self, method, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert run(["simulate", "--potential=z^2", "--z0=0.1", "--p0=0.2+0.1i",
+                    f"--method={method}", "--dt=0.1", "--t-end=0.05", "--out", str(out)]) == 0
+        assert read_csv(out)[:, 0].tolist() == [0.0, 0.05]
+        assert json.loads(out.with_suffix(".json").read_text())["samples"] == 2
+
     def test_both_frames_drift_and_deviation(self, tmp_path):
         out = tmp_path / "t.csv"
         code = run(["simulate", "--potential", "i*z^3", "--mass", "0.5",
@@ -848,6 +856,14 @@ class TestHiFlow:
         assert lines[1].split(",")[0] == "0"
         assert read_csv(out)[-1, 0] == pytest.approx(-0.05)
 
+    @pytest.mark.parametrize("eps_end", [0.05, -0.05])
+    def test_step_longer_than_span_is_one_step(self, eps_end, tmp_path):
+        out = tmp_path / "flow.csv"
+        assert run(["hi-flow", "--potential", "i*z^3", "--xi0", "0.4,0.3,-0.2,0.5",
+                    f"--eps-end={eps_end}", "--d-eps=0.1", "--out", str(out)]) == 0
+        assert read_csv(out)[:, 0].tolist() == [0.0, eps_end]
+        assert json.loads(out.with_suffix(".json").read_text())["samples"] == 2
+
 
 class TestGridOverflow:
     # t_end / dt beyond the float range: one line and exit 1, no traceback
@@ -1162,9 +1178,11 @@ class TestSplitBothFrames:
         assert both_only["frames_equivalent"] is True
         assert summaries["complex"] == summaries["darboux"] == summaries["both"]
 
+    @pytest.mark.parametrize("method", holomech.dynamics.METHODS)
     @pytest.mark.parametrize("frame", ["complex", "darboux", "both"])
-    def test_non_finite_xi0_in_every_frame(self, frame, tmp_path, capsys):
-        assert run(["simulate", "--potential=i*z^3", "--method=split", f"--frame={frame}",
+    def test_non_finite_xi0_in_every_frame(self, method, frame, tmp_path, capsys):
+        # one message from every method too: each checks --xi0 as a Darboux point
+        assert run(["simulate", "--potential=i*z^3", f"--method={method}", f"--frame={frame}",
                     "--xi0=1,2,3,nan", f"--out={tmp_path / 'traj.csv'}"]) == 1
         captured = capsys.readouterr()
         assert captured.err == "holomech: error: initial Darboux point must be 4 finite reals\n"

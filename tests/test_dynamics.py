@@ -73,9 +73,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(abs_tol=0.0)
 
-    def test_dt_not_exceeding_t_end(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(method="rk4", dt=2.0, t_end=1.0)
+    @pytest.mark.parametrize("method", ["rk4", "split"])
+    @pytest.mark.parametrize("dt, t_end", [(2.0, 1.0), (1.0, 1e-13)])
+    def test_step_longer_than_span_is_one_step(self, method, dt, t_end):
+        # the grid's one rule: a dt past t_end is a single step that ends
+        # on t_end, however small t_end / dt is
+        cfg = IntegratorConfig(method=method, dt=dt, t_end=t_end)
+        traj = integrate_complex(spec_for("z^2"), 0.1 + 0j, 0.2 + 0.1j, cfg)
+        assert traj.terminated_by == "t_end" and traj.n_steps == 1
+        assert traj.t.tolist() == [0.0, t_end]
 
     @pytest.mark.parametrize("method", ["rk4", "split"])
     def test_fixed_step_grid_must_be_finite(self, method):
@@ -1349,9 +1355,11 @@ def _drive(rule, f, z, p, cfg: IntegratorConfig, frame: str, t_end, h):
         return ts, pairs, [(0j, 0j)], "step_failure", 0
     derivs.append(k)
     adaptive = cfg.method == "rk45"
-    # fixed grid t_n = n dt, with t_end as its last point
+    # fixed grid t_n = n dt, at least one step, ending once at t_end
     dt = h
-    n_grid = math.ceil(t_end / dt - 1e-12) if t_end != 0.0 else 0
+    n_grid = max(1, math.ceil(t_end / dt - 1e-12)) if t_end != 0.0 else 0
+    if abs((n_grid - 1) * dt) >= abs(t_end) > 0.0:
+        n_grid -= 1
     t, n = 0.0, 0
     while True:
         if abs(z) / unit > cfg.escape_radius or abs(p) / unit > cfg.escape_radius:
@@ -1670,6 +1678,60 @@ class TestRunCounters:
         assert traj.n_steps == 50 and traj.n_rhs == 4 * 50 + 1
 
 
+# (dt, t_end) whose node (n - 1) dt, n = ceil(t_end / dt - 1e-12), already
+# rounds to t_end: a grid of n steps would end on a zero-length step and
+# record t_end twice.  32076 steps reach t_end.
+_ROUNDING_PAIR = (0.022322111021323865, 716.0040331199843)
+
+
+class TestFixedGrid:
+    """The fixed grid t_j = j dt ends once at t_end, never repeating it."""
+
+    @staticmethod
+    def assert_grid(traj, t_end, per_step, n_steps):
+        t = traj.t
+        assert traj.terminated_by == "t_end"
+        assert (np.sign(t_end) * np.diff(t) > 0).all()
+        assert t[-1] == t_end
+        assert traj.n_steps == len(t) - 1 == n_steps
+        assert traj.n_rhs == 1 + per_step * traj.n_steps
+
+    @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("split", 1)])
+    def test_last_time_is_not_repeated(self, method, per_step):
+        dt, t_end = _ROUNDING_PAIR
+        traj = integrate_complex(spec_for("z^2"), 0.1 + 0j, 0j,
+                                 IntegratorConfig(method=method, dt=dt, t_end=t_end))
+        self.assert_grid(traj, t_end, per_step, 32076)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_flow_last_time_is_not_repeated(self, sign):
+        # the H_i flow of z^2 overflows before |eps| = 716; that of i*z is a
+        # polynomial in eps
+        dt, t_end = _ROUNDING_PAIR
+        traj = invariant_flow(spec_for("i*z"), xi_from(0.1 + 0j, 0j),
+                              FlowConfig(epsilon_end=sign * t_end, d_epsilon=dt))
+        self.assert_grid(traj, sign * t_end, 4, 32076)
+
+    def test_long_split_run_is_not_repeated(self):
+        cfg = IntegratorConfig(method="split", dt=0.01, t_end=4537.900000000001)
+        traj = integrate_complex(spec_for("z^2"), 0.1 + 0j, 0j, cfg)
+        self.assert_grid(traj, cfg.t_end, 1, 453790)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(16000, 40000),
+           dt=st.floats(math.log(1e-3), 0.0).map(math.exp),
+           ulps=st.integers(0, 2))
+    def test_grid_nodes_then_t_end(self, k, dt, ulps):
+        t_end = k * dt
+        for _ in range(ulps):
+            t_end = math.nextafter(t_end, math.inf)
+        cfg = IntegratorConfig(method="split", dt=dt, t_end=t_end, escape_radius=math.inf)
+        t = integrate_complex(spec_for("i*z"), 0.1 + 0j, 0j, cfg).t
+        assert (np.diff(t) > 0).all()
+        assert t[:-1].tobytes() == (np.arange(len(t) - 1) * dt).tobytes()
+        assert t[-1] == t_end
+
+
 def test_rows_match_array_of_pairs():
     # the rows that the trajectories record are those of
     # np.array(pairs, dtype=complex) in each frame's layout, byte for byte,
@@ -1691,10 +1753,10 @@ def test_rows_match_array_of_pairs():
 KERNEL_SHA256 = {
     ("rk45", "complex"): "c1748819994bdd1d6f97d0ae64e690918bdb93507febfd06dce71a73de39ffb2",
     ("rk45", "darboux"): "136d6a09e278d3044b89ec0dab7e8f162a7012a10ea7d0b58d8963462848f922",
-    ("rk4", "complex"): "863680e3f1d95410f863162b504d1255e1ec82cd29f2852de61f83b34aeb9a07",
-    ("rk4", "darboux"): "79791c49fcb6ece92d6d9223dcdb5501b8066ff8b8956e816611e71e9315ec61",
-    ("rk4", "hi"): "4e25ab0f1bf933cf92beb86d5dee5afb5e971279e922266770fa2c63dd4a91d0",
-    ("split", "darboux"): "6c6502efe79964602a7e4dfee68502664c5d647cbc4d15e0f57cdfbf01d242f7",
+    ("rk4", "complex"): "bde3de5070e49135734ac6fc70bf6076288ca9b2de26d6047429ab0debbabc7b",
+    ("rk4", "darboux"): "a89a3aa085320dbc206685f1c963452d95ef4d945c7eb741e23a80597fdbc6ce",
+    ("rk4", "hi"): "1f8aa414bfc95e0156d674964f8a4f4db2f08cef295c23a90462e24d1f0a794d",
+    ("split", "darboux"): "742581e1e91c6cf9ba3c3e2eb84528fb0e2090d49426996b019dc467b2dfba73",
 }
 
 
