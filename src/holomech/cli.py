@@ -15,14 +15,13 @@ Exit codes: 0 success (including escape terminations), 1 usage or parse
 errors, 2 numerical failure, 3 degenerate structure.  Complex literals on
 the command line use the RE+IMi form (e.g. ``--z0 1.0+0.5i``); bare reals
 are accepted as purely real.  All randomized verifications are seeded; the
-seed is printed in every report and defaults to $HOLOMECH_SEED or 42.
+seed is printed in every report and defaults to 42.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import sys
 from array import array
@@ -69,15 +68,7 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_DEGENERATE = 3
 
-SEED_ENV_VAR = "HOLOMECH_SEED"
 DEFAULT_SEED = 42
-
-
-def default_seed() -> int:
-    try:
-        return int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
-    except ValueError:
-        return DEFAULT_SEED
 
 
 def parse_complex(text: str) -> complex:
@@ -150,12 +141,9 @@ def _summary_path(csv_path: str) -> Path:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
-
-    ``--seed`` defaults to None here; ``main`` resolves it from the
-    environment when the command runs.  Run settings default to the field
-    defaults of ``IntegratorConfig``, ``FlowConfig`` and ``SystemSpec``.
-    """
+    """The argument parser, built once per process.  Run settings default to
+    the field defaults of ``IntegratorConfig``, ``FlowConfig`` and ``SystemSpec``,
+    the seed to ``DEFAULT_SEED``."""
     parser = _Parser(prog="holomech", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -182,19 +170,19 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol)
     sim.add_argument("--t-end", type=float, default=IntegratorConfig.t_end)
     sim.add_argument("--escape-radius", type=float, default=IntegratorConfig.escape_radius)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--out", default="traj.csv")
 
     vt = sub.add_parser("verify-table1",
                         help="cross-check the closed-form reference table")
-    vt.add_argument("--seed", type=int, default=None)
+    vt.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vt.add_argument("--points", type=positive_int, default=100)
     vt.add_argument("--out", default=None)
 
     vs = sub.add_parser("verify-symplectic",
                         help="randomized Darboux + compatibility sweep")
     vs.add_argument("--random", type=positive_int, default=100, metavar="N")
-    vs.add_argument("--seed", type=int, default=None)
+    vs.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vs.add_argument("--potential", default="i*z^3")
     vs.add_argument("--mass", type=float, default=SystemSpec.mass)
     vs.add_argument("--out", default=None)
@@ -210,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_start_args(hf)
     hf.add_argument("--eps-end", type=float, default=FlowConfig.epsilon_end)
     hf.add_argument("--d-eps", type=float, default=FlowConfig.d_epsilon)
-    hf.add_argument("--seed", type=int, default=None)
+    hf.add_argument("--seed", type=int, default=DEFAULT_SEED)
     hf.add_argument("--out", default="traj.csv")
 
     cn = sub.add_parser("constrain", help="solve H_i = 0 for x2")
@@ -442,8 +430,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "seed", 0) is None:  # read when the command runs
-        args.seed = default_seed()
     try:
         _check_out(args)
         return _COMMANDS[args.command](args)

@@ -146,7 +146,7 @@ class IntegratorConfig:
             raise ValueError("dt must be a positive finite real")
         if self.method != "rk45":
             if not self.t_end / self.dt <= MAX_GRID_STEPS:
-                raise ValueError(f"t_end / dt = {self.t_end:g} / {self.dt:g} exceeds the "
+                raise ValueError(f"t_end / dt = {self.t_end!r} / {self.dt!r} exceeds the "
                                  f"{MAX_GRID_STEPS} steps of the longest fixed-step grid")
         for name in ("rel_tol", "abs_tol"):
             tol = getattr(self, name)
@@ -390,8 +390,9 @@ def _field(frame: str, z: str, p: str, dz: str, dp: str, check: bool = True) -> 
 
 
 def _dot(row, ks) -> str:
-    """c0 * k0 + c1 * k1 + ... over the nonzero c, as complex constants."""
-    return " + ".join(f"{complex(c)!r} * {k}" for c, k in zip(row, ks) if c)
+    """c0 * k0 + c1 * k1 + ... over the nonzero c, as complex constants; a
+    unit c leaves its stage bare."""
+    return " + ".join(k if c == 1.0 else f"{complex(c)!r} * {k}" for c, k in zip(row, ks) if c)
 
 
 # Complex steps c h, set once per step, for a stage row whose one nonzero
@@ -438,11 +439,10 @@ def _dp45_step(frame: str) -> str:
 
 
 def _rk4_step(frame: str) -> str:
-    stages, _, _ = _rk_step(frame, _RK4_A, _RK4_B)
+    stages, kz, kp = _rk_step(frame, _RK4_A, _RK4_B)
     return "\n".join([
         stages, "h6 = h / 6.0 + 0j",
-        "z1 = z + h6 * (kz + (2+0j) * kz2 + (2+0j) * kz3 + kz4)",
-        "p1 = p + h6 * (kp + (2+0j) * kp2 + (2+0j) * kp3 + kp4)",
+        f"z1 = z + h6 * ({_dot(_RK4_B, kz)})", f"p1 = p + h6 * ({_dot(_RK4_B, kp)})",
         _field(frame, "z1", "p1", "kz1", "kp1")])
 
 

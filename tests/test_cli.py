@@ -20,7 +20,7 @@ import holomech
 from holomech import closed_forms
 from holomech import (BUILTIN_SOURCES, FlowConfig, IntegratorConfig, SystemSpec, get_builtin,
                       output)
-from holomech.cli import build_parser, main, parse_complex
+from holomech.cli import DEFAULT_SEED, build_parser, main, parse_complex
 from holomech.output import TRAJECTORY_HEADER
 from holomech.symplectic import RESIDUAL_LIMITS, structure_trials
 
@@ -554,7 +554,7 @@ class TestRunWriter:
         summary = json.loads(out.with_suffix(".json").read_text())
         assert self.SHARED <= summary.keys()
         assert summary["command"] == self.RUNS[name][0]
-        assert summary["potential"] == "i*z^3" and summary["seed"] == holomech.cli.default_seed()
+        assert summary["potential"] == "i*z^3" and summary["seed"] == DEFAULT_SEED
         assert summary["terminated_by"] == "t_end"
         assert summary["samples"] == len(read_csv(out))
         assert capsys.readouterr().out.startswith(f"wrote {out} ({summary['samples']} samples)")
@@ -888,6 +888,16 @@ class TestGridOverflow:
         assert "Traceback" not in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--potential=z", "--method=rk4", "--t-end=1000001", "--dt=1"],
+        ["hi-flow", "--potential=z", "--eps-end=-1000001", "--d-eps=1"],
+    ])
+    def test_values_keep_every_digit(self, argv, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "holomech: error: t_end / dt = 1000001.0 / 1.0 exceeds the 1000000 steps "
+            "of the longest fixed-step grid\n")
+
 
 class TestHugeStart:
     # a start whose sqrt(2)-scaled Darboux image overflows: one line and
@@ -1056,7 +1066,7 @@ class TestUnwritableOut:
 
 
 class TestParserDefaults:
-    # each run default is stated once, on its config dataclass
+    # each run default is stated once, on its config dataclass or in cli
     def test_simulate_defaults_are_integrator_config(self):
         args = build_parser().parse_args(["simulate", "--potential=z"])
         assert {f.name: getattr(args, f.name) for f in fields(IntegratorConfig)} == asdict(
@@ -1075,32 +1085,36 @@ class TestParserDefaults:
     def test_mass_is_system_spec_mass(self, argv):
         assert build_parser().parse_args(argv).mass == SystemSpec(get_builtin("iz")).mass
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--potential=z"],
+        ["hi-flow", "--potential=z"],
+        ["verify-table1"],
+        ["verify-symplectic"],
+    ])
+    def test_seed_is_default_seed(self, argv):
+        assert build_parser().parse_args(argv).seed == DEFAULT_SEED
 
-class TestSeedEnvironment:
-    def test_env_var_overrides_default(self, monkeypatch, capsys):
-        from holomech.cli import SEED_ENV_VAR
 
-        monkeypatch.setenv(SEED_ENV_VAR, "1234")
-        assert run(["verify-table1"]) == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 1234
-
-    def test_invalid_env_var_falls_back(self, monkeypatch, capsys):
-        from holomech.cli import SEED_ENV_VAR
-
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-        assert run(["verify-table1"]) == 0
-        assert json.loads(capsys.readouterr().out)["seed"] == 42
-
-    def test_env_var_read_when_the_command_runs(self, monkeypatch, capsys):
-        # the parser is built once per process; the seed default is not
-        from holomech.cli import SEED_ENV_VAR, build_parser
-
-        assert build_parser() is build_parser()
-
-        for seed in ("7", "8"):
-            monkeypatch.setenv(SEED_ENV_VAR, seed)
-            assert run(["verify-table1", "--points", "5"]) == 0
-            assert json.loads(capsys.readouterr().out)["seed"] == int(seed)
+class TestSeedDefault:
+    def test_environment_does_not_set_the_seed(self, monkeypatch, tmp_path, capsys):
+        # one command line, one report: only --seed moves the draws
+        reports = [["verify-table1", "--points", "5"], ["verify-symplectic", "--random", "5"]]
+        before = []
+        for argv in reports:
+            assert run(argv) == 0
+            before.append(capsys.readouterr().out)
+        monkeypatch.setenv("HOLOMECH_SEED", "7")
+        for argv, out in zip(reports, before):
+            assert run(argv) == 0
+            assert capsys.readouterr().out == out
+        assert json.loads(before[0])["seed"] == 42
+        assert before[1].endswith("5/5 PASS (seed 42)\n")
+        traj = tmp_path / "traj.csv"
+        assert run(["simulate", "--potential=z", "--t-end=0.01", f"--out={traj}"]) == 0
+        assert json.loads(traj.with_suffix(".json").read_text())["seed"] == 42
+        capsys.readouterr()
+        assert run(["verify-table1", "--points", "5", "--seed", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
 
 
 class TestSplitBothFrames:
@@ -1276,11 +1290,5 @@ class TestDarbouxConditioning:
 
 
 class TestDefaultsStatedOnce:
-    def test_default_seed_without_the_environment(self, monkeypatch):
-        from holomech.cli import DEFAULT_SEED, SEED_ENV_VAR, default_seed
-
-        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-        assert default_seed() == DEFAULT_SEED
-
     def test_from_source_mass_is_system_spec_mass(self):
         assert SystemSpec.from_source("z").mass == SystemSpec(get_builtin("iz")).mass

@@ -1195,7 +1195,10 @@ def _draws(rng, n):
 # kernels replaced, each rule written out stage by stage with its
 # coefficients as literals.  ``_drive`` takes the kernel's t_end and its
 # fixed or first step h, both negative for a backwards fixed-step run.  They
-# are the oracle the kernels must reproduce bit for bit.
+# are the oracle the kernels must reproduce bit for bit.  Weights, h, m and
+# sqrt(2) enter complex arithmetic as complex constants, as in the kernels,
+# so both do the same operations whether or not CPython gives mixed
+# float-complex operands their own arithmetic.
 
 _MIN_STEP = 1e-14
 _SQRT2 = S2
@@ -1207,8 +1210,10 @@ _FRAMES = {
 
 
 def _complex_field(dv, m):
+    mc = complex(m)
+
     def rhs(z, p):
-        dz, dp = p / m, -dv(z)
+        dz, dp = p / mc, -dv(z)
         if cmath.isfinite(dz) and cmath.isfinite(dp):
             return dz, dp
         raise PotentialOverflowError("non-finite vector field")
@@ -1217,8 +1222,10 @@ def _complex_field(dv, m):
 
 
 def _darboux_field(dv, m):
+    mc = complex(m)
+
     def rhs(Z, P):
-        dZ, dP = P / m, -_SQRT2 * dv(Z / _SQRT2)
+        dZ, dP = P / mc, (-_SQRT2 + 0j) * dv(Z / (_SQRT2 + 0j))
         if cmath.isfinite(dZ) and cmath.isfinite(dP):
             return dZ, dP
         raise PotentialOverflowError("non-finite vector field")
@@ -1229,14 +1236,14 @@ def _darboux_field(dv, m):
 def _hi_field(dv, m, backwards=False):
     """d(Z, P)/d(eps) = {(Z, P), H_i}, the Darboux field at dt = -i d(eps)/2;
     ``backwards`` negates it through the sign of its 1j."""
-    m2 = 2.0 * m
+    m2 = complex(2.0 * m)
 
     def rhs(Z, P):
-        d = dv(Z / _SQRT2)
+        d = dv(Z / (_SQRT2 + 0j))
         if backwards:
-            dZ, dP = 1j * P / m2, -1j * d / _SQRT2
+            dZ, dP = 1j * P / m2, -1j * d / (_SQRT2 + 0j)
         else:
-            dZ, dP = -1j * P / m2, 1j * d / _SQRT2
+            dZ, dP = -1j * P / m2, 1j * d / (_SQRT2 + 0j)
         if cmath.isfinite(dZ) and cmath.isfinite(dP):
             return dZ, dP
         raise PotentialOverflowError("non-finite vector field")
@@ -1252,44 +1259,49 @@ def _dp45_rule(f, z, p, k, h):
     fourth-order weights applied to the stages.
     """
     kz1, kp1 = k
-    kz2, kp2 = f(z + h * (1 / 5 * kz1),
-                 p + h * (1 / 5 * kp1))
-    kz3, kp3 = f(z + h * (3 / 40 * kz1 + 9 / 40 * kz2),
-                 p + h * (3 / 40 * kp1 + 9 / 40 * kp2))
-    kz4, kp4 = f(z + h * (44 / 45 * kz1 + -56 / 15 * kz2 + 32 / 9 * kz3),
-                 p + h * (44 / 45 * kp1 + -56 / 15 * kp2 + 32 / 9 * kp3))
-    kz5, kp5 = f(z + h * (19372 / 6561 * kz1 + -25360 / 2187 * kz2
-                          + 64448 / 6561 * kz3 + -212 / 729 * kz4),
-                 p + h * (19372 / 6561 * kp1 + -25360 / 2187 * kp2
-                          + 64448 / 6561 * kp3 + -212 / 729 * kp4))
-    kz6, kp6 = f(z + h * (9017 / 3168 * kz1 + -355 / 33 * kz2 + 46732 / 5247 * kz3
-                          + 49 / 176 * kz4 + -5103 / 18656 * kz5),
-                 p + h * (9017 / 3168 * kp1 + -355 / 33 * kp2 + 46732 / 5247 * kp3
-                          + 49 / 176 * kp4 + -5103 / 18656 * kp5))
-    z = z + h * (35 / 384 * kz1 + 500 / 1113 * kz3 + 125 / 192 * kz4
-                 + -2187 / 6784 * kz5 + 11 / 84 * kz6)
-    p = p + h * (35 / 384 * kp1 + 500 / 1113 * kp3 + 125 / 192 * kp4
-                 + -2187 / 6784 * kp5 + 11 / 84 * kp6)
+    h = h + 0j
+    kz2, kp2 = f(z + h * ((1 / 5 + 0j) * kz1),
+                 p + h * ((1 / 5 + 0j) * kp1))
+    kz3, kp3 = f(z + h * ((3 / 40 + 0j) * kz1 + (9 / 40 + 0j) * kz2),
+                 p + h * ((3 / 40 + 0j) * kp1 + (9 / 40 + 0j) * kp2))
+    kz4, kp4 = f(z + h * ((44 / 45 + 0j) * kz1 + (-56 / 15 + 0j) * kz2
+                          + (32 / 9 + 0j) * kz3),
+                 p + h * ((44 / 45 + 0j) * kp1 + (-56 / 15 + 0j) * kp2
+                          + (32 / 9 + 0j) * kp3))
+    kz5, kp5 = f(z + h * ((19372 / 6561 + 0j) * kz1 + (-25360 / 2187 + 0j) * kz2
+                          + (64448 / 6561 + 0j) * kz3 + (-212 / 729 + 0j) * kz4),
+                 p + h * ((19372 / 6561 + 0j) * kp1 + (-25360 / 2187 + 0j) * kp2
+                          + (64448 / 6561 + 0j) * kp3 + (-212 / 729 + 0j) * kp4))
+    kz6, kp6 = f(z + h * ((9017 / 3168 + 0j) * kz1 + (-355 / 33 + 0j) * kz2
+                          + (46732 / 5247 + 0j) * kz3 + (49 / 176 + 0j) * kz4
+                          + (-5103 / 18656 + 0j) * kz5),
+                 p + h * ((9017 / 3168 + 0j) * kp1 + (-355 / 33 + 0j) * kp2
+                          + (46732 / 5247 + 0j) * kp3 + (49 / 176 + 0j) * kp4
+                          + (-5103 / 18656 + 0j) * kp5))
+    z = z + h * ((35 / 384 + 0j) * kz1 + (500 / 1113 + 0j) * kz3 + (125 / 192 + 0j) * kz4
+                 + (-2187 / 6784 + 0j) * kz5 + (11 / 84 + 0j) * kz6)
+    p = p + h * ((35 / 384 + 0j) * kp1 + (500 / 1113 + 0j) * kp3 + (125 / 192 + 0j) * kp4
+                 + (-2187 / 6784 + 0j) * kp5 + (11 / 84 + 0j) * kp6)
     kz7, kp7 = f(z, p)
     # fifth- minus fourth-order weights
-    ez = ((35 / 384 - 5179 / 57600) * kz1 + (500 / 1113 - 7571 / 16695) * kz3
-          + (125 / 192 - 393 / 640) * kz4 + (-2187 / 6784 - -92097 / 339200) * kz5
-          + (11 / 84 - 187 / 2100) * kz6 + (0.0 - 1 / 40) * kz7)
-    ep = ((35 / 384 - 5179 / 57600) * kp1 + (500 / 1113 - 7571 / 16695) * kp3
-          + (125 / 192 - 393 / 640) * kp4 + (-2187 / 6784 - -92097 / 339200) * kp5
-          + (11 / 84 - 187 / 2100) * kp6 + (0.0 - 1 / 40) * kp7)
+    ez = ((35 / 384 - 5179 / 57600 + 0j) * kz1 + (500 / 1113 - 7571 / 16695 + 0j) * kz3
+          + (125 / 192 - 393 / 640 + 0j) * kz4 + (-2187 / 6784 - -92097 / 339200 + 0j) * kz5
+          + (11 / 84 - 187 / 2100 + 0j) * kz6 + (0.0 - 1 / 40 + 0j) * kz7)
+    ep = ((35 / 384 - 5179 / 57600 + 0j) * kp1 + (500 / 1113 - 7571 / 16695 + 0j) * kp3
+          + (125 / 192 - 393 / 640 + 0j) * kp4 + (-2187 / 6784 - -92097 / 339200 + 0j) * kp5
+          + (11 / 84 - 187 / 2100 + 0j) * kp6 + (0.0 - 1 / 40 + 0j) * kp7)
     return z, p, (kz7, kp7), (h * ez, h * ep)
 
 
 def _rk4_rule(f, z, p, k, h):
     """Classical fourth-order Runge-Kutta."""
     kz1, kp1 = k
-    hh = 0.5 * h  # a power of two: the half-step is exact
+    hh, hc, h6 = 0.5 * h + 0j, h + 0j, h / 6.0 + 0j  # 0.5: the half-step is exact
     kz2, kp2 = f(z + hh * kz1, p + hh * kp1)
     kz3, kp3 = f(z + hh * kz2, p + hh * kp2)
-    kz4, kp4 = f(z + h * kz3, p + h * kp3)
-    z = z + h / 6.0 * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
-    p = p + h / 6.0 * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4)
+    kz4, kp4 = f(z + hc * kz3, p + hc * kp3)
+    z = z + h6 * (kz1 + (2.0 + 0j) * kz2 + (2.0 + 0j) * kz3 + kz4)
+    p = p + h6 * (kp1 + (2.0 + 0j) * kp2 + (2.0 + 0j) * kp3 + kp4)
     return z, p, f(z, p), None
 
 
@@ -1302,10 +1314,10 @@ def _kdk(dv, m, Z, P, h):
     The kicks are the exact flow of G(x1, p2), the drift the exact flow of
     F(p1, x2).
     """
-    kick = 0.5 * h * _SQRT2
-    P = P - kick * dv(Z / _SQRT2)
+    kick, h, m = 0.5 * h * _SQRT2 + 0j, h + 0j, complex(m)
+    P = P - kick * dv(Z / (_SQRT2 + 0j))
     Z = Z + h * P / m
-    return Z, P - kick * dv(Z / _SQRT2)
+    return Z, P - kick * dv(Z / (_SQRT2 + 0j))
 
 
 def _split_rule(dv, m):
