@@ -168,6 +168,10 @@ class FlowConfig:
             raise ValueError("epsilon_end must be finite")
         if not (self.d_epsilon > 0.0 and math.isfinite(self.d_epsilon)):
             raise ValueError("d_epsilon must be a positive finite real")
+        # the grid IntegratorConfig would refuse, worded in the flow's terms
+        if not abs(self.epsilon_end) / self.d_epsilon <= MAX_GRID_STEPS:
+            raise ValueError(f"|eps_end| / d_eps = {abs(self.epsilon_end)!r} / {self.d_epsilon!r} "
+                             f"exceeds the {MAX_GRID_STEPS} steps of the longest fixed-step grid")
 
 
 @dataclass
@@ -687,8 +691,9 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
     The complex-frame samples are mapped through xi = sqrt(2) (x, p, q, y)
     and both trajectories are interpolated (cubic Hermite, order >= 3) onto
     the merged grid: every distinct sample time of either trajectory,
-    ascending, within the range both cover.  Raises GridMismatchError when
-    the covered time ranges differ (e.g. one trajectory escaped early).
+    ascending, within the range both cover in time order.  Raises
+    GridMismatchError when the ranges differ (e.g. one run escaped early)
+    or share no time.
 
     When both carry one strictly ascending ``t`` (every rk4 or split pair
     that ends at the same sample), the merged grid is that ``t`` bit for
@@ -698,23 +703,21 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
         raise ValueError("expected (complex, darboux) trajectory pair")
     ta, tb = traj_complex.t, traj_darboux.t
     span = max(abs(ta[-1]), abs(tb[-1]), 1.0)
-    if abs(ta[0] - tb[0]) > 1e-9 * span or abs(ta[-1] - tb[-1]) > 1e-9 * span:
+    lo = max(min(ta[0], ta[-1]), min(tb[0], tb[-1]))
+    hi = min(max(ta[0], ta[-1]), max(tb[0], tb[-1]))
+    if abs(ta[0] - tb[0]) > 1e-9 * span or abs(ta[-1] - tb[-1]) > 1e-9 * span or lo > hi:
         raise GridMismatchError(
             f"time ranges differ: [{ta[0]}, {ta[-1]}] vs [{tb[0]}, {tb[-1]}]")
-    lo = max(ta[0], tb[0])
-    hi = min(ta[-1], tb[-1])
     # the sorted distinct times of both grids, which np.union1d also gives,
-    # but without its first call's import of numpy.ma
+    # but without its first call's import of numpy.ma; lo is one of them
     grid = np.concatenate((ta, tb))
     grid.sort()
     keep = (grid >= lo) & (grid <= hi)
     keep[1:] &= grid[1:] != grid[:-1]
     grid = grid[keep]
-    if grid.size == 0:
-        return EquivalenceReport(max_deviation=0.0, tolerance=tol, passed=True,
-                                 n_points=0, t_worst=float(lo))
-    dev = np.max(np.abs(w_to_darboux(traj_complex.state_at(grid))
-                        - traj_darboux.state_at(grid)), axis=1)
+    a = np.abs(w_to_darboux(traj_complex.state_at(grid)) - traj_darboux.state_at(grid))
+    # np.max(a, axis=1) bit for bit (a holds no -0) at a tenth of its cost
+    dev = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
     # a NaN row never exceeds the running maximum, and the first grid point
     # attaining the maximum is the one reported
     dev[np.isnan(dev)] = 0.0

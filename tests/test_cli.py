@@ -866,7 +866,10 @@ class TestHiFlow:
 
 
 class TestGridOverflow:
-    # t_end / dt beyond the float range: one line and exit 1, no traceback
+    # t_end / dt beyond the float range: one line and exit 1, no traceback;
+    # each command names its own flags
+    PHRASE = {"simulate": "t_end / dt", "hi-flow": "|eps_end| / d_eps"}
+
     @pytest.mark.parametrize("argv", [
         ["simulate", "--potential=z", "--method=rk4", "--t-end=1e300", "--dt=1e-300"],
         ["simulate", "--potential=z", "--method=split", "--t-end=1e300", "--dt=1e-300"],
@@ -884,7 +887,7 @@ class TestGridOverflow:
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and "t_end / dt" in lines[0], captured.err
+        assert len(lines) == 1 and self.PHRASE[argv[0]] in lines[0], captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()
 
@@ -895,8 +898,8 @@ class TestGridOverflow:
     def test_values_keep_every_digit(self, argv, tmp_path, capsys):
         assert run([*argv, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == (
-            "holomech: error: t_end / dt = 1000001.0 / 1.0 exceeds the 1000000 steps "
-            "of the longest fixed-step grid\n")
+            f"holomech: error: {self.PHRASE[argv[0]]} = 1000001.0 / 1.0 exceeds the 1000000 "
+            "steps of the longest fixed-step grid\n")
 
 
 class TestHugeStart:

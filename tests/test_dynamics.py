@@ -3,6 +3,7 @@
 import cmath
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -34,7 +35,13 @@ from holomech import (
 )
 from holomech import dynamics as dyn
 from holomech.hamiltonian import _pairs_to_rows
-from holomech.potentials import PotentialOverflowError
+from holomech.potentials import (
+    ARRAY_FUNCS,
+    PotentialOverflowError,
+    compile_potential,
+    derivative,
+    parse_potential,
+)
 
 S2 = math.sqrt(2.0)
 
@@ -101,7 +108,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("eps_end", [1, -1])
     def test_flow_grid_is_capped(self, eps_end):
-        with pytest.raises(ValueError, match="t_end / dt"):
+        # the flow's own settings, checked and named by FlowConfig
+        FlowConfig(epsilon_end=eps_end * float(dyn.MAX_GRID_STEPS), d_epsilon=1.0)
+        with pytest.raises(ValueError, match=r"^\|eps_end\| / d_eps = 1000001\.0 / 1\.0 "):
             invariant_flow(spec_for("z"), [0.1, 0.2, 0.3, 0.4],
                            FlowConfig(epsilon_end=eps_end * (dyn.MAX_GRID_STEPS + 1.0),
                                       d_epsilon=1.0))
@@ -111,7 +120,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("eps_end", [1e300, -1e300])
     def test_flow_grid_must_be_finite(self, eps_end):
-        with pytest.raises(ValueError, match="t_end / dt"):
+        with pytest.raises(ValueError, match=r"^\|eps_end\| / d_eps"):
             invariant_flow(spec_for("z"), [0.1, 0.2, 0.3, 0.4],
                            FlowConfig(epsilon_end=eps_end, d_epsilon=1e-300))
 
@@ -285,6 +294,17 @@ class TestConservationAndEquivalence:
         tc = integrate_complex(spec, 1 + 0j, 0j, cfg)
         with pytest.raises(ValueError):
             equivalence_report(tc, tc)
+
+    @pytest.mark.parametrize("eps_end", [-0.5, 0.5])
+    def test_flow_in_either_direction(self, eps_end):
+        # an H_i flow and its complex view: one motion, compared on every
+        # sample of [eps_end, 0] or [0, eps_end], with t descending or not
+        td = invariant_flow(spec_for("i*z^3"), [0.4, 0.3, -0.2, 0.5],
+                            FlowConfig(epsilon_end=eps_end, d_epsilon=0.01))
+        report = equivalence_report(dyn.complex_view(td), td)
+        assert report.n_points == len(td.t) == 51
+        assert report.passed and report.max_deviation <= 1e-15
+        assert min(0.0, eps_end) <= report.t_worst <= max(0.0, eps_end)
 
 
 class TestEscapeAndFailure:
@@ -662,6 +682,133 @@ class TestInvariantFlow:
         assert d2 <= d1 / 8.0
 
 
+# Q(z, p) = (-conj z, -conj p) flips the signs of the same two parts in both
+# row layouts: (x, p, y, q) -> (-x, -p, y, q) and (x1, p1, x2, p2) ->
+# (-x1, -p1, x2, p2).
+Q_ROW = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def _normal_starts(n, seed=7):
+    rng = np.random.default_rng(seed)
+    return [(complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)))
+            for _ in range(n)]
+
+
+class TestPTSymmetry:
+    """Every catalog potential is PT-symmetric, v(z) = conj v(-conj z), so
+    v'(-conj z) = -conj v'(z), H(Qx) = conj H(x), and Q maps solutions to
+    solutions forward in time.  A Runge-Kutta rule with real weights commutes
+    with a real-linear symmetry of its field, and so does the Strang step;
+    rk45's controller reads only |Re| and |Im| of each part; negation and
+    conjugation are exact.  So each kernel maps Q of a start to Q of its run,
+    value for value, with no tolerance and no pinned bits."""
+
+    # three starts with zero parts, then twenty drawn
+    STARTS = [(0.3 + 0.2j, 0.5 - 0.1j), (0.7 + 0j, -0.4 + 0j), (0.5j, 0.3 + 0j),
+              *_normal_starts(20)]
+
+    @staticmethod
+    def assert_mapped(a, b, sign=1.0, exact=True):
+        """b is Q of a: the same run statistics, states and fields mapped
+        (fields also times sign), H_r equal and H_i negated; with ``exact``
+        the states' bytes too."""
+        assert (b.terminated_by, b.n_steps, b.n_rhs, b.n_rejected) == (
+            a.terminated_by, a.n_steps, a.n_rhs, a.n_rejected)
+        assert np.array_equal(b.states, a.states * Q_ROW)
+        assert np.array_equal(b.derivs, sign * (a.derivs * Q_ROW))
+        assert np.array_equal(b.hr, a.hr) and np.array_equal(b.hi, -a.hi)
+        if exact:
+            assert b.states.tobytes() == (a.states * Q_ROW).tobytes()
+
+    @pytest.mark.parametrize("method, frame", [
+        ("rk45", "complex"), ("rk45", "darboux"), ("rk4", "complex"), ("rk4", "darboux"),
+        ("split", "complex"), ("split", "darboux")])
+    @pytest.mark.parametrize("src", list(BUILTIN_SOURCES.values()))
+    def test_runs_are_q_equivariant(self, src, method, frame):
+        spec = spec_for(src)
+        cfg = IntegratorConfig(method=method, dt=1e-2, t_end=3.0)
+
+        def run(z0, p0):
+            if frame == "complex":
+                return integrate_complex(spec, z0, p0, cfg)
+            return integrate_darboux(spec, xi_from(z0, p0), cfg)
+
+        ends = set()
+        for z0, p0 in self.STARTS:
+            a, b = run(z0, p0), run(-z0.conjugate(), -p0.conjugate())
+            assert b.t.tobytes() == a.t.tobytes()
+            # a zero part of the start may leave a zero of either sign
+            self.assert_mapped(a, b, exact=0.0 not in (z0.real, z0.imag, p0.real, p0.imag))
+            ends.add(a.terminated_by)
+        assert "t_end" in ends
+
+    @pytest.mark.parametrize("src", list(BUILTIN_SOURCES.values()))
+    def test_hi_flow_is_q_anti_equivariant(self, src):
+        # Q reverses the flow of H_i, which Q negates: the flow from Q xi0 to
+        # -eps is Q of the flow from xi0 to eps, its fields d/d(eps) negated
+        spec = spec_for(src)
+        starts = [np.array([0.4, 0.3, -0.2, 0.5]), np.array([0.5, 0.0, 0.2, -0.3]),
+                  *(xi_from(z0, p0) for z0, p0 in _normal_starts(19))]
+        for xi0 in starts:
+            a = invariant_flow(spec, xi0, FlowConfig(epsilon_end=0.5, d_epsilon=1e-2))
+            b = invariant_flow(spec, xi0 * Q_ROW, FlowConfig(epsilon_end=-0.5, d_epsilon=1e-2))
+            assert b.terminated_by == "t_end" and np.array_equal(b.t, -a.t)
+            assert b.t[1:].tobytes() == (-a.t[1:]).tobytes()
+            self.assert_mapped(a, b, sign=-1.0, exact=(xi0 != 0.0).all())
+
+    # the largest return distance measured from this start, per potential,
+    # was 4.9e-15, and 1.5e-12 on -(z^4), whose run reaches |xi| of 28
+    @pytest.mark.parametrize("src, bound", [
+        ("i*z", 1e-14), ("z^2", 1e-14), ("i*z^3", 1e-14), ("-(z^4)", 3e-12),
+        ("exp(i*z)", 1e-14), ("i*sin(z)", 1e-14)])
+    def test_split_is_reversible(self, src, bound):
+        # Strang's step is symmetric: R (Z, P) = (Z, -P) reverses the flow,
+        # so running on from R of the end comes back to R of the start
+        spec, xi0 = spec_for(src), xi_from(0.3 + 0.2j, 0.5 - 0.1j)
+        cfg = IntegratorConfig(method="split", dt=1e-2, t_end=2.0)
+        r_row = np.array([1.0, -1.0, -1.0, 1.0])
+        end = integrate_darboux(spec, xi0, cfg)
+        back = integrate_darboux(spec, end.final_state() * r_row, cfg)
+        assert end.terminated_by == back.terminated_by == "t_end"
+        assert np.max(np.abs(back.final_state() * r_row - xi0)) <= bound
+
+
+class TestModifiedHamiltonian:
+    """Backward error analysis of Strang splitting (Hairer, Lubich and
+    Wanner, *Geometric Numerical Integration*, IX): a split run conserves
+    H~ = H + dt^2 (p^2 v''/(12 m^2) - v'^2/(24 m)) up to O(dt^4), against
+    the O(dt^2) drift of H itself.  A wrong kick weight or drift factor
+    breaks the dt^4 ratio even where the H drift still looks second order."""
+
+    @staticmethod
+    def modified_drift(src, dt):
+        """max |H~ - H~0| along a split run to t = 2 from (0.3+0.2i, 0.5-0.1i)."""
+        e, m = parse_potential(src), 0.5
+        v, dv, d2v = (compile_potential(f, ARRAY_FUNCS)
+                      for f in (e, derivative(e), derivative(derivative(e))))
+        traj = integrate_complex(SystemSpec(e, m), 0.3 + 0.2j, 0.5 - 0.1j,
+                                 IntegratorConfig(method="split", dt=dt, t_end=2.0))
+        assert traj.terminated_by == "t_end"
+        x, p, y, q = traj.states.T
+        z, mom = x + 1j * y, p + 1j * q
+        h = mom * mom / (2 * m) + v(z)
+        h_mod = h + dt * dt * (mom * mom * d2v(z) / (12 * m * m) - dv(z) ** 2 / (24 * m))
+        return np.max(np.abs(h_mod - h_mod[0]))
+
+    # measured: 16.0-17.0 per halving of dt = 0.02, 0.01, 0.005
+    @pytest.mark.parametrize("src", ["i*z^3", "exp(i*z)", "i*sin(z)", "z^2", "-(z^4)"])
+    def test_fourth_order_drift(self, src):
+        drifts = [self.modified_drift(src, dt) for dt in (0.02, 0.01, 0.005)]
+        for coarse, fine in zip(drifts, drifts[1:]):
+            assert 15.5 <= coarse / fine <= 17.5
+
+    def test_linear_force_is_exact(self):
+        # v'' = 0: the kicks and drift are the exact flow, and H~ = H drifts
+        # by rounding only (measured 1.6e-14 to 8.7e-14)
+        for dt in (0.02, 0.01, 0.005):
+            assert self.modified_drift("i*z", dt) <= 1e-12
+
+
 class TestConstraintSolver:
     def test_linear_imaginary_potential(self):
         # H_i = x2 p1 + x1/sqrt(2) = 0 at x1 = sqrt(2), p1 = 1 gives x2 = -1
@@ -866,16 +1013,13 @@ def _union_hermite(ts, ys, ds, tq):
 def _union_report(traj_complex, traj_darboux, tol=1e-6):
     ta, tb = traj_complex.t, traj_darboux.t
     span = max(abs(ta[-1]), abs(tb[-1]), 1.0)
-    if abs(ta[0] - tb[0]) > 1e-9 * span or abs(ta[-1] - tb[-1]) > 1e-9 * span:
+    lo = max(min(ta[0], ta[-1]), min(tb[0], tb[-1]))
+    hi = min(max(ta[0], ta[-1]), max(tb[0], tb[-1]))
+    if abs(ta[0] - tb[0]) > 1e-9 * span or abs(ta[-1] - tb[-1]) > 1e-9 * span or lo > hi:
         raise GridMismatchError(
             f"time ranges differ: [{ta[0]}, {ta[-1]}] vs [{tb[0]}, {tb[-1]}]")
-    lo = max(ta[0], tb[0])
-    hi = min(ta[-1], tb[-1])
     grid = np.union1d(ta, tb)
     grid = grid[(grid >= lo) & (grid <= hi)]
-    if grid.size == 0:
-        return dyn.EquivalenceReport(max_deviation=0.0, tolerance=tol, passed=True,
-                                     n_points=0, t_worst=float(lo))
     w = _union_hermite(ta, traj_complex.states, traj_complex.derivs, grid)
     xi = _union_hermite(tb, traj_darboux.states, traj_darboux.derivs, grid)
     dev = np.max(np.abs(w_to_darboux(w) - xi), axis=1)
@@ -908,17 +1052,42 @@ class TestPostKernelOracles:
         cfg = IntegratorConfig(method=method, dt=0.01, t_end=t_end, **kw)
         return integrate_complex(spec, z0, p0, cfg), integrate_darboux(spec, xi_from(z0, p0), cfg)
 
-    def test_disjoint_ranges_within_tolerance_give_no_points(self):
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_disjoint_ranges_within_tolerance_raise(self, sign):
         # both ends agree within 1e-9, but [0, 1e-10] and [2e-10, 3e-10]
-        # share no time: a zero-point report at the later start
-        def run(frame, t):
-            rows = np.zeros((2, 4))
-            return dyn.Trajectory(frame, np.array(t), rows, rows, np.zeros(2),
-                                  np.zeros(2), "t_end", 1)
-        report = equivalence_report(run("complex", [0.0, 1e-10]),
-                                    run("darboux", [2e-10, 3e-10]))
-        assert report == dyn.EquivalenceReport(max_deviation=0.0, tolerance=1e-6,
-                                               passed=True, n_points=0, t_worst=2e-10)
+        # share no time, and so do their mirror images: nothing to compare
+        tc, td = self.on_grids([0.0, sign * 1e-10], [sign * 2e-10, sign * 3e-10])
+        for report in (equivalence_report, _union_report):
+            with pytest.raises(GridMismatchError, match="time ranges differ"):
+                report(tc, td)
+        # touching at one time, they share that one point
+        tc, td = self.on_grids([0.0, sign * 2e-10], [sign * 2e-10, sign * 3e-10])
+        assert equivalence_report(tc, td).n_points == 1
+        self.assert_same_report(tc, td)
+
+    def test_row_maximum_matches_axis_reduction(self):
+        # every row of four cells from NaN, +-inf, +-0 and two finite values:
+        # the pairwise maximum the report takes has the bytes of np.max
+        cells = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.5, -2.25]
+        d = np.array(list(itertools.product(cells, repeat=4)))
+        a = np.abs(d)
+        pairwise = np.maximum(np.maximum(a[:, 0], a[:, 1]), np.maximum(a[:, 2], a[:, 3]))
+        assert pairwise.tobytes() == np.max(a, axis=1).tobytes()
+        # the report of a zero complex run against Darboux rows d, whose
+        # deviation rows are |d|; without the infinite rows the maximum is
+        # a finite cell, first reached at an inner row
+        for rows in (d, d[np.isfinite(d).all(axis=1) | np.isnan(d).any(axis=1)]):
+            t = np.arange(float(len(rows)))
+            tc = dyn.Trajectory("complex", t, np.zeros_like(rows), np.zeros_like(rows),
+                                t, t, "t_end", len(t) - 1)
+            td = dyn.Trajectory("darboux", t.copy(), rows, np.zeros_like(rows),
+                                t, t, "t_end", len(t) - 1)
+            dev = np.max(np.abs(rows), axis=1)
+            dev[np.isnan(dev)] = 0.0
+            k = int(np.argmax(dev))
+            report = equivalence_report(tc, td)
+            assert (report.max_deviation, report.t_worst, report.n_points) == (
+                dev[k], t[k], len(t))
 
     @staticmethod
     def count_hermite(monkeypatch):
