@@ -121,12 +121,11 @@ def _emit(text: str, out: str | None) -> None:
 def _check_out(args) -> None:
     """Refuse, before any work, an ``--out`` the command could not write;
     ``simulate`` and ``hi-flow`` write their JSON summary after it."""
+    if args.out is None:  # the report goes to stdout
+        return
+    check_target(args.out)
     if args.command in ("simulate", "hi-flow"):
-        paths = [args.out, _summary_path(args.out)]
-    else:
-        paths = [args.out] if args.out else []  # no --out: the report goes to stdout
-    for path in paths:
-        check_target(path)
+        check_target(_summary_path(args.out))
 
 
 def _summary_path(csv_path: str) -> Path:

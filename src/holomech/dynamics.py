@@ -183,8 +183,7 @@ class Trajectory:
     vector field at each sample (used for cubic Hermite dense output).
     For flows in epsilon, ``t`` carries the flow parameter, descending from
     0 on a backwards flow, and ``derivs`` are derivatives in epsilon.  Treat
-    instances as read-only once produced; batch runs over initial conditions
-    may then integrate concurrently with no shared mutable state.
+    instances as read-only once produced.
 
     ``n_rhs`` counts field evaluations: one at the start, then 6 per rk45
     step attempted (FSAL), 4 per rk4 and 1 per split step, a failed step in
@@ -579,11 +578,12 @@ def _kernel(method: str, frame: str):
 # --------------------------------------------------------------------------
 
 
-def _run(spec: SystemSpec, method: str, frame: str, z, p, cfg: IntegratorConfig, sign=1.0):
-    """The kernel's run to sign t_end in steps of sign h: -1.0 runs backwards."""
-    h = 1e-3 if method == "rk45" else cfg.dt
-    return _kernel(method, frame)(spec._dv, spec.mass, z, p, sign * cfg.t_end, sign * h,
-                                  cfg.abs_tol, cfg.rel_tol, cfg.escape_radius)
+def _run(spec: SystemSpec, frame: str, z, p, cfg: IntegratorConfig, sign=1.0):
+    """The kernel's run of ``cfg.method`` to sign t_end in steps of sign h:
+    -1.0 runs backwards."""
+    h = 1e-3 if cfg.method == "rk45" else cfg.dt
+    return _kernel(cfg.method, frame)(spec._dv, spec.mass, z, p, sign * cfg.t_end, sign * h,
+                                      cfg.abs_tol, cfg.rel_tol, cfg.escape_radius)
 
 
 def _trajectory(frame: str, spec: SystemSpec, run) -> Trajectory:
@@ -626,7 +626,7 @@ def integrate_complex(spec: SystemSpec, z0: complex, p0: complex,
         raise ValueError("initial data must be finite")
     if cfg.method == "split":
         return complex_view(integrate_darboux(spec, complex_to_darboux(z0, p0), cfg))
-    return _trajectory("complex", spec, _run(spec, cfg.method, "complex", z0, p0, cfg))
+    return _trajectory("complex", spec, _run(spec, "complex", z0, p0, cfg))
 
 
 def integrate_darboux(spec: SystemSpec, xi0, cfg: IntegratorConfig) -> Trajectory:
@@ -635,7 +635,7 @@ def integrate_darboux(spec: SystemSpec, xi0, cfg: IntegratorConfig) -> Trajector
     dx1/dt = p1/m, dp2/dt = x2/m, with the potential forces -sqrt(2) Re v'
     and -sqrt(2) Im v' on p1 and x2, all evaluated at (x1 + i p2)/sqrt(2).
     """
-    return _trajectory("darboux", spec, _run(spec, cfg.method, "darboux", *_initial_xi(xi0), cfg))
+    return _trajectory("darboux", spec, _run(spec, "darboux", *_initial_xi(xi0), cfg))
 
 
 def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
@@ -650,7 +650,7 @@ def invariant_flow(spec: SystemSpec, xi0, flow: FlowConfig) -> Trajectory:
                            escape_radius=math.inf)
     # a backwards flow is the same field on the grid of -|eps| in steps of -d(eps)
     sign = -1.0 if flow.epsilon_end < 0.0 else 1.0
-    return _trajectory("darboux", spec, _run(spec, "rk4", "hi", Z, P, cfg, sign))
+    return _trajectory("darboux", spec, _run(spec, "hi", Z, P, cfg, sign))
 
 
 def solve_invariant_zero(spec: SystemSpec, x1: float, p1: float, p2: float) -> float:
@@ -678,7 +678,6 @@ def solve_invariant_zero(spec: SystemSpec, x1: float, p1: float, p2: float) -> f
 @dataclass(frozen=True)
 class EquivalenceReport:
     max_deviation: float
-    tolerance: float
     passed: bool
     n_points: int
     t_worst: float
@@ -723,6 +722,5 @@ def equivalence_report(traj_complex: Trajectory, traj_darboux: Trajectory,
     dev[np.isnan(dev)] = 0.0
     k = int(np.argmax(dev))
     worst = float(dev[k])
-    return EquivalenceReport(max_deviation=worst, tolerance=tol,
-                             passed=worst <= tol, n_points=int(grid.size),
-                             t_worst=float(grid[k]))
+    return EquivalenceReport(max_deviation=worst, passed=worst <= tol,
+                             n_points=int(grid.size), t_worst=float(grid[k]))

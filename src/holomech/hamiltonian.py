@@ -20,7 +20,7 @@ The energy splits as H = H_r + i H_i with
 
 and the real description is generated by h(xi) = 2 H_r with H_i playing the
 role of an independent integral of motion.  All functions here are pure and
-all containers immutable, so they are safe for concurrent use.
+all containers immutable.
 """
 
 from __future__ import annotations

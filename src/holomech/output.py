@@ -255,8 +255,19 @@ def check_target(path) -> None:
     directory, or ``path`` is a directory.  A symlink to a directory passes,
     because ``os.replace`` replaces the link.  Other faults (permissions, a
     full disk) still surface from the write itself.
+
+    ``path`` is read as typed first: ``Path`` reads "" as "." and drops a
+    trailing separator or "." (so "x/" would write a file x).  An empty path
+    raises as ``open("")`` does, one that ends in a separator as
+    ``open("x/", "w")`` does, and one whose last part is "." as the write
+    does for ".".
     """
-    path = Path(path)
+    text = os.fspath(path)
+    last = os.path.basename(text)
+    if last in ("", "."):
+        code = errno.EBUSY if last else errno.EISDIR if text else errno.ENOENT
+        raise OSError(code, os.strerror(code), text)
+    path = Path(text)
     try:
         code = None if stat.S_ISDIR(os.stat(path.parent).st_mode) else errno.ENOTDIR
     except (FileNotFoundError, NotADirectoryError) as exc:
@@ -264,8 +275,8 @@ def check_target(path) -> None:
     if code is None:
         with contextlib.suppress(OSError):
             if stat.S_ISDIR(os.lstat(path).st_mode):
-                # rename(2) answers EBUSY for a target named "..", "." or "/"
-                code = errno.EBUSY if path.name in ("", "..") else errno.EISDIR
+                # rename(2) answers EBUSY for a target named ".."
+                code = errno.EBUSY if path.name == ".." else errno.EISDIR
     if code is not None:
         raise OSError(code, os.strerror(code), str(path))
 

@@ -16,11 +16,10 @@ Grammar (whitespace insignificant, numbers are decimal literals)::
     func   := 'exp' | 'sin' | 'cos' | 'sinh' | 'cosh'
 
 AST nodes are frozen dataclasses; structural equality is decidable and all
-values are immutable after construction, so expressions can be shared
-freely across worker threads.  Node constructors fold purely numeric
-subtrees and neutral elements, and nothing else, which keeps structural
-equality predictable; a fold that overflows raises, so every z-free subtree
-of a parsed expression is one finite ``Const``.
+values are immutable after construction.  Node constructors fold purely
+numeric subtrees and neutral elements, and nothing else, which keeps
+structural equality predictable; a fold that overflows raises, so every
+z-free subtree of a parsed expression is one finite ``Const``.
 """
 
 from __future__ import annotations

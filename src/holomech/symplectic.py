@@ -29,8 +29,7 @@ the formulas for J, the degeneracy defect and r+-.  ``frame_residuals`` is
 one stacked BLAS pass that makes the same products as the plain numpy
 expressions ``S.T @ J @ S``, ``S.T @ S`` and ``M @ J @ M.T``, bit for bit.
 
-All operations are pure and matrices are freshly allocated, so parameter
-sweeps can run concurrently without shared state.
+All operations are pure and matrices are freshly allocated.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ __all__ = [
 # treated as non-invertible.
 DEGENERACY_TOL = 1e-12
 
-# Below this r- the Darboux rescaling amplifies rounding; reports carry a
-# conditioning warning.
+# Below this r- the Darboux rescaling amplifies rounding; ``holomech darboux``
+# warns.
 CONDITIONING_WARN_R_MINUS = 1e-6
 
 # Largest accepted residual of each check: the three frame properties of
@@ -374,13 +373,15 @@ def hamiltonian_field(spec: SystemSpec) -> Callable[[np.ndarray], np.ndarray]:
     dH/dx = v', dH/dp = p/m, dH/dy = i v', dH/dq = i p/m, using analyticity
     of the potential.
     """
-    def grad(w):
-        z, p = _row_to_pair(w, "complex")
-        p_over_m = p / spec.mass
-        dv = spec.dv(z)
-        return np.array([dv, p_over_m, 1j * dv, 1j * p_over_m])
+    return lambda w: np.array(_h_gradient(spec, w))
 
-    return grad
+
+def _h_gradient(spec: SystemSpec, w) -> tuple:
+    """(v', p/m, i v', i p/m): the gradient of complex H at the w row."""
+    z, p = _row_to_pair(w, "complex")
+    dv = spec.dv(z)
+    p_over_m = p / spec.mass
+    return dv, p_over_m, 1j * dv, 1j * p_over_m
 
 
 def bracket(field_a, field_b, J: np.ndarray, w) -> complex:
@@ -404,39 +405,20 @@ def verify_compatibility(params, spec: SystemSpec, w) -> dict:
 
     Residuals |{{z,H}} - p/m| and |{{p,H}} + v'(z)| are independent of the
     structure parameters; both must be within RESIDUAL_LIMITS (1e-10) for
-    the report to pass.  Failures (and degeneracy) are reported, never raised.
+    the report to pass.  A degenerate structure is reported, never raised:
+    its residuals are None and it does not pass.
     """
-    a, b, ar, ai, defect, J, r_plus, r_minus = _structure(params)
-    w = np.asarray(w, dtype=float)
-    degenerate = abs(defect) <= DEGENERACY_TOL
-    report: dict = {
-        "params": {"a": a, "b": b, "alpha_re": ar, "alpha_im": ai},
-        "degenerate": degenerate,
-        "tolerance": RESIDUAL_LIMITS["position_equation"],
-        "r_plus": r_plus,
-        "r_minus": r_minus,
-    }
-    if degenerate:
-        report["residuals"] = None
-        report["passed"] = False
-        return report
-    if r_minus < CONDITIONING_WARN_R_MINUS:
-        report["warning"] = (f"r_minus = {r_minus:.3e} < "
-                             f"{CONDITIONING_WARN_R_MINUS:g}: near-degenerate "
-                             "structure, results may be ill-conditioned")
-    # {{A, H}} = g_A . (J g_H) with the exact gradient row
-    # g_H = (v', p/m, i v', i p/m) and the constant rows g_z = (1, 0, i, 0),
-    # g_p = (0, 1, 0, i).
-    z, p = _row_to_pair(w, "complex")
-    dv = spec.dv(z)
-    p_over_m = p / spec.mass
-    g_h = (dv, p_over_m, 1j * dv, 1j * p_over_m)
+    a, b, ar, ai, defect, J, _, _ = _structure(params)
+    named = {"a": a, "b": b, "alpha_re": ar, "alpha_im": ai}
+    if abs(defect) <= DEGENERACY_TOL:
+        return {"params": named, "residuals": None, "passed": False}
+    # {{A, H}} = g_A . (J g_H) with the constant rows g_z = (1, 0, i, 0) and
+    # g_p = (0, 1, 0, i)
+    g_h = _h_gradient(spec, np.asarray(w, dtype=float))
     jg0, jg1, jg2, jg3 = _dot(J[0], g_h), _dot(J[1], g_h), _dot(J[2], g_h), _dot(J[3], g_h)
-    res_z = abs(jg0 + 1j * jg2 - p_over_m)
-    res_p = abs(jg1 + 1j * jg3 + dv)
-    report["residuals"] = {"position_equation": res_z, "momentum_equation": res_p}
-    report["passed"] = within_limits(report["residuals"])
-    return report
+    residuals = {"position_equation": abs(jg0 + 1j * jg2 - g_h[1]),
+                 "momentum_equation": abs(jg1 + 1j * jg3 + g_h[0])}
+    return {"params": named, "residuals": residuals, "passed": within_limits(residuals)}
 
 
 def structure_trials(spec: SystemSpec, rng, trials: int):

@@ -729,6 +729,17 @@ class TestVerifySymplectic:
             assert [f["residuals"][key] for f in report["failures"]] == [None, None]
         assert 0.0 < report["worst_residuals"]["canonicity"] <= 1e-10
 
+    def test_failure_entry_shape(self, tmp_path, capsys):
+        # a failure names its trial, the structure's parameters and all five
+        # residuals, here the NaN Hamilton-equation ones as null
+        out = tmp_path / "vs.json"
+        assert run(["verify-symplectic", "--random", "1", "--mass", "1e-320",
+                    "--out", str(out)]) == 2
+        [entry] = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(c))["failures"]
+        assert set(entry) == {"trial", "params", "residuals"} and entry["trial"] == 0
+        assert set(entry["params"]) == {"a", "b", "alpha_re", "alpha_im"}
+        assert set(entry["residuals"]) == set(RESIDUAL_LIMITS)
+
     def test_random_must_be_positive(self, capsys):
         assert run(["verify-symplectic", "--random=-1"]) == 1
         captured = capsys.readouterr()
@@ -1276,6 +1287,39 @@ class TestOutCheckedFirst:
         else:
             output.check_target(out)
         assert list(tree.rglob("*.tmp")) == []
+
+
+class TestOutNamesAFile:
+    """An ``--out`` that names no file is refused as typed, before any work:
+    ``Path`` would read "x/" as "x" and "" as "."."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--potential=z", "--t-end=0.01"],
+        ["hi-flow", "--potential=z", "--eps-end=0.01"],
+        ["verify-table1", "--points=1"],
+        ["verify-symplectic", "--random=1"],
+        ["darboux"],
+        ["constrain", "--potential=z", "--x1=0", "--p1=1", "--p2=0"],
+    ])
+    @pytest.mark.parametrize("out, message", [
+        ("x/", "[Errno 21] Is a directory: 'x/'"),
+        ("", "[Errno 2] No such file or directory: ''"),
+        (".", "[Errno 16] Device or resource busy: '.'"),
+    ], ids=["trailing-separator", "empty", "dot"])
+    def test_refused(self, argv, out, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, f"--out={out}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"holomech: error: {message}\n" and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_separator_after_a_directory(self, tmp_path, monkeypatch, capsys):
+        # the message keeps the separator as typed
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify-table1", "--points=1", "--out=d/"]) == 1
+        assert capsys.readouterr().err == "holomech: error: [Errno 21] Is a directory: 'd/'\n"
+        assert list((tmp_path / "d").iterdir()) == []
 
 
 class TestDarbouxConditioning:
