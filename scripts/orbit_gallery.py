@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from holomech import BUILTIN_SOURCES, cli
-from holomech.output import check_target, json_text, write_text_atomic
+from holomech.output import check_target, json_text, summary_path, write_text_atomic
 
 
 def main(argv=None) -> int:
@@ -40,7 +40,7 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         for out in outs.values():
             check_target(out)
-            check_target(cli._summary_path(out))
+            check_target(summary_path(out))
         check_target(out_dir / "summary.json")
     except OSError as exc:
         print(f"orbit_gallery: error: {exc}", file=sys.stderr)
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         if code in (cli.EXIT_USAGE, cli.EXIT_DEGENERATE):
             return code
         status = max(status, code)
-        run = json.loads(cli._summary_path(out).read_text())
+        run = json.loads(summary_path(out).read_text())
         run["frame_deviation"] = run["max_frame_deviation"]
         runs[name] = {key: run[key] for key in (
             "terminated_by", "drift_Hr", "drift_Hi", "frame_deviation", "samples")}

@@ -26,7 +26,6 @@ import re
 import sys
 from array import array
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .dynamics import (
 )
 from .hamiltonian import (SystemSpec, _row_to_pair, complex_to_darboux, darboux_invariant,
                           darboux_to_w, w_to_darboux)
-from .output import check_target, json_text, trajectory_csv, write_text_atomic
+from .output import check_target, json_text, summary_path, trajectory_csv, write_text_atomic
 from .potentials import PotentialError
 from .symplectic import (
     CONDITIONING_WARN_R_MINUS,
@@ -125,17 +124,7 @@ def _check_out(args) -> None:
         return
     check_target(args.out)
     if args.command in ("simulate", "hi-flow"):
-        check_target(_summary_path(args.out))
-
-
-def _summary_path(csv_path: str) -> Path:
-    """The JSON summary written beside a trajectory CSV; never the CSV itself."""
-    p = Path(csv_path)
-    summary = p.with_suffix(".json") if p.suffix else p.with_name(p.name + ".json")
-    if summary == p:
-        raise ValueError(f"--out {csv_path} is also the path of its JSON summary; "
-                         "give the trajectory CSV another suffix")
-    return summary
+        check_target(summary_path(args.out))
 
 
 @functools.cache
@@ -274,7 +263,7 @@ def _write_run(args, summary, traj_c, traj_d) -> int:
         "samples": len(t),
     })
     trajectory_csv(args.out, t, w_rows, xi_rows, traj.hr[:len(t)], traj.hi[:len(t)])
-    write_text_atomic(_summary_path(args.out), json_text(summary))
+    write_text_atomic(summary_path(args.out), json_text(summary))
     print(f"wrote {args.out} ({len(t)} samples), terminated by {traj.terminated_by}; "
           f"drift Hr={traj.drift_hr:.3e} Hi={traj.drift_hi:.3e}")
     return EXIT_OK if traj.terminated_by in ("t_end", "escape") else EXIT_NUMERICAL

@@ -249,12 +249,26 @@ def write_text_atomic(path, text: str) -> None:
         fh.write(text.encode())
 
 
+def summary_path(csv_path) -> Path:
+    """The JSON summary written beside a trajectory CSV: its suffix replaced
+    by ``.json``, or ``.json`` added to a name without one; never the CSV
+    itself."""
+    p = Path(csv_path)
+    summary = p.with_suffix(".json") if p.suffix else p.with_name(p.name + ".json")
+    if summary == p:
+        raise ValueError(f"--out {csv_path} is also the path of its JSON summary; "
+                         "give the trajectory CSV another suffix")
+    return summary
+
+
 def check_target(path) -> None:
-    """Raise, writing nothing, the ``OSError`` that ``_atomic_file`` would
-    raise for ``path`` after the work: its parent is missing or is not a
-    directory, or ``path`` is a directory.  A symlink to a directory passes,
-    because ``os.replace`` replaces the link.  Other faults (permissions, a
-    full disk) still surface from the write itself.
+    """Raise, writing nothing, the ``OSError`` that writing ``path`` would
+    raise: its parent is missing or is not a directory, ``path`` is a
+    directory, or its name is longer than the filesystem holds.  A symlink
+    to a directory passes, because ``os.replace`` replaces the link.  Other
+    faults (a directory without write permission, a full disk) still surface
+    from the write itself.  ``_atomic_file`` calls it first, so every writer
+    refuses what it refuses.
 
     ``path`` is read as typed first: ``Path`` reads "" as "." and drops a
     trailing separator or "." (so "x/" would write a file x).  An empty path
@@ -270,13 +284,17 @@ def check_target(path) -> None:
     path = Path(text)
     try:
         code = None if stat.S_ISDIR(os.stat(path.parent).st_mode) else errno.ENOTDIR
-    except (FileNotFoundError, NotADirectoryError) as exc:
+    except OSError as exc:
         code = exc.errno
     if code is None:
-        with contextlib.suppress(OSError):
+        try:
             if stat.S_ISDIR(os.lstat(path).st_mode):
                 # rename(2) answers EBUSY for a target named ".."
                 code = errno.EBUSY if path.name == ".." else errno.EISDIR
+        except FileNotFoundError:
+            pass
+        except OSError as exc:  # ENAMETOOLONG: a name the directory cannot hold
+            code = exc.errno
     if code is not None:
         raise OSError(code, os.strerror(code), str(path))
 
@@ -287,13 +305,17 @@ def _atomic_file(path):
     exits and the data are fsynced; on any exception the file is removed and
     ``path`` is left as it was.
 
-    The temp file gets a random name beside ``path`` and is created with
-    mode 0o666, so the process umask applies as it would to a plain open.
-    An ``OSError`` that names the temp file (a missing directory, ``path`` a
-    directory) names ``path`` instead, so it reads the same on every run.
+    ``path`` passes ``check_target`` before the temp file is made.  The temp
+    file is ``.<16 hex>.tmp`` in ``path``'s directory, a random name of fixed
+    length, so any name the filesystem accepts can be written; it is created
+    with mode 0o666, so the process umask applies as it would to a plain
+    open.  An ``OSError`` that names the temp file (no permission, the
+    directory gone meanwhile) names ``path`` instead, so it reads the same
+    on every run.
     """
-    path = Path(path)
-    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    check_target(path)
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     try:
         fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
@@ -307,6 +329,6 @@ def _atomic_file(path):
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        if exc.filename != str(tmp):
+        if exc.filename != tmp:
             raise
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise OSError(exc.errno, exc.strerror, path) from exc

@@ -616,6 +616,64 @@ class TestWriteTextAtomic:
         assert list(tmp_path.iterdir()) == []
 
 
+# each writer of a file, called on a path with a one-line text or a one-row table
+WRITERS = {
+    "write_text_atomic": lambda path: output.write_text_atomic(path, "t\n"),
+    "trajectory_csv": lambda path: output.trajectory_csv(
+        path, [0.0], np.zeros((1, 4)), np.zeros((1, 4)), [0.0], [0.0]),
+}
+
+
+class TestEveryWriterChecksItsTarget:
+    """A library write refuses what ``--out`` refuses, as typed, before its
+    temp file exists, and any name the filesystem accepts can be written."""
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    @pytest.mark.parametrize("out, message", [
+        ("x/", "[Errno 21] Is a directory: 'x/'"),
+        ("", "[Errno 2] No such file or directory: ''"),
+        (".", "[Errno 16] Device or resource busy: '.'"),
+        ("missing/x", "[Errno 2] No such file or directory: 'missing/x'"),
+        ("d", "[Errno 21] Is a directory: 'd'"),
+    ], ids=["trailing-separator", "empty", "dot", "missing-parent", "directory"])
+    def test_refused_as_check_target_refuses(self, writer, out, message, tmp_path,
+                                             monkeypatch):
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(OSError) as refused:
+            output.check_target(out)
+        with pytest.raises(OSError) as raised:
+            WRITERS[writer](out)
+        assert type(raised.value) is type(refused.value)
+        assert (raised.value.errno, raised.value.filename) == (refused.value.errno, out)
+        assert str(raised.value) == str(refused.value) == message
+        assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_longest_name_writes(self, writer, tmp_path):
+        out = tmp_path / ("a" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        WRITERS[writer](out)
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    def test_longest_report_name_writes(self, tmp_path, capsys):
+        out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 5) + ".json")
+        assert run(["verify-table1", "--points=1", f"--out={out}"]) == 0
+        assert json.loads(out.read_text())["points"] == 1
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    @pytest.mark.parametrize("short, suffix", [(5, ""), (25, ".csv")],
+                             ids=["longest-summary", "old-temp-name-limit"])
+    def test_csv_and_summary_write(self, short, suffix, tmp_path, capsys):
+        # the summary of a name without suffix takes the longest name; a CSV
+        # 21 bytes short of it used to fail on its summary's temp file
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        out = tmp_path / ("c" * (name_max - short) + suffix)
+        summary = out.with_name(out.stem + ".json")
+        assert run(["simulate", "--potential=z", "--t-end=0.01", f"--out={out}"]) == 0
+        assert json.loads(summary.read_text())["samples"] == len(read_csv(out))
+        assert sorted(tmp_path.iterdir()) == sorted([out, summary])
+
+
 class TestJsonText:
     def test_golden(self):
         obj = {"f64": np.float64(0.1), "f32": np.float32(0.1), "i64": np.int64(-3),
@@ -1273,20 +1331,53 @@ class TestOutCheckedFirst:
         assert json.loads((tree / "link").read_text())["points"] == 1
         assert (tree / "d" / "x.json").is_dir()
 
+    @staticmethod
+    def written(out):
+        """The oracle, written out apart from ``output``: what ``open(out, "w")``
+        raises for a name that is empty or ends in a separator, else what
+        making a temp file in the parent and renaming it onto ``out`` raises,
+        named ``out``; None when that goes through."""
+        try:
+            if out == "" or out.endswith(os.sep):
+                open(out, "w").close()
+                return None
+            tmp = os.path.join(os.path.dirname(out), "oracle.tmp")
+            os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
+            try:
+                os.replace(tmp, out)
+            finally:
+                if os.path.lexists(tmp):
+                    os.unlink(tmp)
+        except OSError as exc:
+            return OSError(exc.errno, exc.strerror, out)
+        return None
+
     @pytest.mark.parametrize("out", ["missing/x", "f/x", "f/sub/x", "d", "d/x.json", ".", "..",
-                                     "link", "dangling", "new", "f"])
+                                     "link", "dangling", "new", "f", "x/", "d/",
+                                     pytest.param("", id="empty"),
+                                     pytest.param("a" * 256, id="name-too-long"),
+                                     pytest.param("a" * 256 + "/x", id="parent-too-long")])
     def test_check_matches_the_atomic_write(self, out, tree):
-        # the oracle: what the write itself raises, or that it succeeds
         (tree / "dangling").symlink_to("nowhere")
         try:
-            output.write_text_atomic(out, "")
-        except OSError as exc:
-            with pytest.raises(OSError) as refused:
-                output.check_target(out)
-            assert (type(refused.value), str(refused.value)) == (type(exc), str(exc))
-        else:
             output.check_target(out)
+            refused = None
+        except OSError as exc:
+            refused = exc
+        expected = self.written(out)
+        assert (type(refused), str(refused)) == (type(expected), str(expected))
         assert list(tree.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "hi-flow"])
+    def test_summary_name_too_long_leaves_no_csv(self, command, tmp_path, no_work, capsys):
+        # the CSV's name fits, its summary's is one byte too long
+        name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+        out = tmp_path / ("b" * (name_max - 4) + ".csv")
+        assert run([command, "--potential=z", f"--out={out}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("holomech: error: [Errno 36] File name too long: "
+                                f"'{out.with_suffix('.json')}'\n") and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutNamesAFile:
